@@ -2,21 +2,210 @@
  * @file
  * Fig. 1 reproduction: workload breakdown of a TFHE gate operation on
  * CPU. Unlike the other benches (which use analytic models), this one
- * *measures* our from-scratch software TFHE with phase timers and
+ * *measures* our from-scratch software TFHE at parameter set I and
  * prints the same three-level breakdown as the paper:
  *
  *   gate level:      PBS ~65% / keyswitch ~30% / other ~5%
  *   PBS level:       blind rotation ~98%
  *   BR iteration:    FFT > vector mult > accum+IFFT > decomp > rotate
+ *
+ * It times only production entry points. Each rep stages one NAND as
+ * linear combination -> blindRotate -> sampleExtract -> keySwitch,
+ * timing every stage, so the stages sum to the gate. It then replays
+ * the same blind rotation one CMux iteration at a time, timing the
+ * kernels of each iteration on the real accumulator. The program
+ * exits 1 unless the staged gate equals gateNand and every staged
+ * iteration equals GgswFft::cmuxRotate, bit for bit.
  */
 
+#include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "common/table.h"
+#include "poly/simd.h"
 #include "tfhe/client_keyset.h"
 #include "tfhe/gates.h"
 
 using namespace strix;
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/** Seconds since @p t; restarts @p t. */
+double
+lap(Clock::time_point &t)
+{
+    const Clock::time_point now = Clock::now();
+    const double s = std::chrono::duration<double>(now - t).count();
+    t = now;
+    return s;
+}
+
+bool
+sameGlwe(const GlweCiphertext &x, const GlweCiphertext &y)
+{
+    for (uint32_t c = 0; c <= x.k(); ++c)
+        if (!(x.poly(c) == y.poly(c)))
+            return false;
+    return true;
+}
+
+/** Cumulative seconds per gate stage. */
+struct GateTimes
+{
+    double linear = 0;       //!< linear combination
+    double acc_init = 0;     //!< test vector + trivial accumulator
+    double blind_rotate = 0; //!< blindRotate, modulus switch included
+    double extract = 0;      //!< sampleExtract
+    double keyswitch = 0;    //!< keySwitch
+
+    double pbs() const { return acc_init + blind_rotate + extract; }
+    double gate() const { return linear + pbs() + keyswitch; }
+};
+
+/** Cumulative seconds per CMux-iteration kernel. */
+struct IterTimes
+{
+    double rotate = 0;    //!< X^a * acc - acc
+    double decompose = 0; //!< gadget decomposition of every component
+    double fft = 0;       //!< one forwardBatch over every digit
+    double mac = 0;       //!< clear + multiply-accumulate
+    double ifft_acc = 0;  //!< inverse FFTs + accumulate
+    uint64_t count = 0;   //!< iterations staged
+
+    double total() const
+    {
+        return rotate + decompose + fft + mac + ifft_acc;
+    }
+};
+
+/**
+ * NAND staged through the calls gateNand makes. Leaves the linear
+ * combination in @p lin for the iteration replay.
+ */
+LweCiphertext
+stagedNand(const ServerContext &server, const LweCiphertext &a,
+           const LweCiphertext &b, LweCiphertext &lin,
+           PbsScratch &scratch, GateTimes &t)
+{
+    const TfheParams &p = server.params();
+    Clock::time_point clk = Clock::now();
+    lin = LweCiphertext::trivial(p.n, encodeMessage(1, 8));
+    lin.subAssign(a);
+    lin.subAssign(b);
+    t.linear += lap(clk);
+    GlweCiphertext acc =
+        GlweCiphertext::trivial(p.k, signTestVector(p.N));
+    t.acc_init += lap(clk);
+    blindRotate(acc, lin, server.bsk(), scratch);
+    t.blind_rotate += lap(clk);
+    const LweCiphertext big = sampleExtract(acc, 0);
+    t.extract += lap(clk);
+    LweCiphertext out = keySwitch(big, server.ksk());
+    t.keyswitch += lap(clk);
+    return out;
+}
+
+/**
+ * One CMux iteration, acc <- acc + ggsw [*] (X^power * acc - acc),
+ * run kernel by kernel as GgswFft::cmuxRotate runs it, adding each
+ * kernel's time to @p t. @p s must be sized for the key's shape.
+ */
+void
+stagedCmux(const GgswFft &ggsw, GlweCiphertext &acc, uint32_t power,
+           PbsScratch &s, IterTimes &t)
+{
+    const uint32_t k = ggsw.k();
+    const uint32_t big_n = ggsw.ringDim();
+    const GadgetParams &g = ggsw.gadget();
+    const auto &eng = NegacyclicFft::get(big_n);
+    const PolyKernels &kernels = activeKernels();
+    const size_t nrows = (size_t(k) + 1) * g.levels;
+    const size_t m = size_t(big_n) / 2;
+
+    Clock::time_point clk = Clock::now();
+    for (uint32_t c = 0; c <= k; ++c)
+        negacyclicRotateMinusOne(s.diff.poly(c), acc.poly(c), power);
+    t.rotate += lap(clk);
+    for (uint32_t comp = 0; comp <= k; ++comp)
+        gadgetDecomposePolyInto(
+            s.digit_coeffs.data() + size_t(comp) * g.levels * big_n,
+            s.diff.poly(comp), g);
+    t.decompose += lap(clk);
+    eng.forwardBatch(s.fdigits.data(), s.digit_coeffs.data(), nrows,
+                     kernels);
+    t.fft += lap(clk);
+    for (auto &col : s.acc)
+        col.assign(m, Cplx(0, 0));
+    for (size_t r = 0; r < nrows; ++r)
+        for (uint32_t c = 0; c <= k; ++c)
+            kernels.mulAccumulate(s.acc[c].data(), s.fdigits.data() + r * m,
+                                  ggsw.row(r, c).data(), m);
+    t.mac += lap(clk);
+    for (uint32_t c = 0; c <= k; ++c)
+        eng.inverse(s.prod.poly(c), s.acc[c], kernels);
+    acc.addAssign(s.prod);
+    t.ifft_acc += lap(clk);
+    ++t.count;
+}
+
+/**
+ * Replays the blind rotation of @p lin through stagedCmux twice from
+ * the accumulator blindRotate iterates on: once timed, then once with
+ * every iteration checked against cmuxRotate on the same input. The
+ * check is a separate pass so no reference work runs between timed
+ * kernels. Returns false on any bit difference.
+ */
+bool
+stagedIterations(const BootstrappingKey &bsk, const LweCiphertext &lin,
+                 PbsScratch &s, IterTimes &t)
+{
+    const TfheParams &p = bsk.params();
+    const size_t nrows = (size_t(p.k) + 1) * p.l_bsk;
+    const ModSwitch ms(p.N);
+
+    // With every mask element zero, blindRotate applies only the
+    // initial rotation: this is the state its iterations start from.
+    GlweCiphertext start =
+        GlweCiphertext::trivial(p.k, signTestVector(p.N));
+    blindRotate(start, LweCiphertext::trivial(p.n, lin.b()), bsk, s);
+
+    s.digit_coeffs.resize(nrows * p.N);
+    s.fdigits.resize(nrows * p.N / 2);
+    s.acc.resize(size_t(p.k) + 1);
+    s.diff = GlweCiphertext(p.k, p.N);
+    s.prod = GlweCiphertext(p.k, p.N);
+
+    GlweCiphertext acc = start;
+    for (uint32_t i = 0; i < p.n; ++i)
+        if (const uint32_t power = ms(lin.a(i)))
+            stagedCmux(bsk.bit(i), acc, power, s, t);
+
+    IterTimes untimed;
+    PbsScratch ref_scratch;
+    acc = start;
+    for (uint32_t i = 0; i < p.n; ++i) {
+        const uint32_t power = ms(lin.a(i));
+        if (power == 0)
+            continue;
+        GlweCiphertext ref = acc;
+        bsk.bit(i).cmuxRotate(ref, power, ref_scratch);
+        stagedCmux(bsk.bit(i), acc, power, s, untimed);
+        if (!sameGlwe(acc, ref))
+            return false;
+    }
+    return true;
+}
+
+std::string
+pct(double part, double whole)
+{
+    return TextTable::num(100 * part / whole, 1);
+}
+
+} // namespace
 
 int
 main()
@@ -27,68 +216,84 @@ main()
     ClientKeyset client(paramsSetI(), 2024);
     ServerContext server(client.evalKeys());
 
-    gateStatsReset();
-    gateStatsEnable(true);
-    // A mix of bootstrapped gates, as in a gate-level workload.
-    const int kGates = 12;
-    auto a = client.encryptBit(true);
-    auto b = client.encryptBit(false);
-    LweCiphertext out = a;
-    for (int i = 0; i < kGates; ++i) {
-        switch (i % 4) {
-          case 0: out = gateNand(server, a, b); break;
-          case 1: out = gateAnd(server, out, a); break;
-          case 2: out = gateOr(server, out, b); break;
-          default: out = gateXor(server, out, a); break;
-        }
+    const int kReps = 12;
+    GateTimes gt;
+    IterTimes it;
+    double nand_s = 0;
+    bool gate_ok = true, iter_ok = true;
+    PbsScratch scratch;
+    LweCiphertext lin;
+    for (int rep = 0; rep < kReps; ++rep) {
+        const LweCiphertext a = client.encryptBit(rep & 1);
+        const LweCiphertext b = client.encryptBit((rep >> 1) & 1);
+        const LweCiphertext got = stagedNand(server, a, b, lin, scratch, gt);
+        Clock::time_point clk = Clock::now();
+        const LweCiphertext want = gateNand(server, a, b);
+        nand_s += lap(clk);
+        gate_ok = gate_ok && got.raw() == want.raw();
+        iter_ok = stagedIterations(server.bsk(), lin, scratch, it) &&
+                  iter_ok;
     }
-    gateStatsEnable(false);
-    const GateStats &s = gateStats();
 
-    const double total = s.total();
-    const double pbs = s.pbsTotal();
+    // Absolute columns: milliseconds per gate, microseconds per
+    // CMux iteration.
+    auto ms = [&](double sec) { return TextTable::num(sec * 1e3 / kReps, 3); };
+    auto us = [&](double sec) {
+        return TextTable::num(sec * 1e6 / double(it.count), 2);
+    };
 
     TextTable gate;
-    gate.header({"Gate-level phase", "measured %", "paper %"});
-    gate.row({"PBS", TextTable::num(100 * pbs / total, 1), "~65"});
-    gate.row({"Keyswitch (KS)",
-              TextTable::num(100 * s.keyswitch_s / total, 1), "~30"});
-    gate.row({"Other (linear ops)",
-              TextTable::num(100 * s.linear_s / total, 1), "~5"});
+    gate.header({"Gate-level phase", "measured %", "ms/gate", "paper %"});
+    gate.row({"PBS", pct(gt.pbs(), gt.gate()), ms(gt.pbs()), "~65"});
+    gate.row({"Keyswitch (KS)", pct(gt.keyswitch, gt.gate()),
+              ms(gt.keyswitch), "~30"});
+    gate.row({"Other (linear ops)", pct(gt.linear, gt.gate()),
+              ms(gt.linear), "~5"});
     gate.print();
 
-    const double br = s.rotate_s + s.decompose_s + s.fft_s +
-                      s.vecmult_s + s.ifft_accum_s;
     TextTable pbs_t;
-    pbs_t.header({"PBS phase", "measured %", "paper %"});
-    pbs_t.row({"Blind rotation (BR)", TextTable::num(100 * br / pbs, 1),
-               "~98"});
-    pbs_t.row({"ModSwitch + SampleExtract",
-               TextTable::num(100 * s.other_pbs_s / pbs, 1), "~2"});
+    pbs_t.header({"PBS phase", "measured %", "ms/gate", "paper %"});
+    pbs_t.row({"Blind rotation (BR)", pct(gt.blind_rotate, gt.pbs()),
+               ms(gt.blind_rotate), "~98"});
+    pbs_t.row({"Test vector + SampleExtract",
+               pct(gt.acc_init + gt.extract, gt.pbs()),
+               ms(gt.acc_init + gt.extract), "~2"});
     pbs_t.print();
 
     TextTable iter;
-    iter.header({"BR iteration phase", "measured %"});
-    iter.row({"FFT", TextTable::num(100 * s.fft_s / br, 1)});
-    iter.row({"Vector mult", TextTable::num(100 * s.vecmult_s / br, 1)});
-    iter.row({"Accum + IFFT",
-              TextTable::num(100 * s.ifft_accum_s / br, 1)});
-    iter.row({"Decomposition",
-              TextTable::num(100 * s.decompose_s / br, 1)});
-    iter.row({"Rotate", TextTable::num(100 * s.rotate_s / br, 1)});
+    iter.header({"BR iteration phase", "measured %", "us/iter"});
+    iter.row({"FFT", pct(it.fft, it.total()), us(it.fft)});
+    iter.row({"Vector mult", pct(it.mac, it.total()), us(it.mac)});
+    iter.row({"Accum + IFFT", pct(it.ifft_acc, it.total()),
+              us(it.ifft_acc)});
+    iter.row({"Decomposition", pct(it.decompose, it.total()),
+              us(it.decompose)});
+    iter.row({"Rotate", pct(it.rotate, it.total()), us(it.rotate)});
     iter.print();
 
-    std::printf("\nGates executed: %d; total measured time: %.1f ms "
-                "(%.2f ms/gate)\n",
-                kGates, total * 1e3, total * 1e3 / kGates);
-    std::printf("\nNote: our portable-C++ FFT is slower relative to "
-                "keyswitching than Concrete's AVX-optimized FFT, so "
-                "the PBS share measures above the paper's ~65%% and "
-                "the KS share below ~30%%; the ordering and the "
+    std::printf("\nGates executed: %d; staged NAND %.2f ms/gate, "
+                "gateNand %.2f ms/gate; FFT kernel: %s\n",
+                kReps, gt.gate() * 1e3 / kReps, nand_s * 1e3 / kReps,
+                activeKernels().name);
+    std::printf("The staged CMux iterations (n = %u per PBS) add up to "
+                "%.1f%% of the measured blindRotate. Modulus switching, "
+                "the initial rotation and loop control lie outside "
+                "them; run-to-run noise is a few percent either way.\n",
+                server.params().n, 100 * it.total() / gt.blind_rotate);
+    std::printf("\nThe PBS share measures above the paper's ~65%% and "
+                "the KS share below its ~30%%; the ordering and the "
                 "BR-dominates-PBS structure match.\n");
     std::printf("Shape check: PBS dominates the gate, BR dominates "
                 "PBS, and the transform pipeline (FFT + vector mult + "
                 "IFFT) dominates each BR iteration -- the premise of "
                 "the Strix design.\n");
+
+    if (!gate_ok || !iter_ok) {
+        std::printf("\nMISMATCH: %s\n",
+                    !gate_ok ? "staged NAND differs from gateNand"
+                             : "a staged CMux iteration differs from "
+                               "GgswFft::cmuxRotate");
+        return 1;
+    }
     return 0;
 }

@@ -154,10 +154,9 @@ BM_GadgetDecomposePoly(benchmark::State &state)
 BENCHMARK(BM_GadgetDecomposePoly)->Arg(1024)->Arg(16384);
 
 /**
- * Fused vs per-poly external product: the A/B pair for the batched
- * FFT sweep. Both run with a persistent scratch, so the delta is the
- * transform scheduling alone (results are bit-identical; the tests
- * assert it).
+ * One batch-fused FFT external product (decompose, one forwardBatch
+ * sweep over every digit, MAC, inverse FFTs) with a persistent
+ * scratch, as each blind-rotation iteration runs it.
  */
 void
 BM_ExternalProductFft(benchmark::State &state)
@@ -178,26 +177,6 @@ BM_ExternalProductFft(benchmark::State &state)
     state.SetLabel("batch-fused FFT sweep");
 }
 BENCHMARK(BM_ExternalProductFft);
-
-void
-BM_ExternalProductFftPerPoly(benchmark::State &state)
-{
-    Rng rng(6);
-    const uint32_t n = 1024, k = 1;
-    GlweKey key(k, n, rng);
-    GadgetParams g{10, 2};
-    GgswFft ggsw(ggswEncrypt(key, 1, g, 0.0, rng));
-    TorusPolynomial mu(n);
-    GlweCiphertext ct = glweEncrypt(key, mu, 0.0, rng);
-    GlweCiphertext out;
-    PbsScratch scratch;
-    for (auto _ : state) {
-        ggsw.externalProductPerPoly(out, ct, scratch);
-        benchmark::DoNotOptimize(&out);
-    }
-    state.SetLabel("per-poly reference");
-}
-BENCHMARK(BM_ExternalProductFftPerPoly);
 
 void
 BM_ProgrammableBootstrap(benchmark::State &state)

@@ -117,143 +117,6 @@ BootstrappingKey::fromBits(const TfheParams &params,
     return bsk;
 }
 
-UnrolledBootstrappingKey
-UnrolledBootstrappingKey::generate(const LweKey &lwe_key,
-                                   const GlweKey &glwe_key,
-                                   const TfheParams &params, Rng &rng)
-{
-    panicIfNot(lwe_key.dim() == params.n, "ubsk: LWE key dim mismatch");
-    UnrolledBootstrappingKey ubsk;
-    ubsk.params_ = params;
-    GadgetParams g{params.bg_bits, params.l_bsk};
-    const uint32_t pairs = (params.n + 1) / 2;
-    ubsk.triples_.reserve(pairs);
-    for (uint32_t i = 0; i < pairs; ++i) {
-        int32_t s = lwe_key.bit(2 * i);
-        // Odd n: the last pair is padded with an implicit zero bit.
-        int32_t t = 2 * i + 1 < params.n ? lwe_key.bit(2 * i + 1) : 0;
-        Triple tr{
-            GgswFft(ggswEncrypt(glwe_key, s, g, params.glwe_noise, rng)),
-            GgswFft(ggswEncrypt(glwe_key, t, g, params.glwe_noise, rng)),
-            GgswFft(
-                ggswEncrypt(glwe_key, s * t, g, params.glwe_noise, rng))};
-        ubsk.triples_.push_back(std::move(tr));
-    }
-    return ubsk;
-}
-
-uint64_t
-UnrolledBootstrappingKey::bytes() const
-{
-    // 3 GGSW per pair of key bits = 1.5x the regular bsk.
-    return uint64_t(pairs()) * 3 * (params_.k + 1) * params_.l_bsk *
-           (params_.k + 1) * params_.N * sizeof(uint32_t);
-}
-
-void
-blindRotateUnrolled(GlweCiphertext &acc, const LweCiphertext &ct,
-                    const UnrolledBootstrappingKey &ubsk,
-                    PbsScratch &scratch)
-{
-    const TfheParams &p = ubsk.params();
-    panicIfNot(ct.dim() == p.n, "blindRotateUnrolled: dim mismatch");
-    const uint32_t two_n = 2 * p.N;
-    const ModSwitch ms(p.N);
-
-    const uint32_t b_tilde = ms(ct.b());
-    if (b_tilde != 0) {
-        GlweCiphertext rotated(p.k, p.N);
-        for (uint32_t c = 0; c <= p.k; ++c)
-            negacyclicRotate(rotated.poly(c), acc.poly(c),
-                             two_n - b_tilde);
-        acc = std::move(rotated);
-    }
-
-    // All pair-iteration working storage comes from the scratch, so
-    // the ceil(n/2) hot iterations allocate nothing (externalProduct
-    // uses the digit/frequency buffers, never these four).
-    GlweCiphertext &d = scratch.diff;
-    GlweCiphertext &prod = scratch.prod;
-    GlweCiphertext &sum = scratch.sum;
-    TorusPolynomial &tmp = scratch.rot_tmp;
-    if (d.k() != p.k || d.ringDim() != p.N)
-        d = GlweCiphertext(p.k, p.N);
-    if (sum.k() != p.k || sum.ringDim() != p.N)
-        sum = GlweCiphertext(p.k, p.N);
-    if (tmp.size() != p.N)
-        tmp = TorusPolynomial(p.N);
-
-    for (uint32_t i = 0; i < ubsk.pairs(); ++i) {
-        const uint32_t a = ms(ct.a(2 * i));
-        const uint32_t b = 2 * i + 1 < p.n ? ms(ct.a(2 * i + 1)) : 0;
-        if (a == 0 && b == 0)
-            continue;
-
-        sum.clear();
-        // s-term: GGSW(s) [*] (X^a - 1) acc
-        if (a != 0) {
-            for (uint32_t c = 0; c <= p.k; ++c)
-                negacyclicRotateMinusOne(d.poly(c), acc.poly(c), a);
-            ubsk.first(i).externalProduct(prod, d, scratch);
-            sum.addAssign(prod);
-        }
-        // t-term: GGSW(t) [*] (X^b - 1) acc
-        if (b != 0) {
-            for (uint32_t c = 0; c <= p.k; ++c)
-                negacyclicRotateMinusOne(d.poly(c), acc.poly(c), b);
-            ubsk.second(i).externalProduct(prod, d, scratch);
-            sum.addAssign(prod);
-        }
-        // st-term: GGSW(s*t) [*] (X^a - 1)(X^b - 1) acc
-        if (a != 0 && b != 0) {
-            for (uint32_t c = 0; c <= p.k; ++c) {
-                // X^{a+b} acc - X^a acc - X^b acc + acc
-                negacyclicRotate(d.poly(c), acc.poly(c),
-                                 (a + b) % two_n);
-                negacyclicRotate(tmp, acc.poly(c), a);
-                d.poly(c).subAssign(tmp);
-                negacyclicRotate(tmp, acc.poly(c), b);
-                d.poly(c).subAssign(tmp);
-                d.poly(c).addAssign(acc.poly(c));
-            }
-            ubsk.product(i).externalProduct(prod, d, scratch);
-            sum.addAssign(prod);
-        }
-        acc.addAssign(sum);
-    }
-}
-
-void
-blindRotateUnrolled(GlweCiphertext &acc, const LweCiphertext &ct,
-                    const UnrolledBootstrappingKey &ubsk)
-{
-    PbsScratch scratch;
-    blindRotateUnrolled(acc, ct, ubsk, scratch);
-}
-
-LweCiphertext
-programmableBootstrapUnrolled(const LweCiphertext &ct,
-                              const TorusPolynomial &test_vector,
-                              const UnrolledBootstrappingKey &ubsk,
-                              PbsScratch &scratch)
-{
-    const TfheParams &p = ubsk.params();
-    panicIfNot(test_vector.size() == p.N,
-               "unrolled PBS: test vector size mismatch");
-    GlweCiphertext acc = GlweCiphertext::trivial(p.k, test_vector);
-    blindRotateUnrolled(acc, ct, ubsk, scratch);
-    return sampleExtract(acc, 0);
-}
-
-LweCiphertext
-programmableBootstrapUnrolled(const LweCiphertext &ct,
-                              const TorusPolynomial &test_vector,
-                              const UnrolledBootstrappingKey &ubsk)
-{
-    PbsScratch scratch;
-    return programmableBootstrapUnrolled(ct, test_vector, ubsk, scratch);
-}
-
 ModSwitch::ModSwitch(uint32_t big_n)
 {
     panicIfNot(big_n != 0 && (big_n & (big_n - 1)) == 0,
@@ -304,14 +167,6 @@ blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
             continue; // rotation by X^0 - 1 = 0 contributes nothing
         bsk.bit(i).cmuxRotate(acc, a_tilde, scratch);
     }
-}
-
-void
-blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
-            const BootstrappingKey &bsk)
-{
-    PbsScratch scratch;
-    blindRotate(acc, ct, bsk, scratch);
 }
 
 LweCiphertext

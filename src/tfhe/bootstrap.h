@@ -80,52 +80,6 @@ class BootstrappingKey
 };
 
 /**
- * Bootstrapping key with 2x unrolling (Bourse et al., as used by the
- * Matcha accelerator the paper compares against): key bits are taken
- * in pairs (s, t) and each pair stores GGSW(s), GGSW(t), GGSW(s*t),
- * letting one blind-rotation iteration absorb two mask elements:
- *
- *   X^{a*s + b*t} = 1 + s(X^a - 1) + t(X^b - 1)
- *                     + s*t (X^a - 1)(X^b - 1).
- *
- * Halves the iteration count at 1.5x key size and 3 external
- * products per iteration.
- */
-class UnrolledBootstrappingKey
-{
-  public:
-    UnrolledBootstrappingKey() = default;
-
-    /** Number of unrolled iterations: ceil(n / 2). */
-    uint32_t pairs() const
-    {
-        return static_cast<uint32_t>(triples_.size());
-    }
-    const TfheParams &params() const { return params_; }
-
-    /** GGSW triple (s, t, s*t) for pair @p i. */
-    const GgswFft &first(size_t i) const { return triples_[i].s; }
-    const GgswFft &second(size_t i) const { return triples_[i].t; }
-    const GgswFft &product(size_t i) const { return triples_[i].st; }
-
-    static UnrolledBootstrappingKey generate(const LweKey &lwe_key,
-                                             const GlweKey &glwe_key,
-                                             const TfheParams &params,
-                                             Rng &rng);
-
-    /** Key bytes relative to the regular bsk: 1.5x. */
-    uint64_t bytes() const;
-
-  private:
-    struct Triple
-    {
-        GgswFft s, t, st;
-    };
-    std::vector<Triple> triples_;
-    TfheParams params_;
-};
-
-/**
  * Precomputed modulus switch to Z_{2N}: round(a * 2N / 2^32)
  * (Algorithm 1, line 3). The constructor derives the shift, rounding
  * bias, and wrap mask once -- it runs n times per blind rotation, so
@@ -171,34 +125,6 @@ uint32_t modulusSwitch(Torus32 a, uint32_t big_n);
  */
 void blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
                  const BootstrappingKey &bsk, PbsScratch &scratch);
-
-/** Convenience overload with a throwaway local scratch. */
-void blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
-                 const BootstrappingKey &bsk);
-
-/**
- * Blind rotation with the 2x-unrolled key: ceil(n/2) iterations.
- * All working storage (pair difference, external-product output, pair
- * sum, rotation temporary) lives in @p scratch, so the hot loop is
- * allocation-free; one scratch per thread parallelizes cleanly.
- */
-void blindRotateUnrolled(GlweCiphertext &acc, const LweCiphertext &ct,
-                         const UnrolledBootstrappingKey &ubsk,
-                         PbsScratch &scratch);
-
-/** Convenience overload with a throwaway local scratch. */
-void blindRotateUnrolled(GlweCiphertext &acc, const LweCiphertext &ct,
-                         const UnrolledBootstrappingKey &ubsk);
-
-/** PBS using the unrolled key (functionally identical to PBS). */
-LweCiphertext programmableBootstrapUnrolled(
-    const LweCiphertext &ct, const TorusPolynomial &test_vector,
-    const UnrolledBootstrappingKey &ubsk, PbsScratch &scratch);
-
-/** Convenience overload with a throwaway local scratch. */
-LweCiphertext programmableBootstrapUnrolled(
-    const LweCiphertext &ct, const TorusPolynomial &test_vector,
-    const UnrolledBootstrappingKey &ubsk);
 
 /**
  * Full PBS: blind-rotate the test vector, then sample-extract

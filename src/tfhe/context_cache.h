@@ -36,7 +36,6 @@
 #define STRIX_TFHE_CONTEXT_CACHE_H
 
 #include <memory>
-#include <string>
 
 #include "tfhe/client_keyset.h"
 #include "tfhe/eval_key_cache.h"
@@ -71,35 +70,6 @@ class ContextCache
      */
     std::shared_ptr<const ClientKeyset>
     getOrCreateKeyset(const TfheParams &params, uint64_t seed);
-
-    /**
-     * Adopt an externally-built bundle under the caller-chosen
-     * @p params_key, so adopted keys participate in the same LRU
-     * budgeting and CacheStats as keygen entries. Idempotent: an
-     * already-resident key returns the *existing* bundle (a hit) and
-     * drops @p bundle. Namespaced apart from keygen keys. This is
-     * EvalKeyCache::getOrInsert on the shared engine -- a serving
-     * daemon (which must not include this secret-side header) calls
-     * that directly on its own EvalKeyCache instance.
-     */
-    std::shared_ptr<const EvalKeys>
-    getOrInsert(const std::string &params_key,
-                std::shared_ptr<const EvalKeys> bundle)
-    {
-        return cache_.getOrInsert(params_key, std::move(bundle));
-    }
-
-    /**
-     * The bundle previously adopted under @p params_key, or nullptr if
-     * it was never inserted or has been evicted under budget pressure
-     * (the caller should treat that as "tenant must re-register").
-     * A hit stamps LRU recency.
-     */
-    std::shared_ptr<const EvalKeys>
-    lookup(const std::string &params_key)
-    {
-        return cache_.lookup(params_key);
-    }
 
     /**
      * Cap the resident bytes of built bundles (EvalKeys::residentBytes

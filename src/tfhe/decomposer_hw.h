@@ -86,9 +86,9 @@ class StreamingDecomposer
 };
 
 /**
- * Decompose a polynomial through the streaming datapath; used by
- * tests to validate stream order and by the software PBS when
- * configured to use the hardware-equivalent path.
+ * Decompose a polynomial through the streaming datapath; tests use it
+ * to check that the hardware stream order yields the same digits as
+ * gadgetDecomposePoly.
  */
 void streamingDecomposePoly(std::vector<IntPolynomial> &out,
                             const TorusPolynomial &poly,

@@ -174,40 +174,6 @@ GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
 }
 
 void
-GgswFft::externalProductPerPoly(GlweCiphertext &out,
-                                const GlweCiphertext &glwe,
-                                PbsScratch &scratch) const
-{
-    panicIfNot(glwe.k() == k_ && glwe.ringDim() == big_n_,
-               "externalProduct(fft): shape mismatch");
-    const auto &eng = NegacyclicFft::get(big_n_);
-
-    // One transform per digit: the pre-fusion dataflow, kept as the
-    // reference the batched path must match bit for bit.
-    std::vector<IntPolynomial> &digits = scratch.digits;
-    std::vector<FreqPolynomial> &acc = scratch.acc;
-    FreqPolynomial &fdigit = scratch.fdigit;
-    if (acc.size() != size_t(k_) + 1)
-        acc.resize(size_t(k_) + 1);
-    for (auto &col : acc)
-        col.assign(big_n_ / 2, Cplx(0, 0));
-    for (uint32_t comp = 0; comp <= k_; ++comp) {
-        gadgetDecomposePoly(digits, glwe.poly(comp), g_);
-        for (uint32_t level = 0; level < g_.levels; ++level) {
-            eng.forward(fdigit, digits[level]);
-            size_t r = size_t(comp) * g_.levels + level;
-            for (uint32_t c = 0; c <= k_; ++c)
-                NegacyclicFft::mulAccumulate(acc[c], fdigit, row(r, c));
-        }
-    }
-
-    if (out.k() != k_ || out.ringDim() != big_n_)
-        out = GlweCiphertext(k_, big_n_);
-    for (uint32_t c = 0; c <= k_; ++c)
-        eng.inverse(out.poly(c), acc[c]);
-}
-
-void
 GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe) const
 {
     PbsScratch scratch;

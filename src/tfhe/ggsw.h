@@ -105,10 +105,6 @@ struct PbsScratch
     std::vector<FreqPolynomial> acc;    //!< per-column freq accumulators
     GlweCiphertext diff;                //!< CMux rotate-minus-one input
     GlweCiphertext prod;                //!< external-product output
-    GlweCiphertext sum;                 //!< unrolled-PBS pair accumulator
-    TorusPolynomial rot_tmp;            //!< unrolled-PBS rotation scratch
-    std::vector<IntPolynomial> digits;  //!< per-poly reference path digits
-    FreqPolynomial fdigit;              //!< per-poly reference digit FFT
 };
 
 /**
@@ -163,8 +159,8 @@ class GgswFft
      * land in one contiguous scratch matrix and go through a single
      * NegacyclicFft::forwardBatch sweep (Strix's streaming-FFT batch
      * schedule) instead of (k+1)*l isolated transforms. Results are
-     * bit-identical to externalProductPerPoly, the per-transform
-     * reference kept for tests and A/B benchmarks.
+     * bit-identical to transforming one digit at a time; the tests'
+     * per-transform oracle pins this.
      */
     void externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
                          PbsScratch &scratch) const;
@@ -172,16 +168,6 @@ class GgswFft
     /** Convenience overload with a throwaway local scratch. */
     void externalProduct(GlweCiphertext &out,
                          const GlweCiphertext &glwe) const;
-
-    /**
-     * Reference external product transforming one digit at a time
-     * through NegacyclicFft::forward. Semantics (and bits) match
-     * externalProduct exactly; kept as the A/B target the batched
-     * path is tested and benchmarked against.
-     */
-    void externalProductPerPoly(GlweCiphertext &out,
-                                const GlweCiphertext &glwe,
-                                PbsScratch &scratch) const;
 
     /**
      * Fused CMux used by blind rotation:

@@ -23,15 +23,12 @@
 
 namespace strix {
 
-class TfheContext;
-
 /**
  * Integer arithmetic engine bound to a ServerContext (public
  * evaluation keys only -- arithmetic provably cannot decrypt its
  * operands). Encryption and decryption are client-side operations and
  * take the ClientKeyset explicitly. digit_bits = 2 (base-4 digits) is
- * a good fit for 32-bit-torus parameter sets. A TfheContext facade
- * converts implicitly to the ServerContext argument.
+ * a good fit for 32-bit-torus parameter sets.
  */
 class IntegerOps
 {
@@ -44,17 +41,10 @@ class IntegerOps
 
     /**
      * The engine stores a reference: @p server must outlive it.
-     * Binding a temporary -- a ServerContext directly, or a
-     * TfheContext facade about to convert -- is rejected at compile
-     * time (it would dangle after the full expression).
+     * Binding a temporary ServerContext is rejected at compile time
+     * (it would dangle after the full expression).
      */
     explicit IntegerOps(const ServerContext &&, uint32_t = 2) = delete;
-    // Mentioning the deprecated facade in a deleted guard overload is
-    // intentional -- keep it until the facade itself is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    explicit IntegerOps(TfheContext &&, uint32_t = 2) = delete;
-#pragma GCC diagnostic pop
 
     uint32_t base() const { return 1u << digit_bits_; }
     /** Message space per digit PBS (one headroom bit). */

@@ -79,17 +79,8 @@ std::vector<LweCiphertext>
 ServerContext::bootstrapBatch(const LweCiphertext *cts, size_t count,
                               const TorusPolynomial &test_vector) const
 {
-    std::shared_ptr<ThreadPool> pool = this->pool();
-    std::vector<LweCiphertext> out(count);
-    // One scratch per worker: blind rotation allocates nothing and
-    // shares nothing, so workers never touch common mutable state.
-    std::vector<PbsScratch> scratch(pool->threads());
-    pool->parallelFor(count, [&](size_t i, unsigned worker) {
-        LweCiphertext big = programmableBootstrap(
-            cts[i], test_vector, keys_->bsk(), scratch[worker]);
-        out[i] = keySwitch(big, keys_->ksk());
-    });
-    return out;
+    const std::vector<const TorusPolynomial *> tvs(count, &test_vector);
+    return bootstrapBatch(cts, tvs.data(), count);
 }
 
 std::vector<LweCiphertext>
@@ -109,6 +100,8 @@ ServerContext::bootstrapBatch(const LweCiphertext *cts,
                    "bootstrapBatch: null test-vector pointer");
     std::shared_ptr<ThreadPool> pool = this->pool();
     std::vector<LweCiphertext> out(count);
+    // One scratch per worker: blind rotation allocates nothing and
+    // shares nothing, so workers never touch common mutable state.
     std::vector<PbsScratch> scratch(pool->threads());
     pool->parallelFor(count, [&](size_t i, unsigned worker) {
         LweCiphertext big = programmableBootstrap(

@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "tfhe/gates.h"
 
 namespace strix {
 
@@ -614,18 +615,6 @@ analyzeCircuit(const Circuit &circuit, const TfheParams &params,
 // ---------------------------------------------------------------------
 
 namespace {
-
-/** mu = 1/8 constant test vector for the sign bootstrap (the same
- * LUT gates.cpp uses, so unelided plans stay bit-identical). */
-TorusPolynomial
-signTestVector(uint32_t big_n)
-{
-    TorusPolynomial tv(big_n);
-    const Torus32 mu = encodeMessage(1, 8);
-    for (uint32_t j = 0; j < big_n; ++j)
-        tv[j] = mu;
-    return tv;
-}
 
 void
 addWeighted(LweCiphertext &acc, const LweCiphertext &x, int32_t w)

@@ -71,7 +71,7 @@ struct TestKeys
 
 /**
  * Deterministic per-suite context seeds. Each test file that builds a
- * shared TestKeys/TfheContext uses its own seed so suites stay
+ * shared TestKeys uses its own seed so suites stay
  * independent; keeping them here documents that they are arbitrary
  * but pinned.
  */

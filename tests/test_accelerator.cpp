@@ -30,6 +30,16 @@ struct TableVRow
     double throughput;
 };
 
+/**
+ * Print a row by its parameter set, so the `GetParam()` text in the
+ * ctest test name does not carry the ASLR-randomised `params` pointer.
+ */
+void
+PrintTo(const TableVRow &row, std::ostream *os)
+{
+    *os << "Set" << row.params->name;
+}
+
 class TableVRegression : public ::testing::TestWithParam<TableVRow>
 {
 };

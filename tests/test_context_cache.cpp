@@ -17,6 +17,7 @@
 
 #include "support/test_util.h"
 #include "tfhe/context_cache.h"
+#include "tfhe/eval_key_cache.h"
 #include "tfhe/serialize.h"
 #include "tfhe/server_context.h"
 
@@ -303,9 +304,10 @@ TEST(ContextCacheLru, ConcurrentChurnUnderBudgetPressure)
 }
 
 // ---------------------------------------------------------------------------
-// getOrInsert: externally-deserialized bundles (the serving daemon's
-// RegisterTenant path) adopted into the same LRU budgeting and
-// CacheStats as keygen entries.
+// EvalKeyCache::getOrInsert: externally-deserialized bundles (the
+// serving daemon's RegisterTenant path, which calls the engine
+// directly) adopted into the same LRU budgeting and CacheStats as
+// built entries.
 
 /**
  * A bundle with no owner but the adopting cache and whoever holds the
@@ -322,9 +324,18 @@ externalBundle(uint64_t seed)
     return deserializeEvalKeys(is);
 }
 
+/** Builder for a getOrBuild entry that only the cache holds. */
+EvalKeyCache::Builder
+builtBundle(uint64_t seed)
+{
+    return [seed] {
+        return EvalKeyCache::Built{externalBundle(seed), nullptr};
+    };
+}
+
 TEST(ContextCacheInsert, AdoptsBundleAndHitsOnRepeat)
 {
-    ContextCache cache;
+    EvalKeyCache cache;
     auto bundle = externalBundle(71);
     const uint64_t b = bundle->residentBytes();
 
@@ -336,7 +347,7 @@ TEST(ContextCacheInsert, AdoptsBundleAndHitsOnRepeat)
     EXPECT_EQ(s.misses, 0u) << "an insert is not a keygen miss";
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.resident_bytes, b);
-    EXPECT_EQ(cache.keygenCount(), 0u);
+    EXPECT_EQ(cache.buildCount(), 0u);
 
     // Idempotent re-registration: a second upload under the same key
     // returns the *resident* bundle and drops the new copy.
@@ -353,7 +364,7 @@ TEST(ContextCacheInsert, AdoptsBundleAndHitsOnRepeat)
 
 TEST(ContextCacheInsert, LookupMissesThenHitsThenServes)
 {
-    ContextCache cache;
+    EvalKeyCache cache;
     EXPECT_EQ(cache.lookup("tenant-a"), nullptr);
 
     auto bundle = externalBundle(72);
@@ -374,19 +385,19 @@ TEST(ContextCacheInsert, LookupMissesThenHitsThenServes)
 
 TEST(ContextCacheInsert, ExternalKeysAreNamespacedFromKeygen)
 {
-    ContextCache cache;
-    (void)cache.getOrCreate(fastParams(), 73);
+    EvalKeyCache cache;
+    (void)cache.getOrBuild("n=48 N=512", builtBundle(73));
     // A hostile (or merely unlucky) params_key cannot collide with a
-    // keygen entry, whatever string it is.
+    // built entry, even when it is the very same string.
     (void)cache.getOrInsert("n=48 N=512", externalBundle(73));
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.keygenCount(), 1u);
+    EXPECT_EQ(cache.buildCount(), 1u);
     EXPECT_EQ(cache.stats().inserts, 1u);
 }
 
 TEST(ContextCacheInsert, BudgetPressureEvictsIdleTenant)
 {
-    ContextCache cache;
+    EvalKeyCache cache;
     uint64_t b = 0;
     {
         auto bundle = externalBundle(74);
@@ -423,19 +434,19 @@ TEST(ContextCacheInsert, BudgetPressureEvictsIdleTenant)
 
 TEST(ContextCacheInsert, LruOrderSpansKeygenAndInsertedEntries)
 {
-    ContextCache cache;
+    EvalKeyCache cache;
     const uint64_t b =
-        cache.getOrCreate(fastParams(), 76)->residentBytes();
+        cache.getOrBuild("built", builtBundle(76)).bundle->residentBytes();
     (void)cache.getOrInsert("tenant-a", externalBundle(77));
-    (void)cache.getOrCreate(fastParams(), 76); // keygen entry is MRU
+    (void)cache.getOrBuild("built", builtBundle(76)); // built entry is MRU
 
     cache.setBudgetBytes(b); // room for one: the idle external goes
     CacheStats s = cache.stats();
     EXPECT_EQ(s.evictions, 1u);
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(cache.lookup("tenant-a"), nullptr);
-    (void)cache.getOrCreate(fastParams(), 76);
-    EXPECT_EQ(cache.keygenCount(), 1u) << "keygen entry survived";
+    (void)cache.getOrBuild("built", builtBundle(76));
+    EXPECT_EQ(cache.buildCount(), 1u) << "built entry survived";
 }
 
 } // namespace

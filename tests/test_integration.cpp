@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/pbs_oracles.h"
 #include "support/test_util.h"
 #include <sstream>
 
@@ -149,8 +150,8 @@ TEST(Integration, UnrolledContextFullLutChain)
     Rng rng(111);
     LweKey lwe_key(params.n, rng);
     GlweKey glwe_key(params.k, params.N, rng);
-    auto ubsk = UnrolledBootstrappingKey::generate(lwe_key, glwe_key,
-                                                   params, rng);
+    auto ubsk = test::UnrolledBootstrappingKey::generate(
+        lwe_key, glwe_key, params, rng);
     auto ksk = KeySwitchKey::generate(glwe_key.extractedLweKey(),
                                       lwe_key, params, rng);
 
@@ -160,7 +161,7 @@ TEST(Integration, UnrolledContextFullLutChain)
     for (int i = 0; i < 3; ++i) {
         TorusPolynomial tv = makeIntTestVector(
             params.N, space, [](int64_t x) { return (x + 1) % 8; });
-        auto big = programmableBootstrapUnrolled(ct, tv, ubsk);
+        auto big = test::programmableBootstrapUnrolled(ct, tv, ubsk);
         ct = keySwitch(big, ksk);
     }
     EXPECT_EQ(decodeLut(lwePhase(lwe_key, ct), space), 5);

@@ -1,16 +1,20 @@
 /**
  * @file
- * Bootstrapping-key unrolling tests: functional equivalence with the
- * regular PBS, key-size accounting, and the simulator-side trade-off.
+ * Bootstrapping-key unrolling tests: the test-side unrolled PBS
+ * (support/pbs_oracles.h) against the regular PBS, its key-size
+ * accounting, and the simulator-side trade-off it is the oracle for.
  */
 
 #include <gtest/gtest.h>
 
 #include "strix/accelerator.h"
-#include "tfhe/bootstrap.h"
+#include "support/pbs_oracles.h"
 
 namespace strix {
 namespace {
+
+using test::programmableBootstrapUnrolled;
+using test::UnrolledBootstrappingKey;
 
 /** Small exact setup with both key forms. */
 struct UnrollFixture
