@@ -390,10 +390,10 @@ class CountingBuf : public std::streambuf
 };
 
 /**
- * EvalKeys frame writers, v1 (expanded) vs v2 (seeded): the recorded
- * byte counters are the wire-size claim (EVK2 ~ 1/(k+1) of the BSK +
- * 1/(n+1) of the KSK; ~1/3 of EVK1 at set I), the times the
- * serialization cost at paper set I.
+ * EvalKeys frame writer (seeded EVK2): the recorded byte counter is
+ * the wire-size claim (~1/(k+1) of the BSK + 1/(n+1) of the KSK;
+ * ~1/3 of the resident key at set I), the time the serialization
+ * cost at paper set I.
  */
 void
 BM_EvalKeysSerialize(benchmark::State &state, EvalKeysFormat format)
@@ -413,8 +413,6 @@ BM_EvalKeysSerialize(benchmark::State &state, EvalKeysFormat format)
                             int64_t(bytes));
     state.SetLabel("parameter set I");
 }
-BENCHMARK_CAPTURE(BM_EvalKeysSerialize, v1, EvalKeysFormat::Expanded)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EvalKeysSerialize, v2, EvalKeysFormat::Seeded)
     ->Unit(benchmark::kMillisecond);
 

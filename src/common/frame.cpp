@@ -87,20 +87,16 @@ FrameWriter::endSection()
 
 // --- FrameReader -----------------------------------------------------
 
-FrameReader::FrameReader(std::istream &is) : is_(is)
-{
-    tag_ = u32();
-    version_ = u32();
-}
-
 FrameReader::FrameReader(std::istream &is, uint32_t expect,
                          uint32_t version, const char *what)
-    : FrameReader(is)
+    : is_(is)
 {
-    if (tag_ != expect)
+    const uint32_t tag = u32();
+    const uint32_t found_version = u32();
+    if (tag != expect)
         throw std::runtime_error(std::string("serialize: expected ") +
                                  what + " frame");
-    if (version_ != version)
+    if (found_version != version)
         throw std::runtime_error("serialize: unsupported version");
 }
 

@@ -70,11 +70,10 @@ class FrameWriter
 
 /**
  * Validating frame reader, the read-side twin of FrameWriter. The
- * header constructor reads tag + version (either pinning an expected
- * tag or exposing what it found, for multi-format dispatch). Inside a
- * section every primitive is bounds-checked against the declared
- * section length and leaveSection() demands exact consumption, so a
- * tampered length field or a truncated/oversized payload throws
+ * constructor reads tag + version and pins both. Inside a section
+ * every primitive is bounds-checked against the declared section
+ * length and leaveSection() demands exact consumption, so a tampered
+ * length field or a truncated/oversized payload throws
  * std::runtime_error instead of desynchronizing the stream. All reads
  * throw on truncation; nothing here ever panics on wire input.
  */
@@ -93,12 +92,6 @@ class FrameReader
         : FrameReader(is, static_cast<uint32_t>(expect), version, what)
     {
     }
-
-    /** Read any header; caller dispatches on tag()/version(). */
-    explicit FrameReader(std::istream &is);
-
-    uint32_t tag() const { return tag_; }
-    uint32_t version() const { return version_; }
 
     uint32_t u32();
     uint64_t u64();
@@ -120,8 +113,6 @@ class FrameReader
 
   private:
     std::istream &is_;
-    uint32_t tag_ = 0;
-    uint32_t version_ = 0;
     bool in_section_ = false;
     uint64_t remaining_ = 0;
 };

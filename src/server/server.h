@@ -14,9 +14,12 @@
  * executor. The loop polls outstanding futures and ships each reply
  * when its work completes.
  *
- * Tenants register by uploading an EVK1/EVK2 EvalKeys bundle, which
- * lands in a bytes-budgeted EvalKeyCache: under key-memory pressure
- * the least-recently-used idle tenant is evicted and must re-register
+ * Tenants register by uploading an EVK2 EvalKeys bundle; any other
+ * upload (another frame tag, key shapes at odds with the params
+ * frame, a gadget the decomposer cannot run) is answered BadPayload
+ * before anything is cached. A valid bundle lands in a
+ * bytes-budgeted EvalKeyCache: under key-memory pressure the
+ * least-recently-used idle tenant is evicted and must re-register
  * (requests answer UnknownTenant, a structured error, never a crash).
  * The server never holds a strong bundle reference outside the cache,
  * the executor's shards (released when idle before each eviction

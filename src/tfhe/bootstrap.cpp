@@ -10,27 +10,6 @@
 namespace strix {
 
 BootstrappingKey
-BootstrappingKey::generate(const LweKey &lwe_key, const GlweKey &glwe_key,
-                           const TfheParams &params, Rng &rng)
-{
-    panicIfNot(lwe_key.dim() == params.n, "bsk: LWE key dim mismatch");
-    panicIfNot(glwe_key.k() == params.k &&
-                   glwe_key.ringDim() == params.N,
-               "bsk: GLWE key shape mismatch");
-
-    BootstrappingKey bsk;
-    bsk.params_ = params;
-    GadgetParams g{params.bg_bits, params.l_bsk};
-    bsk.ggsw_fft_.reserve(params.n);
-    for (uint32_t i = 0; i < params.n; ++i) {
-        GgswCiphertext ggsw =
-            ggswEncrypt(glwe_key, lwe_key.bit(i), g, params.glwe_noise, rng);
-        bsk.ggsw_fft_.emplace_back(ggsw);
-    }
-    return bsk;
-}
-
-BootstrappingKey
 BootstrappingKey::generateSeeded(const LweKey &lwe_key,
                                  const GlweKey &glwe_key,
                                  const TfheParams &params,
@@ -73,8 +52,9 @@ BootstrappingKey::fromSeededBodies(const TfheParams &params,
     const auto &eng = NegacyclicFft::get(big_n);
     const Rng mask_root(mask_seed);
     GlweCiphertext scratch(k, big_n);
-    std::vector<GgswFft> bits;
-    bits.reserve(params.n);
+    BootstrappingKey bsk;
+    bsk.params_ = params;
+    bsk.ggsw_fft_.reserve(params.n);
     for (uint32_t i = 0; i < params.n; ++i) {
         std::vector<FreqPolynomial> rows(rows_per_bit * (k + 1));
         for (size_t r = 0; r < rows_per_bit; ++r) {
@@ -93,27 +73,9 @@ BootstrappingKey::fromSeededBodies(const TfheParams &params,
                        "bsk fromSeededBodies: body size mismatch");
             rows[r * (k + 1) + k] = std::move(body);
         }
-        bits.push_back(
+        bsk.ggsw_fft_.push_back(
             GgswFft::fromRawRows(k, big_n, g, std::move(rows)));
     }
-    return fromBits(params, std::move(bits));
-}
-
-BootstrappingKey
-BootstrappingKey::fromBits(const TfheParams &params,
-                           std::vector<GgswFft> bits)
-{
-    panicIfNot(bits.size() == params.n, "bsk: bit count mismatch");
-    const GadgetParams g{params.bg_bits, params.l_bsk};
-    for (const GgswFft &ggsw : bits) {
-        panicIfNot(ggsw.k() == params.k && ggsw.ringDim() == params.N &&
-                       ggsw.gadget().base_bits == g.base_bits &&
-                       ggsw.gadget().levels == g.levels,
-                   "bsk: GGSW shape mismatch");
-    }
-    BootstrappingKey bsk;
-    bsk.params_ = params;
-    bsk.ggsw_fft_ = std::move(bits);
     return bsk;
 }
 

@@ -29,18 +29,14 @@ class BootstrappingKey
     const GgswFft &bit(size_t i) const { return ggsw_fft_[i]; }
     const TfheParams &params() const { return params_; }
 
-    /** Generate from the input LWE key and output GLWE key. */
-    static BootstrappingKey generate(const LweKey &lwe_key,
-                                     const GlweKey &glwe_key,
-                                     const TfheParams &params, Rng &rng);
-
     /**
-     * Seeded-mask generation (ggswEncryptSeeded per key bit): every
-     * mask polynomial comes from the deterministic stream rooted at
-     * @p mask_seed -- GLWE row (bit i, block, level) forks stream id
+     * Generate from the input LWE key and output GLWE key, one
+     * ggswEncryptSeeded per key bit: every mask polynomial comes from
+     * the deterministic stream rooted at @p mask_seed -- GLWE row
+     * (bit i, block, level) forks stream id
      * i*(k+1)*l_bsk + block*l_bsk + level -- and only noise draws
-     * from @p noise_rng. A key generated this way is fully determined
-     * by (mask_seed, bodies), which is what the compressed BSK2 frame
+     * from @p noise_rng. The key is fully determined by
+     * (mask_seed, bodies), which is what the compressed BSK2 frame
      * ships; fromSeededBodies() reconstructs it bit-identically.
      */
     static BootstrappingKey generateSeeded(const LweKey &lwe_key,
@@ -65,14 +61,6 @@ class BootstrappingKey
     static BootstrappingKey
     fromSeededBodies(const TfheParams &params, uint64_t mask_seed,
                      std::vector<FreqPolynomial> freq_bodies);
-
-    /**
-     * Rebuild from pre-transformed per-bit GGSWs (deserialization).
-     * bits.size() must equal params.n and every GGSW must match the
-     * parameter shape; panics on mismatch.
-     */
-    static BootstrappingKey fromBits(const TfheParams &params,
-                                     std::vector<GgswFft> bits);
 
   private:
     std::vector<GgswFft> ggsw_fft_;

@@ -14,19 +14,18 @@
  *
  * EvalKeys contains no secret key and no RNG; code that only sees an
  * EvalKeys (or a ServerContext built on one) provably cannot decrypt.
- * Bundles serialize through the framing in serialize.h
- * (`serialize(os, keys)` / `deserializeEvalKeys(is)`), so a client
- * can export its evaluation keys to a remote server byte-exactly:
- * the frequency-domain BSK rows round-trip bit-for-bit, making
- * evaluation under a deserialized bundle bit-identical to evaluation
- * under the original.
+ * Every bundle comes from seeded keygen and carries its mask seeds,
+ * so it serializes as the compressed `EVK2` frame of serialize.h
+ * (`serialize(os, keys, EvalKeysFormat::Seeded)` /
+ * `deserializeEvalKeys(is)`): the server re-expands the masks, and
+ * evaluation under the deserialized bundle is bit-identical to
+ * evaluation under the original.
  */
 
 #ifndef STRIX_TFHE_EVAL_KEYS_H
 #define STRIX_TFHE_EVAL_KEYS_H
 
 #include <memory>
-#include <optional>
 
 #include "tfhe/bootstrap.h"
 #include "tfhe/keyswitch.h"
@@ -36,10 +35,10 @@ namespace strix {
 /**
  * Mask-stream root seeds recorded by seeded keygen
  * (BootstrappingKey::generateSeeded / KeySwitchKey::generateSeeded).
- * A bundle carrying these serializes as a compressed EVK2 frame (seed
- * + body components only, ~1/(k+1) of the expanded size); the seeds
- * are public material -- the masks they expand to ship in the clear
- * in the expanded format anyway.
+ * They let the bundle serialize as a compressed EVK2 frame (seed +
+ * body components only, ~1/(k+1) of the resident size). The seeds
+ * are public material: the masks they expand to are the public half
+ * of every key row.
  */
 struct EvalKeySeeds
 {
@@ -56,16 +55,11 @@ class EvalKeys
 {
   public:
     /**
-     * Bundle @p bsk and @p ksk generated for @p params. Panics if the
-     * key shapes do not match the parameter set (a mismatched bundle
-     * would silently produce garbage ciphertexts).
-     */
-    EvalKeys(TfheParams params, BootstrappingKey bsk, KeySwitchKey ksk);
-
-    /**
-     * Same, for keys produced by the seeded keygen path: @p seeds are
-     * the mask stream roots, kept so the bundle can serialize in the
-     * compressed EVK2 format (serialize.h).
+     * Bundle @p bsk and @p ksk, generated for @p params by the seeded
+     * keygen path from the mask stream roots @p seeds (kept so the
+     * bundle serializes as EVK2). Panics if the key shapes do not
+     * match the parameter set (a mismatched bundle would silently
+     * produce garbage ciphertexts).
      */
     EvalKeys(TfheParams params, BootstrappingKey bsk, KeySwitchKey ksk,
              EvalKeySeeds seeds);
@@ -74,13 +68,8 @@ class EvalKeys
     const BootstrappingKey &bsk() const { return bsk_; }
     const KeySwitchKey &ksk() const { return ksk_; }
 
-    /**
-     * Mask seeds when this bundle came from seeded keygen (or an EVK2
-     * frame); empty for keys built from expanded material (legacy
-     * generate() or an EVK1 frame), which then only serialize in the
-     * expanded format.
-     */
-    const std::optional<EvalKeySeeds> &seeds() const { return seeds_; }
+    /** Mask stream roots the BSK and KSK masks expand from. */
+    const EvalKeySeeds &seeds() const { return seeds_; }
 
     /** Approximate in-memory bundle size (time-domain equivalent). */
     uint64_t bytes() const
@@ -101,7 +90,7 @@ class EvalKeys
     TfheParams params_;
     BootstrappingKey bsk_;
     KeySwitchKey ksk_;
-    std::optional<EvalKeySeeds> seeds_;
+    EvalKeySeeds seeds_;
 };
 
 } // namespace strix

@@ -123,8 +123,9 @@ class GgswFft
 
     /**
      * Rebuild from raw frequency rows (deserialization): @p rows is
-     * the flat (k+1)*levels*(k+1) layout rawRows() exposes, each of
-     * big_n/2 points. Shape-checked; panics on mismatch.
+     * the flat (k+1)*levels*(k+1) layout, entry r*(k+1)+c being
+     * row(r, c), each of big_n/2 points. Shape-checked; panics on
+     * mismatch.
      */
     static GgswFft fromRawRows(uint32_t k, uint32_t big_n,
                                const GadgetParams &g,
@@ -133,14 +134,6 @@ class GgswFft
     uint32_t k() const { return k_; }
     uint32_t ringDim() const { return big_n_; }
     const GadgetParams &gadget() const { return g_; }
-
-    /**
-     * Flat frequency-row storage, row-major over (row, column):
-     * entry r*(k+1)+c is row(r, c). Exposed for serialization; the
-     * doubles round-trip bit-exactly, so a shipped key evaluates
-     * bit-identically to the original.
-     */
-    const std::vector<FreqPolynomial> &rawRows() const { return rows_; }
 
     /** Frequency image of row r, column c. */
     const FreqPolynomial &row(size_t r, size_t c) const

@@ -29,12 +29,6 @@ class GlweKey
     /** Sample a uniform binary key. */
     GlweKey(uint32_t k, uint32_t big_n, Rng &rng);
 
-    /** Build from explicit polynomials (deserialization). */
-    explicit GlweKey(std::vector<IntPolynomial> polys)
-        : polys_(std::move(polys))
-    {
-    }
-
     uint32_t k() const { return static_cast<uint32_t>(polys_.size()); }
     uint32_t ringDim() const
     {

@@ -18,10 +18,21 @@
 #include <vector>
 
 #include "tfhe/client_keyset.h"
-#include "tfhe/encrypted_uint.h"
 #include "tfhe/server_context.h"
 
 namespace strix {
+
+/** Little-endian encrypted unsigned integer. */
+struct EncryptedUint
+{
+    std::vector<LweCiphertext> digits; //!< LSB first
+    uint32_t digit_bits = 2;
+
+    uint32_t numDigits() const
+    {
+        return static_cast<uint32_t>(digits.size());
+    }
+};
 
 /**
  * Integer arithmetic engine bound to a ServerContext (public

@@ -10,26 +10,6 @@
 namespace strix {
 
 KeySwitchKey
-KeySwitchKey::generate(const LweKey &from, const LweKey &to,
-                       const TfheParams &params, Rng &rng)
-{
-    KeySwitchKey ksk;
-    ksk.in_dim_ = from.dim();
-    ksk.out_dim_ = to.dim();
-    ksk.g_ = GadgetParams{params.ks_base_bits, params.l_ksk};
-    ksk.rows_.reserve(size_t(from.dim()) * params.l_ksk);
-    for (uint32_t i = 0; i < from.dim(); ++i) {
-        for (uint32_t j = 1; j <= params.l_ksk; ++j) {
-            Torus32 msg = static_cast<uint32_t>(from.bit(i)) *
-                          ksk.g_.levelScale(j);
-            ksk.rows_.push_back(
-                lweEncrypt(to, msg, params.lwe_noise, rng));
-        }
-    }
-    return ksk;
-}
-
-KeySwitchKey
 KeySwitchKey::generateSeeded(const LweKey &from, const LweKey &to,
                              const TfheParams &params,
                              uint64_t mask_seed, Rng &noise_rng)
@@ -61,8 +41,11 @@ KeySwitchKey::fromSeededBodies(uint32_t in_dim, uint32_t out_dim,
     panicIfNot(bodies.size() == size_t(in_dim) * g.levels,
                "ksk fromSeededBodies: body count mismatch");
     const Rng mask_root(mask_seed);
-    std::vector<LweCiphertext> rows;
-    rows.reserve(bodies.size());
+    KeySwitchKey ksk;
+    ksk.in_dim_ = in_dim;
+    ksk.out_dim_ = out_dim;
+    ksk.g_ = g;
+    ksk.rows_.reserve(bodies.size());
     for (uint64_t r = 0; r < bodies.size(); ++r) {
         LweCiphertext ct(out_dim);
         // Same fork id as generateSeeded (i*levels + level == r) and
@@ -70,23 +53,8 @@ KeySwitchKey::fromSeededBodies(uint32_t in_dim, uint32_t out_dim,
         Rng mask_rng = mask_root.fork(r);
         lweFillMask(ct, mask_rng);
         ct.b() = bodies[r];
-        rows.push_back(std::move(ct));
+        ksk.rows_.push_back(std::move(ct));
     }
-    return fromRows(in_dim, out_dim, g, std::move(rows));
-}
-
-KeySwitchKey
-KeySwitchKey::fromRows(uint32_t in_dim, uint32_t out_dim,
-                       const GadgetParams &g,
-                       std::vector<LweCiphertext> rows)
-{
-    panicIfNot(rows.size() == size_t(in_dim) * g.levels,
-               "ksk fromRows: row count mismatch");
-    KeySwitchKey ksk;
-    ksk.in_dim_ = in_dim;
-    ksk.out_dim_ = out_dim;
-    ksk.g_ = g;
-    ksk.rows_ = std::move(rows);
     return ksk;
 }
 

@@ -37,18 +37,12 @@ class KeySwitchKey
 
     /**
      * Generate a keyswitching key from @p from (dimension k*N,
-     * typically GlweKey::extractedLweKey()) to @p to (dimension n).
-     */
-    static KeySwitchKey generate(const LweKey &from, const LweKey &to,
-                                 const TfheParams &params, Rng &rng);
-
-    /**
-     * Seeded-mask generation (lweEncryptSeeded per row): the mask of
-     * row (i, level) comes from fork i*l_ksk + level of the stream
-     * rooted at @p mask_seed; only noise draws from @p noise_rng. The
-     * key is fully determined by (mask_seed, bodies) -- the KSK2
-     * frame ships exactly that and fromSeededBodies() reconstructs it
-     * bit-identically.
+     * typically GlweKey::extractedLweKey()) to @p to (dimension n),
+     * one lweEncryptSeeded per row: the mask of row (i, level) comes
+     * from fork i*l_ksk + level of the stream rooted at @p mask_seed;
+     * only noise draws from @p noise_rng. The key is fully determined
+     * by (mask_seed, bodies) -- the KSK2 frame ships exactly that and
+     * fromSeededBodies() reconstructs it bit-identically.
      */
     static KeySwitchKey generateSeeded(const LweKey &from,
                                        const LweKey &to,
@@ -69,11 +63,6 @@ class KeySwitchKey
                                          const GadgetParams &g,
                                          uint64_t mask_seed,
                                          const std::vector<Torus32> &bodies);
-
-    /** Rebuild from raw rows (deserialization). */
-    static KeySwitchKey fromRows(uint32_t in_dim, uint32_t out_dim,
-                                 const GadgetParams &g,
-                                 std::vector<LweCiphertext> rows);
 
   private:
     uint32_t in_dim_ = 0;

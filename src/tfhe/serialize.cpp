@@ -2,12 +2,12 @@
  * @file
  * Binary serialization implementation.
  *
- * Everything is built on FrameWriter/FrameReader (serialize.h): the
- * v1 frames use the raw (sectionless) primitives, which keeps their
- * byte layout identical to the historical ad-hoc writers, while the
- * seeded v2 frames use length-checked sections. The large BSK payloads
- * are staged row-by-row into a byte buffer and moved in bulk instead
- * of ~15M per-word stream calls.
+ * Everything is built on FrameWriter/FrameReader (common/frame.h): the
+ * small v1 frames (params, ciphertext, polynomial) use the raw
+ * (sectionless) primitives, while the seeded key frames use
+ * length-checked sections. The large BSK payloads are staged
+ * row-by-row into a byte buffer and moved in bulk instead of millions
+ * of per-word stream calls.
  */
 
 #include "tfhe/serialize.h"
@@ -20,8 +20,6 @@
 #include <string>
 
 namespace strix {
-
-// FrameWriter/FrameReader implementations moved to common/frame.cpp.
 
 namespace {
 
@@ -108,19 +106,20 @@ unstageFreqPoly(FreqPolynomial &row, const std::vector<unsigned char> &buf,
 }
 
 /**
- * Plausibility caps for a BSK shape off the wire -- same caps as the
- * LWE/GLWE key readers, plus power-of-two N: the FFT engine panics
- * (aborts) on other sizes, and hostile input must throw, never abort.
+ * Throw unless @p g lies in the decomposer's domain: gadgetDecompose
+ * panics unless base_bits * levels <= 32, and GadgetParams::base()
+ * shifts 1u by base_bits. A key outside it would decode cleanly and
+ * then abort the process (or shift out of range) on its first
+ * bootstrap, so hostile input is refused here instead.
  */
 void
-checkBskShape(uint32_t n, uint32_t k, uint32_t big_n,
-              const GadgetParams &g)
+checkGadget(const GadgetParams &g, const char *key)
 {
-    if (n == 0 || n > (1u << 24) || k == 0 || k > 16 || big_n < 2 ||
-        big_n > (1u << 20) || (big_n & (big_n - 1)) != 0 ||
-        g.levels == 0 || g.levels > 64 || g.base_bits == 0 ||
-        g.base_bits > 32)
-        throw std::runtime_error("serialize: implausible bsk shape");
+    if (g.levels == 0 || g.base_bits == 0 ||
+        g.base_bits >= kTorus32Bits ||
+        uint64_t(g.base_bits) * g.levels > kTorus32Bits)
+        throw std::runtime_error(std::string("serialize: implausible ") +
+                                 key + " gadget");
 }
 
 } // namespace
@@ -167,28 +166,6 @@ deserializeParams(std::istream &is)
 }
 
 void
-serialize(std::ostream &os, const LweKey &key)
-{
-    FrameWriter fw(os, SerialTag::LweKey, kSerializeVersion);
-    fw.u64(key.dim());
-    for (uint32_t i = 0; i < key.dim(); ++i)
-        fw.u32(static_cast<uint32_t>(key.bit(i)));
-}
-
-LweKey
-deserializeLweKey(std::istream &is)
-{
-    FrameReader fr(is, SerialTag::LweKey, kSerializeVersion, "LWE key");
-    uint64_t n = fr.u64();
-    if (n > (1u << 24))
-        throw std::runtime_error("serialize: implausible key size");
-    std::vector<int32_t> bits(n);
-    for (auto &b : bits)
-        b = static_cast<int32_t>(fr.u32());
-    return LweKey(std::move(bits));
-}
-
-void
 serialize(std::ostream &os, const LweCiphertext &ct)
 {
     FrameWriter fw(os, SerialTag::LweCiphertext, kSerializeVersion);
@@ -206,33 +183,6 @@ deserializeLweCiphertext(std::istream &is)
     LweCiphertext ct(static_cast<uint32_t>(raw.size() - 1));
     ct.raw() = std::move(raw);
     return ct;
-}
-
-void
-serialize(std::ostream &os, const GlweKey &key)
-{
-    FrameWriter fw(os, SerialTag::GlweKey, kSerializeVersion);
-    fw.u32(key.k());
-    fw.u32(key.ringDim());
-    for (uint32_t i = 0; i < key.k(); ++i)
-        for (uint32_t j = 0; j < key.ringDim(); ++j)
-            fw.u32(static_cast<uint32_t>(key.poly(i)[j]));
-}
-
-GlweKey
-deserializeGlweKey(std::istream &is)
-{
-    FrameReader fr(is, SerialTag::GlweKey, kSerializeVersion,
-                   "GLWE key");
-    uint32_t k = fr.u32();
-    uint32_t big_n = fr.u32();
-    if (k > 16 || big_n > (1u << 20))
-        throw std::runtime_error("serialize: implausible GLWE key");
-    std::vector<IntPolynomial> polys(k, IntPolynomial(big_n));
-    for (uint32_t i = 0; i < k; ++i)
-        for (uint32_t j = 0; j < big_n; ++j)
-            polys[i][j] = static_cast<int32_t>(fr.u32());
-    return GlweKey(std::move(polys));
 }
 
 void
@@ -258,191 +208,17 @@ deserializeTorusPolynomial(std::istream &is)
     return poly;
 }
 
-void
-serialize(std::ostream &os, const KeySwitchKey &ksk)
-{
-    FrameWriter fw(os, SerialTag::KeySwitchKey, kSerializeVersion);
-    fw.u32(ksk.inDim());
-    fw.u32(ksk.outDim());
-    fw.u32(ksk.gadget().base_bits);
-    fw.u32(ksk.gadget().levels);
-    for (uint32_t i = 0; i < ksk.inDim(); ++i)
-        for (uint32_t j = 0; j < ksk.gadget().levels; ++j)
-            writeU32Vector(fw, ksk.row(i, j).raw());
-}
-
-namespace {
-
-KeySwitchKey
-readKeySwitchKeyBody(FrameReader &fr)
-{
-    uint32_t in_dim = fr.u32();
-    uint32_t out_dim = fr.u32();
-    GadgetParams g{fr.u32(), fr.u32()};
-    if (in_dim > (1u << 24) || g.levels > 64)
-        throw std::runtime_error("serialize: implausible ksk");
-    std::vector<LweCiphertext> rows;
-    rows.reserve(size_t(in_dim) * g.levels);
-    for (uint64_t r = 0; r < uint64_t(in_dim) * g.levels; ++r) {
-        std::vector<uint32_t> raw = readU32Vector(fr);
-        if (raw.size() != size_t(out_dim) + 1)
-            throw std::runtime_error("serialize: ksk row dim mismatch");
-        LweCiphertext ct(out_dim);
-        ct.raw() = std::move(raw);
-        rows.push_back(std::move(ct));
-    }
-    return KeySwitchKey::fromRows(in_dim, out_dim, g, std::move(rows));
-}
-
-} // namespace
-
-KeySwitchKey
-deserializeKeySwitchKey(std::istream &is)
-{
-    FrameReader fr(is, SerialTag::KeySwitchKey, kSerializeVersion,
-                   "keyswitch key");
-    return readKeySwitchKeyBody(fr);
-}
-
-void
-serialize(std::ostream &os, const BootstrappingKey &bsk)
-{
-    // Shape is written once (every per-bit GGSW shares it); rows are
-    // the frequency-domain images, bit-exact via the double framing.
-    FrameWriter fw(os, SerialTag::BootstrapKey, kSerializeVersion);
-    const TfheParams &p = bsk.params();
-    fw.u32(bsk.n());
-    fw.u32(p.k);
-    fw.u32(p.N);
-    fw.u32(p.bg_bits);
-    fw.u32(p.l_bsk);
-    std::vector<unsigned char> buf;
-    for (uint32_t i = 0; i < bsk.n(); ++i) {
-        for (const FreqPolynomial &row : bsk.bit(i).rawRows()) {
-            stageFreqPoly(buf, row);
-            fw.bytes(buf.data(), buf.size());
-        }
-    }
-}
-
-namespace {
-
-/**
- * Body of the BSK frame after the header. When @p expect is non-null
- * (the EvalKeys reader), the shape fields are cross-checked against
- * that parameter frame *before* committing to the large row read, and
- * the key is bound to it; otherwise a minimal shape-consistent
- * parameter set is synthesized.
- */
-BootstrappingKey
-readBootstrappingKeyBody(FrameReader &fr, const TfheParams *expect)
-{
-    uint32_t n = fr.u32();
-    uint32_t k = fr.u32();
-    uint32_t big_n = fr.u32();
-    GadgetParams g{fr.u32(), fr.u32()};
-    if (expect &&
-        (n != expect->n || k != expect->k || big_n != expect->N ||
-         g.base_bits != expect->bg_bits || g.levels != expect->l_bsk))
-        throw std::runtime_error(
-            "serialize: eval-keys bsk/params mismatch");
-    checkBskShape(n, k, big_n, g);
-
-    const size_t rows_per_bit = size_t(k + 1) * g.levels * (k + 1);
-    const size_t half_n = size_t(big_n) / 2;
-    std::vector<GgswFft> bits;
-    // Same discipline as readU32Vector: grow with the bytes actually
-    // present instead of trusting the length field with one eager
-    // allocation (n can claim 2^24 bits on a 60-byte hostile frame).
-    bits.reserve(std::min<size_t>(n, 4096));
-    std::vector<unsigned char> buf(half_n * 16);
-    for (uint32_t i = 0; i < n; ++i) {
-        std::vector<FreqPolynomial> rows(rows_per_bit);
-        for (FreqPolynomial &row : rows) {
-            // Bulk-read the row (the write side's layout) in one
-            // call; a short read throws like the truncation path.
-            fr.bytes(buf.data(), buf.size());
-            unstageFreqPoly(row, buf, half_n);
-        }
-        bits.push_back(
-            GgswFft::fromRawRows(k, big_n, g, std::move(rows)));
-    }
-
-    if (expect)
-        return BootstrappingKey::fromBits(*expect, std::move(bits));
-    // fromBits() panics on mismatch, so hand it params that are
-    // consistent by construction.
-    TfheParams p{};
-    p.name = "deserialized-bsk";
-    p.n = n;
-    p.N = big_n;
-    p.k = k;
-    p.bg_bits = g.base_bits;
-    p.l_bsk = g.levels;
-    return BootstrappingKey::fromBits(p, std::move(bits));
-}
-
-} // namespace
-
-BootstrappingKey
-deserializeBootstrappingKey(std::istream &is)
-{
-    FrameReader fr(is, SerialTag::BootstrapKey, kSerializeVersion,
-                   "bootstrapping key");
-    return readBootstrappingKeyBody(fr, nullptr);
-}
-
-void
-serialize(std::ostream &os, const EvalKeys &keys)
-{
-    FrameWriter fw(os, SerialTag::EvalKeys, kSerializeVersion);
-    serialize(os, keys.params());
-    serialize(os, keys.bsk());
-    serialize(os, keys.ksk());
-}
-
-void
-serialize(std::ostream &os, const EncryptedUint &x)
-{
-    FrameWriter fw(os, SerialTag::EncryptedUint, kSerializeVersion);
-    fw.u32(x.digit_bits);
-    fw.u64(x.digits.size());
-    for (const auto &d : x.digits)
-        writeU32Vector(fw, d.raw());
-}
-
-EncryptedUint
-deserializeEncryptedUint(std::istream &is)
-{
-    FrameReader fr(is, SerialTag::EncryptedUint, kSerializeVersion,
-                   "encrypted uint");
-    EncryptedUint x;
-    x.digit_bits = fr.u32();
-    uint64_t n = fr.u64();
-    if (n > (1u << 16))
-        throw std::runtime_error("serialize: implausible digit count");
-    for (uint64_t i = 0; i < n; ++i) {
-        std::vector<uint32_t> raw = readU32Vector(fr);
-        if (raw.empty())
-            throw std::runtime_error("serialize: empty digit");
-        LweCiphertext ct(static_cast<uint32_t>(raw.size() - 1));
-        ct.raw() = std::move(raw);
-        x.digits.push_back(std::move(ct));
-    }
-    return x;
-}
-
 // --- seeded (v2) frames ----------------------------------------------
 
 namespace {
 
 /**
  * BSK2: shape + mask seed in one checked section, then the
- * frequency-domain *body column* of every GLWE row (column k of
- * GgswFft::rawRows) in another. The k mask columns per row are not
- * written -- the reader re-expands them from per-row forks of the
- * seed (BootstrappingKey::fromSeededBodies), cutting the frame to
- * ~1/(k+1) of BSK1.
+ * frequency-domain *body column* of every GLWE row (GgswFft::row(r, k))
+ * in another. The k mask columns per row are not written -- the
+ * reader re-expands them from per-row forks of the seed
+ * (BootstrappingKey::fromSeededBodies), cutting the frame to ~1/(k+1)
+ * of the resident key.
  */
 void
 writeSeededBsk(std::ostream &os, const BootstrappingKey &bsk,
@@ -489,7 +265,13 @@ readSeededBsk(std::istream &is, const TfheParams &expect,
         g.base_bits != expect.bg_bits || g.levels != expect.l_bsk)
         throw std::runtime_error(
             "serialize: eval-keys bsk/params mismatch");
-    checkBskShape(n, k, big_n, g);
+    // Plausibility caps, plus power-of-two N: the FFT engine panics
+    // (aborts) on other sizes, and hostile input must throw, never
+    // abort.
+    if (n == 0 || n > (1u << 24) || k == 0 || k > 16 || big_n < 2 ||
+        big_n > (1u << 20) || (big_n & (big_n - 1)) != 0)
+        throw std::runtime_error("serialize: implausible bsk shape");
+    checkGadget(g, "bsk");
 
     const uint64_t rows = uint64_t(n) * (k + 1) * g.levels;
     const size_t half_n = size_t(big_n) / 2;
@@ -511,16 +293,18 @@ readSeededBsk(std::istream &is, const TfheParams &expect,
         bodies.push_back(std::move(body));
     }
     fr.leaveSection();
-    // Shapes fully validated above: the panics inside the rebuild are
-    // unreachable from wire input.
+    // Shapes fully validated above: the panics inside the rebuild (and
+    // in the decomposer at evaluation time) are unreachable from wire
+    // input.
     return BootstrappingKey::fromSeededBodies(expect, mask_seed_out,
                                               std::move(bodies));
 }
 
 /**
  * KSK2: shape + mask seed in one checked section, then only the body
- * scalar of every LWE row -- 1/(n+1) of KSK1. Masks re-expand from
- * per-row forks of the seed (KeySwitchKey::fromSeededBodies).
+ * scalar of every LWE row -- 1/(n+1) of the resident key. Masks
+ * re-expand from per-row forks of the seed
+ * (KeySwitchKey::fromSeededBodies).
  */
 void
 writeSeededKsk(std::ostream &os, const KeySwitchKey &ksk,
@@ -561,9 +345,9 @@ readSeededKsk(std::istream &is, const TfheParams &expect,
         throw std::runtime_error(
             "serialize: eval-keys ksk/params mismatch");
     if (in_dim == 0 || in_dim > (1u << 24) || out_dim == 0 ||
-        out_dim > (1u << 24) || g.levels == 0 || g.levels > 64 ||
-        g.base_bits == 0 || g.base_bits > 32)
+        out_dim > (1u << 24))
         throw std::runtime_error("serialize: implausible ksk");
+    checkGadget(g, "ksk");
 
     const uint64_t rows = uint64_t(in_dim) * g.levels;
     fr.enterSection(kSectionBodies, rows * 4);
@@ -582,60 +366,29 @@ readSeededKsk(std::istream &is, const TfheParams &expect,
 } // namespace
 
 void
-serialize(std::ostream &os, const EvalKeys &keys, EvalKeysFormat format)
+serialize(std::ostream &os, const EvalKeys &keys, EvalKeysFormat)
 {
-    if (format == EvalKeysFormat::Expanded) {
-        serialize(os, keys);
-        return;
-    }
-    if (!keys.seeds())
-        throw std::runtime_error(
-            "serialize: bundle carries no mask seeds (expanded-only "
-            "key material); use EvalKeysFormat::Expanded");
+    // Seeded is the only EvalKeysFormat: nothing to dispatch on.
     FrameWriter fw(os, SerialTag::SeededEvalKeys,
                    kSerializeVersionSeeded);
     serialize(os, keys.params());
-    writeSeededBsk(os, keys.bsk(), keys.seeds()->bsk_mask);
-    writeSeededKsk(os, keys.ksk(), keys.seeds()->ksk_mask);
+    writeSeededBsk(os, keys.bsk(), keys.seeds().bsk_mask);
+    writeSeededKsk(os, keys.ksk(), keys.seeds().ksk_mask);
 }
 
 std::shared_ptr<const EvalKeys>
 deserializeEvalKeys(std::istream &is)
 {
-    FrameReader fr(is);
-    if (fr.tag() == static_cast<uint32_t>(SerialTag::EvalKeys)) {
-        if (fr.version() != kSerializeVersion)
-            throw std::runtime_error("serialize: unsupported version");
-        TfheParams p = deserializeParams(is);
-        FrameReader bsk_fr(is, SerialTag::BootstrapKey,
-                           kSerializeVersion, "bootstrapping key");
-        // Cross-validation against the parameter frame happens inside
-        // the body reader (and below for the KSK): EvalKeys panics on
-        // shape mismatch (internal invariant), while a corrupt or
-        // hostile stream must throw.
-        BootstrappingKey bsk = readBootstrappingKeyBody(bsk_fr, &p);
-        KeySwitchKey ksk = deserializeKeySwitchKey(is);
-        if (uint64_t(ksk.inDim()) != uint64_t(p.k) * p.N ||
-            ksk.outDim() != p.n || ksk.gadget().levels != p.l_ksk ||
-            ksk.gadget().base_bits != p.ks_base_bits)
-            throw std::runtime_error(
-                "serialize: eval-keys ksk/params mismatch");
-        return std::make_shared<const EvalKeys>(p, std::move(bsk),
-                                                std::move(ksk));
-    }
-    if (fr.tag() == static_cast<uint32_t>(SerialTag::SeededEvalKeys)) {
-        if (fr.version() != kSerializeVersionSeeded)
-            throw std::runtime_error("serialize: unsupported version");
-        TfheParams p = deserializeParams(is);
-        EvalKeySeeds seeds{0, 0};
-        BootstrappingKey bsk = readSeededBsk(is, p, seeds.bsk_mask);
-        KeySwitchKey ksk = readSeededKsk(is, p, seeds.ksk_mask);
-        // Keep the seeds: the rebuilt bundle re-serializes in either
-        // format, byte-identically to the original's frames.
-        return std::make_shared<const EvalKeys>(p, std::move(bsk),
-                                                std::move(ksk), seeds);
-    }
-    throw std::runtime_error("serialize: expected eval keys frame");
+    FrameReader fr(is, SerialTag::SeededEvalKeys, kSerializeVersionSeeded,
+                   "eval keys");
+    TfheParams p = deserializeParams(is);
+    EvalKeySeeds seeds{0, 0};
+    BootstrappingKey bsk = readSeededBsk(is, p, seeds.bsk_mask);
+    KeySwitchKey ksk = readSeededKsk(is, p, seeds.ksk_mask);
+    // Keep the seeds: the rebuilt bundle re-serializes byte-identically
+    // to the original's frame.
+    return std::make_shared<const EvalKeys>(p, std::move(bsk),
+                                            std::move(ksk), seeds);
 }
 
 } // namespace strix

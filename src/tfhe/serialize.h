@@ -5,24 +5,22 @@
  * A TFHE deployment is client/server: the client keeps the secret
  * keys and ships ciphertexts plus the (public) bootstrapping and
  * keyswitching keys to the server. This module provides a compact,
- * versioned, little-endian binary format for every transferable
- * object, built on a small FrameWriter/FrameReader layer (frame header
- * = type tag + version; version-2 frames add length-checked sections).
+ * versioned, little-endian binary format for exactly what travels:
+ * parameter sets, LWE ciphertexts, torus polynomials (test vectors)
+ * and evaluation-key bundles. It is built on a small
+ * FrameWriter/FrameReader layer (frame header = type tag + version;
+ * version-2 frames add length-checked sections). Secret keys have no
+ * frame: they never leave the client.
  *
- * Two generations of evaluation-key frames coexist:
- *
- *  - v1 (`BSK1`/`EVK1`): the expanded format -- every mask and body
- *    component travels. Kept as the legacy read/write path so old
- *    blobs keep loading, and the only format bundles without mask
- *    seeds can write.
- *  - v2 (`BSK2`/`KSK2`/`EVK2`): the compressed format for keys from
- *    the seeded keygen path. Mask components are pure PRNG output
- *    regenerable from a shipped 64-bit seed (Rng::fork per row), so
- *    the frame carries only seeds + body components: ~1/(k+1) of the
- *    BSK and ~1/(n+1) of the KSK -- about a third of the EVK1 size at
- *    paper set I. deserializeEvalKeys() re-expands the masks
- *    deterministically; the rebuilt bundle is bit-identical to the
- *    directly generated one (same process / same FFT kernel).
+ * Evaluation keys travel in one format, the seeded `EVK2` frame
+ * (`BSK2` + `KSK2` inside). Mask components are pure PRNG output
+ * regenerable from a shipped 64-bit seed (Rng::fork per row), so the
+ * frame carries only seeds + body components: ~1/(k+1) of the BSK and
+ * ~1/(n+1) of the KSK, about a third of the resident expanded size
+ * (EvalKeys::residentBytes) at paper set I. deserializeEvalKeys()
+ * re-expands the masks deterministically; the rebuilt bundle is
+ * bit-identical to the directly generated one (same process / same
+ * FFT kernel).
  */
 
 #ifndef STRIX_TFHE_SERIALIZE_H
@@ -31,34 +29,26 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <vector>
 
 #include "common/frame.h"
-#include "tfhe/encrypted_uint.h"
 #include "tfhe/eval_keys.h"
-#include "tfhe/keyswitch.h"
+#include "tfhe/lwe.h"
 #include "tfhe/params.h"
 
 namespace strix {
 
-/** Format version written into every v1 frame. */
+/** Format version of the params, ciphertext and polynomial frames. */
 inline constexpr uint32_t kSerializeVersion = 1;
 
-/** Format version of the seeded (compressed) frames. */
+/** Format version of the seeded key frames. */
 inline constexpr uint32_t kSerializeVersionSeeded = 2;
 
 /** Frame type tags. */
 enum class SerialTag : uint32_t
 {
-    Params = 0x50415230,           // "PAR0"
-    LweKey = 0x4C4B4559,           // "LKEY"
-    LweCiphertext = 0x4C435431,    // "LCT1"
-    GlweKey = 0x474B4559,          // "GKEY"
-    TorusPoly = 0x54504C59,        // "TPLY"
-    KeySwitchKey = 0x4B534B31,     // "KSK1"
-    EncryptedUint = 0x45554931,    // "EUI1"
-    BootstrapKey = 0x42534B31,     // "BSK1"
-    EvalKeys = 0x45564B31,         // "EVK1"
+    Params = 0x50415230,             // "PAR0"
+    LweCiphertext = 0x4C435431,      // "LCT1"
+    TorusPoly = 0x54504C59,          // "TPLY"
     SeededKeySwitchKey = 0x4B534B32, // "KSK2"
     SeededBootstrapKey = 0x42534B32, // "BSK2"
     SeededEvalKeys = 0x45564B32,     // "EVK2"
@@ -66,55 +56,37 @@ enum class SerialTag : uint32_t
 
 // FrameWriter/FrameReader (the byte layer these formats are built on)
 // live in common/frame.h; the enum-tag constructor overloads accept
-// SerialTag values directly, so call sites are unchanged.
+// SerialTag values directly.
 
 /** Serialization format selector for EvalKeys bundles. */
 enum class EvalKeysFormat
 {
-    Expanded, //!< v1 `EVK1`: full mask + body material (legacy)
-    Seeded,   //!< v2 `EVK2`: mask seeds + body components (compressed)
+    Seeded, //!< `EVK2`: mask seeds + body components (compressed)
 };
 
 // --- writers ---------------------------------------------------------
 void serialize(std::ostream &os, const TfheParams &p);
-void serialize(std::ostream &os, const LweKey &key);
 void serialize(std::ostream &os, const LweCiphertext &ct);
-void serialize(std::ostream &os, const GlweKey &key);
 void serialize(std::ostream &os, const TorusPolynomial &poly);
-void serialize(std::ostream &os, const KeySwitchKey &ksk);
-void serialize(std::ostream &os, const EncryptedUint &x);
-void serialize(std::ostream &os, const BootstrappingKey &bsk);
 /**
- * One frame bundling params + BSK + KSK: the shippable server keyset,
- * in the expanded v1 format (equivalent to EvalKeysFormat::Expanded).
- */
-void serialize(std::ostream &os, const EvalKeys &keys);
-/**
- * Format-selecting EvalKeys writer. Seeded requires the bundle to
- * carry mask seeds (keys.seeds(), i.e. it came from the seeded keygen
- * path or an EVK2 frame); throws std::runtime_error otherwise.
+ * One `EVK2` frame bundling params + BSK2 + KSK2: the shippable
+ * server keyset.
  */
 void serialize(std::ostream &os, const EvalKeys &keys,
                EvalKeysFormat format);
 
 // --- readers (throw std::runtime_error on malformed input) -----------
 TfheParams deserializeParams(std::istream &is);
-LweKey deserializeLweKey(std::istream &is);
 LweCiphertext deserializeLweCiphertext(std::istream &is);
-GlweKey deserializeGlweKey(std::istream &is);
 TorusPolynomial deserializeTorusPolynomial(std::istream &is);
-KeySwitchKey deserializeKeySwitchKey(std::istream &is);
-EncryptedUint deserializeEncryptedUint(std::istream &is);
-BootstrappingKey deserializeBootstrappingKey(std::istream &is);
 /**
- * Read an EvalKeys bundle from either frame generation, auto-detected
- * from the header: `EVK1` loads the expanded material directly, and
- * `EVK2` re-expands every mask from the shipped seeds (bit-identical
- * to the bundle the seeds came from) and keeps the seeds, so the
- * result can re-serialize in either format. BSK/KSK shapes are
- * cross-validated against the embedded parameter frame (mismatches
- * throw rather than yielding a bundle that silently evaluates
- * garbage). Returned behind shared_ptr, ready to hand to any number
+ * Read an `EVK2` bundle: every mask re-expands from the shipped seeds
+ * (bit-identical to the bundle the seeds came from) and the seeds are
+ * kept, so the result re-serializes byte-exactly. BSK/KSK shapes are
+ * cross-validated against the embedded parameter frame and gadgets
+ * against the decomposer's domain (mismatches throw rather than
+ * yielding a bundle that silently evaluates garbage or aborts on
+ * first use). Returned behind shared_ptr, ready to hand to any number
  * of ServerContexts.
  */
 std::shared_ptr<const EvalKeys> deserializeEvalKeys(std::istream &is);

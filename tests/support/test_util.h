@@ -12,6 +12,7 @@
 #define STRIX_TESTS_SUPPORT_TEST_UTIL_H
 
 #include <cstdint>
+#include <string>
 
 #include "common/random.h"
 #include "poly/polynomial.h"
@@ -50,6 +51,47 @@ TfheParams fastParams();
  * while staying fast.
  */
 TfheParams midParams();
+
+/**
+ * The first difference between two evaluation-key bundles, or "" when
+ * they are bit-identical: every params field, the mask seeds, every
+ * frequency-domain BSK row (GgswFft::row(r, c), compared by bit
+ * pattern) and every KSK row. The oracle for bundles rebuilt from an
+ * EVK2 frame, independent of any serializer.
+ */
+std::string evalKeysDifference(const EvalKeys &a, const EvalKeys &b);
+
+/**
+ * Byte offsets and lengths of the frames nested in the EVK2 frame of
+ * a bundle (serialize.h): outer header, then PAR0, BSK2 and KSK2.
+ * Lets tests splice or patch one part of a valid frame.
+ */
+struct Evk2Layout
+{
+    size_t params_off, params_len;
+    size_t bsk_off, bsk_len;
+    size_t ksk_off, ksk_len;
+};
+
+/** Layout of the EVK2 frame that @p keys serializes to. */
+Evk2Layout evk2Layout(const EvalKeys &keys);
+
+/** The two gadgets an EVK2 frame carries. */
+enum class Evk2Gadget
+{
+    Bsk, //!< params bg_bits and the BSK2 shape's base_bits
+    Ksk, //!< params ks_base_bits and the KSK2 shape's base_bits
+};
+
+/**
+ * The EVK2 frame of @p keys with one gadget's base_bits rewritten to
+ * @p base_bits in both places a reader sees it: the params frame and
+ * the key's SHAPE section. The frame stays self-consistent, so only a
+ * check on the gadget itself can refuse it.
+ */
+std::string evk2WithGadgetBaseBits(const EvalKeys &keys,
+                                   Evk2Gadget gadget,
+                                   uint32_t base_bits);
 
 /**
  * Split-API fixture: one deterministic ClientKeyset and a

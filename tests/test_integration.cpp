@@ -64,32 +64,13 @@ TEST(Integration, EvalKeysShipAcrossTheWire)
     // copy and answers a LUT query the client can decrypt.
     const ClientKeyset &client = exactKeys().client;
     std::stringstream wire;
-    serialize(wire, *client.evalKeys());
+    serialize(wire, *client.evalKeys(), EvalKeysFormat::Seeded);
 
     ServerContext remote(deserializeEvalKeys(wire));
     const uint64_t space = 8;
     auto ct = client.encryptInt(3, space);
     auto out = remote.applyLut(
         ct, space, [](int64_t x) { return (x * 2) % 8; });
-    EXPECT_EQ(client.decryptInt(out, space), 6);
-}
-
-TEST(Integration, KskShipsAcrossTheWire)
-{
-    // Serialize the keyswitching key, rebuild it, and run a full
-    // PBS + (deserialized) KS chain.
-    const ClientKeyset &client = exactKeys().client;
-    const ServerContext &server = exactKeys().server;
-    std::stringstream wire;
-    serialize(wire, server.ksk());
-    KeySwitchKey ksk = deserializeKeySwitchKey(wire);
-
-    const uint64_t space = 8;
-    auto ct = client.encryptInt(3, space);
-    TorusPolynomial tv = makeIntTestVector(
-        server.params().N, space, [](int64_t x) { return x * 2 % 8; });
-    auto big = programmableBootstrap(ct, tv, server.bsk());
-    auto out = keySwitch(big, ksk);
     EXPECT_EQ(client.decryptInt(out, space), 6);
 }
 
@@ -152,8 +133,9 @@ TEST(Integration, UnrolledContextFullLutChain)
     GlweKey glwe_key(params.k, params.N, rng);
     auto ubsk = test::UnrolledBootstrappingKey::generate(
         lwe_key, glwe_key, params, rng);
-    auto ksk = KeySwitchKey::generate(glwe_key.extractedLweKey(),
-                                      lwe_key, params, rng);
+    auto ksk = KeySwitchKey::generateSeeded(glwe_key.extractedLweKey(),
+                                            lwe_key, params, rng.next64(),
+                                            rng);
 
     const uint64_t space = 8;
     auto ct = lweEncrypt(lwe_key, encodeLut(2, space), 0.0, rng);

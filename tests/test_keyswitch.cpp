@@ -21,7 +21,8 @@ TEST(KeySwitch, PreservesMessageZeroNoise)
     LweKey to(p.n, rng);
     p.l_ksk = 16;
     p.ks_base_bits = 2;
-    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
+    KeySwitchKey ksk =
+        KeySwitchKey::generateSeeded(from, to, p, rng.next64(), rng);
 
     const uint64_t space = 16;
     for (int64_t m = 0; m < 16; ++m) {
@@ -45,7 +46,8 @@ TEST(KeySwitch, DecompositionDepthControlsError)
         TfheParams p = testParams(64, 128);
         p.l_ksk = levels;
         p.ks_base_bits = 2;
-        KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
+        KeySwitchKey ksk =
+            KeySwitchKey::generateSeeded(from, to, p, rng.next64(), rng);
         int64_t worst = 0;
         for (int trial = 0; trial < 20; ++trial) {
             Torus32 mu = encodeMessage(
@@ -75,7 +77,8 @@ TEST(KeySwitch, ComposesWithSampleExtract)
     GlweKey glwe_key(p.k, p.N, rng);
     LweKey small(p.n, rng);
     LweKey extracted = glwe_key.extractedLweKey();
-    KeySwitchKey ksk = KeySwitchKey::generate(extracted, small, p, rng);
+    KeySwitchKey ksk =
+        KeySwitchKey::generateSeeded(extracted, small, p, rng.next64(), rng);
 
     TorusPolynomial mu(p.N);
     const uint64_t space = 8;
@@ -100,7 +103,8 @@ TEST(KeySwitch, HomomorphicAdditionSurvivesSwitch)
     p.ks_base_bits = 2;
     LweKey from(256, rng);
     LweKey to(64, rng);
-    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
+    KeySwitchKey ksk =
+        KeySwitchKey::generateSeeded(from, to, p, rng.next64(), rng);
 
     auto c1 = lweEncrypt(from, encodeMessage(3, 16), 0.0, rng);
     auto c2 = lweEncrypt(from, encodeMessage(6, 16), 0.0, rng);
@@ -116,7 +120,8 @@ TEST(KeySwitch, RowLayout)
     p.l_ksk = 3;
     LweKey from(8, rng);
     LweKey to(16, rng);
-    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
+    KeySwitchKey ksk =
+        KeySwitchKey::generateSeeded(from, to, p, rng.next64(), rng);
     EXPECT_EQ(ksk.inDim(), 8u);
     EXPECT_EQ(ksk.outDim(), 16u);
     EXPECT_EQ(ksk.row(0, 0).dim(), 16u);

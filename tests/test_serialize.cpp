@@ -3,8 +3,9 @@
  * Serialization round-trip and malformed-input tests, including the
  * randomized structure-level fuzz sweeps: random-shape round-trips,
  * exhaustive truncation (every strict prefix must throw), header
- * bit-flips (must throw), and random payload byte-flips (must either
- * throw std::runtime_error or parse -- never crash or hang).
+ * bit-flips (must throw), random payload byte-flips (must either
+ * throw std::runtime_error or parse -- never crash or hang), and
+ * spliced or gadget-patched EVK2 frames (must throw).
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "tfhe/integer.h"
 #include "tfhe/serialize.h"
 #include "support/test_util.h"
 
@@ -32,18 +32,6 @@ TEST(Serialize, ParamsRoundTrip)
     EXPECT_EQ(p.lambda, 128);
 }
 
-TEST(Serialize, LweKeyRoundTrip)
-{
-    Rng rng(1);
-    LweKey key(500, rng);
-    std::stringstream ss;
-    serialize(ss, key);
-    LweKey back = deserializeLweKey(ss);
-    ASSERT_EQ(back.dim(), key.dim());
-    for (uint32_t i = 0; i < key.dim(); ++i)
-        EXPECT_EQ(back.bit(i), key.bit(i));
-}
-
 TEST(Serialize, CiphertextRoundTripDecrypts)
 {
     Rng rng(2);
@@ -53,19 +41,6 @@ TEST(Serialize, CiphertextRoundTripDecrypts)
     serialize(ss, ct);
     LweCiphertext back = deserializeLweCiphertext(ss);
     EXPECT_EQ(lweDecrypt(key, back, 16), 5);
-}
-
-TEST(Serialize, GlweKeyRoundTrip)
-{
-    Rng rng(3);
-    GlweKey key(2, 64, rng);
-    std::stringstream ss;
-    serialize(ss, key);
-    GlweKey back = deserializeGlweKey(ss);
-    ASSERT_EQ(back.k(), 2u);
-    ASSERT_EQ(back.ringDim(), 64u);
-    for (uint32_t i = 0; i < 2; ++i)
-        EXPECT_EQ(back.poly(i), key.poly(i));
 }
 
 TEST(Serialize, TorusPolynomialRoundTrip)
@@ -79,33 +54,22 @@ TEST(Serialize, TorusPolynomialRoundTrip)
 
 TEST(Serialize, KeySwitchKeyRoundTripFunctional)
 {
-    // The deserialized ksk must actually keyswitch correctly.
-    Rng rng(5);
+    // The ksk re-expanded from an EVK2 frame must actually keyswitch
+    // correctly, here at a deeper keyswitch gadget than the default.
     TfheParams p = testParams(32, 64);
     p.l_ksk = 12;
     p.ks_base_bits = 2;
-    LweKey from(128, rng);
-    LweKey to(32, rng);
-    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
+    ClientKeyset client(p, 5);
 
     std::stringstream ss;
-    serialize(ss, ksk);
-    KeySwitchKey back = deserializeKeySwitchKey(ss);
+    serialize(ss, *client.evalKeys(), EvalKeysFormat::Seeded);
+    std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(ss);
 
-    auto ct = lweEncrypt(from, encodeMessage(3, 8), 0.0, rng);
-    EXPECT_EQ(lweDecrypt(to, keySwitch(ct, back), 8), 3);
-}
-
-TEST(Serialize, EncryptedUintRoundTrip)
-{
-    test::TestKeys keys(testParams(32, 256, 1, 3, 8, 0.0), 99);
-    IntegerOps ops(keys.server);
-    EncryptedUint x = ops.encrypt(keys.client, 201, 4);
-    std::stringstream ss;
-    serialize(ss, x);
-    EncryptedUint back = deserializeEncryptedUint(ss);
-    EXPECT_EQ(ops.decrypt(keys.client, back), 201u);
-    EXPECT_EQ(back.digit_bits, x.digit_bits);
+    Rng rng(5);
+    auto ct = lweEncrypt(client.extractedKey(), encodeMessage(3, 8), 0.0,
+                         rng);
+    EXPECT_EQ(lweDecrypt(client.lweKey(), keySwitch(ct, back->ksk()), 8),
+              3);
 }
 
 TEST(Serialize, MultipleFramesInOneStream)
@@ -127,9 +91,8 @@ TEST(Serialize, MultipleFramesInOneStream)
 TEST(Serialize, WrongTagThrows)
 {
     Rng rng(7);
-    LweKey key(16, rng);
     std::stringstream ss;
-    serialize(ss, key);
+    serialize(ss, test::randomTorusPoly(16, rng));
     EXPECT_THROW(deserializeLweCiphertext(ss), std::runtime_error);
 }
 
@@ -206,41 +169,41 @@ TEST(SerializeFuzz, RandomParamsRoundTripSweep)
 
 TEST(SerializeFuzz, RandomShapeMultiFrameRoundTripSweep)
 {
-    // Streams of randomly shaped, randomly ordered frames must
-    // round-trip structure by structure.
+    // Streams of randomly shaped frames must round-trip structure by
+    // structure.
     Rng rng(202);
     for (int iter = 0; iter < 25; ++iter) {
         std::stringstream ss;
 
         size_t lwe_dim = 1 + rng.uniformBelow(300);
         LweKey lkey(static_cast<uint32_t>(lwe_dim), rng);
-        serialize(ss, lkey);
+        LweCiphertext raw_ct(static_cast<uint32_t>(lwe_dim));
+        for (uint32_t &w : raw_ct.raw())
+            w = rng.uniformTorus32();
+        serialize(ss, raw_ct);
 
         size_t poly_n = size_t{1} << (1 + rng.uniformBelow(9));
         TorusPolynomial poly =
             test::randomTorusPoly(poly_n, rng);
         serialize(ss, poly);
 
-        uint32_t k = 1 + static_cast<uint32_t>(rng.uniformBelow(3));
-        uint32_t ring = 1u << (2 + rng.uniformBelow(7));
-        GlweKey gkey(k, ring, rng);
-        serialize(ss, gkey);
+        TfheParams params = testParams(
+            1 + uint32_t(rng.uniformBelow(1024)),
+            1u << (2 + rng.uniformBelow(9)),
+            1 + uint32_t(rng.uniformBelow(3)));
+        serialize(ss, params);
 
         auto ct = lweEncrypt(lkey, encodeMessage(1, 8), 0.0, rng);
         serialize(ss, ct);
 
-        LweKey lback = deserializeLweKey(ss);
-        ASSERT_EQ(lback.dim(), lkey.dim());
-        for (uint32_t i = 0; i < lkey.dim(); ++i)
-            ASSERT_EQ(lback.bit(i), lkey.bit(i));
+        EXPECT_EQ(deserializeLweCiphertext(ss).raw(), raw_ct.raw());
 
         EXPECT_EQ(deserializeTorusPolynomial(ss), poly);
 
-        GlweKey gback = deserializeGlweKey(ss);
-        ASSERT_EQ(gback.k(), k);
-        ASSERT_EQ(gback.ringDim(), ring);
-        for (uint32_t i = 0; i < k; ++i)
-            ASSERT_EQ(gback.poly(i), gkey.poly(i));
+        TfheParams pback = deserializeParams(ss);
+        ASSERT_EQ(pback.n, params.n);
+        ASSERT_EQ(pback.N, params.N);
+        ASSERT_EQ(pback.k, params.k);
 
         EXPECT_EQ(lweDecrypt(lkey, deserializeLweCiphertext(ss), 8), 1);
     }
@@ -258,7 +221,6 @@ TEST(SerializeFuzz, EveryStrictPrefixThrows)
 
     const std::string frames[] = {
         frameBytes(params),
-        frameBytes(key),
         frameBytes(poly),
         frameBytes(ct),
     };
@@ -273,10 +235,6 @@ TEST(SerializeFuzz, EveryStrictPrefixThrows)
                     << "cut=" << cut;
                 break;
               case 1:
-                EXPECT_THROW(deserializeLweKey(ss), std::runtime_error)
-                    << "cut=" << cut;
-                break;
-              case 2:
                 EXPECT_THROW(deserializeTorusPolynomial(ss),
                              std::runtime_error)
                     << "cut=" << cut;
@@ -313,15 +271,14 @@ TEST(SerializeFuzz, RandomByteFlipsNeverCrash)
     // Payload corruption may parse to a different (garbage) structure
     // or throw std::runtime_error; anything else -- a crash, a hang,
     // an unbounded allocation (bounded by the length-field caps in
-    // serialize.cpp), another exception type -- is a bug.
+    // serialize.cpp), another exception type -- is a bug. Key frames
+    // get the same treatment in SerializeEvk2.RandomByteFlipsNeverCrash.
     Rng rng(505);
-    TfheParams p = testParams(16, 64);
-    p.l_ksk = 2;
-    p.ks_base_bits = 4;
-    LweKey from(48, rng);
-    LweKey to(16, rng);
-    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
-    const std::string base = frameBytes(ksk);
+    LweKey key(48, rng);
+    const std::string base =
+        frameBytes(paramsSetII()) +
+        frameBytes(lweEncrypt(key, encodeMessage(3, 8), 0.0, rng)) +
+        frameBytes(test::randomTorusPoly(64, rng));
 
     for (int iter = 0; iter < 300; ++iter) {
         std::string corrupted = base;
@@ -335,10 +292,13 @@ TEST(SerializeFuzz, RandomByteFlipsNeverCrash)
         }
         std::stringstream ss(corrupted);
         try {
-            KeySwitchKey back = deserializeKeySwitchKey(ss);
-            // Parsed (e.g. only ciphertext payload bytes flipped):
-            // the plausibility guards must still have held.
-            EXPECT_LE(back.gadget().levels, 64u);
+            deserializeParams(ss);
+            LweCiphertext ct = deserializeLweCiphertext(ss);
+            TorusPolynomial poly = deserializeTorusPolynomial(ss);
+            // Parsed (e.g. only payload words flipped): the
+            // plausibility guards must still have held.
+            EXPECT_LE(ct.raw().size(), size_t{1} << 25);
+            EXPECT_LE(poly.size(), size_t{1} << 24);
         } catch (const std::runtime_error &) {
             // Rejected: fine.
         }
@@ -369,9 +329,11 @@ TEST(SerializeFuzz, ImplausibleVectorLengthRejectedWithoutAllocating)
 }
 
 // ---------------------------------------------------------------------------
-// EvalKeys bundles: the shipped server keyset gets the same hostile-
-// input hardening as ciphertexts -- functional round-trip, randomized
-// shape sweep, truncation, header bit-flips, payload byte-flips.
+// EvalKeys bundles travel as seeded EVK2 frames: they must round-trip
+// to bit-identical keys, re-serialize byte-exactly, stay well under
+// the resident size, and get the same hostile-input hardening as
+// ciphertexts -- truncation, header bit-flips, payload byte-flips,
+// spliced shapes and gadgets outside the decomposer's domain.
 
 /** Tiny bundle the fuzz sweeps can afford to re-serialize often. */
 const EvalKeys &
@@ -382,178 +344,83 @@ tinyEvalKeys()
     return *keys.client.evalKeys();
 }
 
-TEST(SerializeEvalKeys, RoundTripEvaluatesBitIdentically)
-{
-    // A server standing on the deserialized bundle must produce
-    // ciphertexts bit-identical to the original context's: the
-    // frequency-domain BSK rows round-trip exactly.
-    test::TestKeys keys(testParams(32, 256, 1, 3, 8, 0.0),
-                        test::kSeedSerialize);
-    std::stringstream wire;
-    serialize(wire, *keys.client.evalKeys());
-
-    std::shared_ptr<const EvalKeys> shipped = deserializeEvalKeys(wire);
-    ASSERT_NE(shipped, nullptr);
-    EXPECT_EQ(shipped->params().N, 256u);
-    ServerContext remote(shipped);
-
-    const uint64_t space = 8;
-    auto square = [](int64_t v) { return (v * v) % 8; };
-    for (int64_t m = 0; m < 4; ++m) {
-        auto ct = keys.client.encryptInt(m, space);
-        LweCiphertext here = keys.server.applyLut(ct, space, square);
-        LweCiphertext there = remote.applyLut(ct, space, square);
-        EXPECT_EQ(here.raw(), there.raw()) << "m=" << m;
-        EXPECT_EQ(keys.client.decryptInt(there, space), (m * m) % 8);
-    }
-}
-
-TEST(SerializeEvalKeys, StandaloneBskFrameRoundTrips)
-{
-    // The BSK frame also reads standalone (no params frame to cross-
-    // check against): the rebuilt key must re-serialize byte-exactly
-    // and carry the shape fields through its synthesized params.
-    const EvalKeys &keys = tinyEvalKeys();
-    const std::string bytes = frameBytes(keys.bsk());
-    std::stringstream ss(bytes);
-    BootstrappingKey back = deserializeBootstrappingKey(ss);
-    EXPECT_EQ(back.n(), keys.bsk().n());
-    EXPECT_EQ(back.params().N, keys.params().N);
-    EXPECT_EQ(back.params().k, keys.params().k);
-    EXPECT_EQ(back.params().l_bsk, keys.params().l_bsk);
-    EXPECT_EQ(frameBytes(back), bytes);
-}
-
-TEST(SerializeEvalKeys, RandomShapeRoundTripSweep)
-{
-    // Re-serializing the deserialized bundle must reproduce the frame
-    // byte-for-byte across random small key shapes.
-    Rng rng(606);
-    for (int iter = 0; iter < 4; ++iter) {
-        uint32_t n = 4 + uint32_t(rng.uniformBelow(12));
-        uint32_t big_n = 16u << rng.uniformBelow(3);
-        uint32_t k = 1 + uint32_t(rng.uniformBelow(2));
-        uint32_t l = 1 + uint32_t(rng.uniformBelow(3));
-        ClientKeyset client(testParams(n, big_n, k, l, 8, 0.0),
-                            1000 + uint64_t(iter));
-
-        const std::string bytes = frameBytes(*client.evalKeys());
-        std::stringstream ss(bytes);
-        std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(ss);
-        EXPECT_EQ(frameBytes(*back), bytes)
-            << "n=" << n << " N=" << big_n << " k=" << k << " l=" << l;
-    }
-}
-
-TEST(SerializeEvalKeys, StrictPrefixSampleThrows)
-{
-    // The frame is ~100 KiB, so (unlike the small-frame sweep above)
-    // cutting at *every* byte is quadratic; sample instead: the whole
-    // header/shape region densely, then strided and random interior
-    // cuts, and the last bytes.
-    const std::string bytes = frameBytes(tinyEvalKeys());
-    ASSERT_GT(bytes.size(), 512u);
-
-    std::vector<size_t> cuts;
-    for (size_t c = 0; c < 256; ++c)
-        cuts.push_back(c);
-    for (size_t c = 256; c < bytes.size(); c += 997)
-        cuts.push_back(c);
-    Rng rng(707);
-    for (int i = 0; i < 64; ++i)
-        cuts.push_back(rng.uniformBelow(bytes.size()));
-    for (size_t back = 1; back <= 16; ++back)
-        cuts.push_back(bytes.size() - back);
-
-    for (size_t cut : cuts) {
-        std::stringstream ss(bytes.substr(0, cut));
-        EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
-            << "cut=" << cut;
-    }
-}
-
-TEST(SerializeEvalKeys, EveryHeaderBitFlipThrows)
-{
-    // The outer header plus the nested params header: any single-bit
-    // corruption must be rejected outright.
-    const std::string bytes = frameBytes(tinyEvalKeys());
-    ASSERT_GE(bytes.size(), 16u);
-    for (size_t bit = 0; bit < 128; ++bit) {
-        std::string corrupted = bytes;
-        corrupted[bit / 8] =
-            static_cast<char>(corrupted[bit / 8] ^ (1 << (bit % 8)));
-        std::stringstream ss(corrupted);
-        EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
-            << "bit " << bit;
-    }
-}
-
-TEST(SerializeEvalKeys, RandomByteFlipsNeverCrash)
-{
-    // Payload corruption may parse (BSK rows are raw doubles: bit
-    // flips there change values, not structure) or throw
-    // std::runtime_error; a crash, hang, abort, or unbounded
-    // allocation is a bug. Shape-field corruption must be caught by
-    // the plausibility caps and the params cross-checks.
-    const std::string base = frameBytes(tinyEvalKeys());
-    Rng rng(808);
-    for (int iter = 0; iter < 60; ++iter) {
-        std::string corrupted = base;
-        size_t flips = 1 + rng.uniformBelow(4);
-        for (size_t f = 0; f < flips; ++f) {
-            size_t pos = rng.uniformBelow(corrupted.size());
-            corrupted[pos] = static_cast<char>(
-                corrupted[pos] ^
-                static_cast<char>(1 + rng.uniformBelow(255)));
-        }
-        std::stringstream ss(corrupted);
-        try {
-            std::shared_ptr<const EvalKeys> back =
-                deserializeEvalKeys(ss);
-            // Parsed: the cross-checks must still have held.
-            ASSERT_NE(back, nullptr);
-            EXPECT_EQ(back->bsk().n(), back->params().n);
-        } catch (const std::runtime_error &) {
-            // Rejected: fine.
-        }
-    }
-}
-
-TEST(SerializeEvalKeys, MismatchedKskIsRejected)
-{
-    // Splice the KSK of a *different* keyset shape into an otherwise
-    // valid bundle: the params cross-check must refuse to assemble a
-    // bundle that would silently evaluate garbage.
-    test::TestKeys keys(testParams(16, 64, 1, 2, 8, 0.0), 11);
-    test::TestKeys other(testParams(24, 128, 1, 2, 8, 0.0), 12);
-
-    std::stringstream spliced;
-    // Hand-assemble the frame: outer header + params + bsk come from
-    // `keys`, the ksk from `other`.
-    serialize(spliced, *keys.client.evalKeys());
-    std::string bytes = spliced.str();
-    std::string good_ksk = frameBytes(keys.client.evalKeys()->ksk());
-    std::string bad_ksk = frameBytes(other.client.evalKeys()->ksk());
-    ASSERT_GT(bytes.size(), good_ksk.size());
-    bytes.resize(bytes.size() - good_ksk.size());
-    bytes += bad_ksk;
-
-    std::stringstream ss(bytes);
-    EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// Seeded (EVK2) frames: compressed bundles must round-trip to
-// bit-identical keys, re-serialize byte-exactly, beat the expanded
-// frame on size, and reject the same hostile inputs as EVK1.
-
-/** The tiny bundle's bytes in the seeded v2 format. */
+/** The EVK2 frame bytes of @p keys. */
 std::string
 seededBytes(const EvalKeys &keys)
 {
     std::stringstream ss;
     serialize(ss, keys, EvalKeysFormat::Seeded);
     return ss.str();
+}
+
+/** Tiny bundle with one decomposition level in both gadgets. */
+const EvalKeys &
+oneLevelEvalKeys()
+{
+    static const ClientKeyset client(
+        [] {
+            TfheParams p = testParams(16, 64, 1, 1, 8, 0.0);
+            p.l_ksk = 1;
+            return p;
+        }(),
+        test::kSeedSerialize);
+    return *client.evalKeys();
+}
+
+/**
+ * Success iff decoding @p bytes throws std::runtime_error whose
+ * message contains @p reason -- pins *why* a frame is refused.
+ */
+::testing::AssertionResult
+rejectedWith(const std::string &bytes, const std::string &reason)
+{
+    std::stringstream ss(bytes);
+    try {
+        deserializeEvalKeys(ss);
+    } catch (const std::runtime_error &e) {
+        if (std::string(e.what()).find(reason) != std::string::npos)
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+               << "rejected for another reason: " << e.what();
+    }
+    return ::testing::AssertionFailure() << "frame decoded";
+}
+
+TEST(SerializeEvalKeys, MismatchedKskIsRejected)
+{
+    // Splice the KSK2 of a *different* keyset shape into an otherwise
+    // valid bundle: the params cross-check must refuse to assemble a
+    // bundle that would silently evaluate garbage.
+    test::TestKeys keys(testParams(16, 64, 1, 2, 8, 0.0), 11);
+    test::TestKeys other(testParams(24, 128, 1, 2, 8, 0.0), 12);
+    std::string bytes = seededBytes(*keys.client.evalKeys());
+    const std::string donor = seededBytes(*other.client.evalKeys());
+    const test::Evk2Layout l = test::evk2Layout(*keys.client.evalKeys());
+    const test::Evk2Layout lo =
+        test::evk2Layout(*other.client.evalKeys());
+    ASSERT_EQ(l.ksk_off + l.ksk_len, bytes.size());
+    ASSERT_EQ(lo.ksk_off + lo.ksk_len, donor.size());
+
+    bytes.replace(l.ksk_off, l.ksk_len,
+                  donor.substr(lo.ksk_off, lo.ksk_len));
+    EXPECT_TRUE(rejectedWith(bytes, "ksk/params mismatch"));
+}
+
+TEST(SerializeEvalKeys, MismatchedBskIsRejected)
+{
+    // Same for the BSK2: a bootstrapping key of another ring and LWE
+    // dimension must not pass the params cross-check.
+    test::TestKeys keys(testParams(16, 64, 1, 2, 8, 0.0), 11);
+    test::TestKeys other(testParams(24, 128, 1, 2, 8, 0.0), 12);
+    std::string bytes = seededBytes(*keys.client.evalKeys());
+    const std::string donor = seededBytes(*other.client.evalKeys());
+    const test::Evk2Layout l = test::evk2Layout(*keys.client.evalKeys());
+    const test::Evk2Layout lo =
+        test::evk2Layout(*other.client.evalKeys());
+
+    bytes.replace(l.bsk_off, l.bsk_len,
+                  donor.substr(lo.bsk_off, lo.bsk_len));
+    EXPECT_TRUE(rejectedWith(bytes, "bsk/params mismatch"));
 }
 
 TEST(SerializeEvk2, FunctionalRoundTrip)
@@ -582,15 +449,13 @@ TEST(SerializeEvk2, FunctionalRoundTrip)
 
 TEST(SerializeEvk2, RebuiltBundleIsBitIdenticalToOriginal)
 {
-    // The EVK1 frame carries every FFT-domain BSK row and every KSK
-    // entry verbatim, so EVK1(rebuilt) == EVK1(original) pins the
-    // rebuilt bundle bit-identical across the whole key material --
-    // and doubles as the cross-version compatibility check.
+    // Every frequency-domain BSK row, every KSK row and the params of
+    // the rebuilt bundle must equal the original's bit for bit.
     const EvalKeys &orig = tinyEvalKeys();
     std::stringstream wire(seededBytes(orig));
     std::shared_ptr<const EvalKeys> rebuilt = deserializeEvalKeys(wire);
     ASSERT_NE(rebuilt, nullptr);
-    EXPECT_EQ(frameBytes(*rebuilt), frameBytes(orig));
+    EXPECT_EQ(test::evalKeysDifference(*rebuilt, orig), "");
 }
 
 TEST(SerializeEvk2, ReserializeIsByteExact)
@@ -601,13 +466,12 @@ TEST(SerializeEvk2, ReserializeIsByteExact)
     std::stringstream ss(bytes);
     std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(ss);
     ASSERT_NE(back, nullptr);
-    ASSERT_TRUE(back->seeds().has_value());
     EXPECT_EQ(seededBytes(*back), bytes);
 }
 
 TEST(SerializeEvk2, RandomShapeRoundTripSweep)
 {
-    // Byte-exact v2 re-serialization and EVK1 bit-identity across
+    // Byte-exact re-serialization and bit-identical keys across
     // random small key shapes.
     Rng rng(909);
     for (int iter = 0; iter < 4; ++iter) {
@@ -624,46 +488,29 @@ TEST(SerializeEvk2, RandomShapeRoundTripSweep)
         ASSERT_NE(back, nullptr);
         EXPECT_EQ(seededBytes(*back), bytes)
             << "n=" << n << " N=" << big_n << " k=" << k << " l=" << l;
-        EXPECT_EQ(frameBytes(*back), frameBytes(*client.evalKeys()))
+        EXPECT_EQ(test::evalKeysDifference(*back, *client.evalKeys()), "")
             << "n=" << n << " N=" << big_n << " k=" << k << " l=" << l;
     }
 }
 
 TEST(SerializeEvk2, CompressesWellUnderTheExpandedFrame)
 {
-    // The acceptance bar is <= 55% of EVK1; the seeded frame drops all
-    // mask material (~1/(k+1) of the BSK, ~1/(n+1) of the KSK), which
-    // lands well under that even at tiny shapes.
+    // The acceptance bar is <= 55% of the expanded key the server
+    // holds after re-expansion; the seeded frame drops all mask
+    // material (~1/(k+1) of the BSK, ~1/(n+1) of the KSK), which lands
+    // well under that even at tiny shapes.
     const EvalKeys &keys = tinyEvalKeys();
-    const size_t v1 = frameBytes(keys).size();
+    const uint64_t resident = keys.residentBytes();
     const size_t v2 = seededBytes(keys).size();
-    EXPECT_LE(double(v2), 0.55 * double(v1))
-        << "v1=" << v1 << " v2=" << v2;
-}
-
-TEST(SerializeEvk2, ExpandedOnlyBundleRefusesSeededFormat)
-{
-    // A bundle loaded from an EVK1 frame carries no mask seeds, so it
-    // can only re-serialize expanded; asking for Seeded must throw
-    // rather than invent seeds.
-    std::stringstream wire(frameBytes(tinyEvalKeys()));
-    std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(wire);
-    ASSERT_NE(back, nullptr);
-    EXPECT_FALSE(back->seeds().has_value());
-    std::stringstream out;
-    EXPECT_THROW(serialize(out, *back, EvalKeysFormat::Seeded),
-                 std::runtime_error);
-    // Expanded still works and matches the original frame.
-    std::stringstream out1;
-    serialize(out1, *back, EvalKeysFormat::Expanded);
-    EXPECT_EQ(out1.str(), frameBytes(tinyEvalKeys()));
+    EXPECT_LE(double(v2), 0.55 * double(resident))
+        << "resident=" << resident << " v2=" << v2;
 }
 
 TEST(SerializeEvk2, StrictPrefixSampleThrows)
 {
-    // Same sampling strategy as the EVK1 sweep: dense over the header
-    // and shape sections, strided + random over the bodies, and the
-    // final bytes.
+    // The frame is tens of KiB, so cutting at *every* byte is
+    // quadratic; sample instead: dense over the header and shape
+    // sections, strided + random over the bodies, and the final bytes.
     const std::string bytes = seededBytes(tinyEvalKeys());
     ASSERT_GT(bytes.size(), 512u);
 
@@ -687,9 +534,8 @@ TEST(SerializeEvk2, StrictPrefixSampleThrows)
 
 TEST(SerializeEvk2, EveryHeaderBitFlipThrows)
 {
-    // Outer EVK2 header plus the nested params header. Note the EVK1
-    // and EVK2 tags differ in two bits, so no single flip can silently
-    // cross frame generations.
+    // Outer EVK2 header plus the nested params header: any single-bit
+    // corruption must be rejected outright.
     const std::string bytes = seededBytes(tinyEvalKeys());
     ASSERT_GE(bytes.size(), 16u);
     for (size_t bit = 0; bit < 128; ++bit) {
@@ -701,7 +547,6 @@ TEST(SerializeEvk2, EveryHeaderBitFlipThrows)
             << "bit " << bit;
     }
 }
-
 TEST(SerializeEvk2, TamperedSectionLengthThrows)
 {
     // The BSK2 SHAPE section sits right after the nested params frame:
@@ -723,6 +568,46 @@ TEST(SerializeEvk2, TamperedSectionLengthThrows)
         EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
             << "len=" << bad;
     }
+}
+
+TEST(SerializeEvk2, BskGadgetOutsideDecomposerIsRejected)
+{
+    // A self-consistent frame whose BSK gadget the decomposer cannot
+    // run must be refused at decode: accepted, it would shift out of
+    // range on every bootstrap.
+    using test::Evk2Gadget;
+    using test::evk2WithGadgetBaseBits;
+    // The patch itself is sound: an in-domain gadget still decodes.
+    std::stringstream ok(
+        evk2WithGadgetBaseBits(tinyEvalKeys(), Evk2Gadget::Bsk, 10));
+    EXPECT_NO_THROW(deserializeEvalKeys(ok));
+    // 17 bits x 2 levels = 34 digit bits on a 32-bit torus.
+    EXPECT_TRUE(rejectedWith(
+        evk2WithGadgetBaseBits(tinyEvalKeys(), Evk2Gadget::Bsk, 17),
+        "implausible bsk gadget"));
+    // 32 bits x 1 level fits the torus, but a base of 2^32 does not
+    // fit GadgetParams::base().
+    EXPECT_TRUE(rejectedWith(
+        evk2WithGadgetBaseBits(oneLevelEvalKeys(), Evk2Gadget::Bsk, 32),
+        "implausible bsk gadget"));
+}
+
+TEST(SerializeEvk2, KskGadgetOutsideDecomposerIsRejected)
+{
+    // Same for the keyswitch gadget, where an accepted 5 x 8 gadget
+    // would abort the process on the first keyswitch.
+    using test::Evk2Gadget;
+    using test::evk2WithGadgetBaseBits;
+    std::stringstream ok(
+        evk2WithGadgetBaseBits(tinyEvalKeys(), Evk2Gadget::Ksk, 3));
+    EXPECT_NO_THROW(deserializeEvalKeys(ok));
+    // 5 bits x 8 levels = 40 digit bits.
+    EXPECT_TRUE(rejectedWith(
+        evk2WithGadgetBaseBits(tinyEvalKeys(), Evk2Gadget::Ksk, 5),
+        "implausible ksk gadget"));
+    EXPECT_TRUE(rejectedWith(
+        evk2WithGadgetBaseBits(oneLevelEvalKeys(), Evk2Gadget::Ksk, 32),
+        "implausible ksk gadget"));
 }
 
 TEST(SerializeEvk2, RandomByteFlipsNeverCrash)

@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "net/client.h"
 #include "server/server.h"
 #include "server/wire_codec.h"
+#include "support/test_util.h"
 #include "tfhe/bootstrap.h"
 #include "tfhe/context_cache.h"
 #include "tfhe/server_context.h"
@@ -471,6 +473,42 @@ TEST(ServerHostile, BitFlippedKeyUploadRejected)
         EXPECT_EQ(r.error, WireError::BadPayload);
     }
     EXPECT_TRUE(h.client.ping());
+}
+
+TEST(ServerHostile, GadgetOutsideDecomposerUploadRejected)
+{
+    // Self-consistent EVK2 uploads whose gadget the decomposer cannot
+    // run: BSK 12 bits x 3 levels, KSK 5 bits x 8 levels (36 and 40
+    // digit bits on a 32-bit torus). Accepted, the first Bootstrap
+    // would shift out of range or abort the whole daemon; they must
+    // be answered BadPayload at registration instead.
+    Harness h;
+    auto keyset = keysetFor(501);
+    const std::pair<test::Evk2Gadget, uint32_t> hostile[] = {
+        {test::Evk2Gadget::Bsk, 12},
+        {test::Evk2Gadget::Ksk, 5},
+    };
+    for (const auto &[gadget, base_bits] : hostile) {
+        const std::string frame = test::evk2WithGadgetBaseBits(
+            *keyset->evalKeys(), gadget, base_bits);
+        StrixClient::Reply r = h.client.call(
+            MsgType::RegisterTenant, 9,
+            std::vector<uint8_t>(frame.begin(), frame.end()));
+        ASSERT_FALSE(r.ok) << "base_bits=" << base_bits;
+        EXPECT_EQ(r.error, WireError::BadPayload) << r.error_text;
+    }
+    StrixClient::Reply r =
+        h.client.call(MsgType::Bootstrap, 9, bootstrapPayload(*keyset, 1));
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.error, WireError::UnknownTenant) << "nothing was cached";
+
+    // The daemon is alive and still serves a valid tenant.
+    registerTenant(h.client, 1, *keyset);
+    r = h.client.call(MsgType::Bootstrap, 1, bootstrapPayload(*keyset, 2));
+    ASSERT_TRUE(r.ok) << r.error_text;
+    std::vector<LweCiphertext> out = decodeCiphertexts(r.payload);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(keyset->decryptInt(out[0], kSpace), triple(2));
 }
 
 TEST(ServerHostile, OversizedComputePayloadRejected)

@@ -23,8 +23,8 @@ struct UnrollFixture
     Rng rng{909};
     LweKey lwe_key{params.n, rng};
     GlweKey glwe_key{params.k, params.N, rng};
-    BootstrappingKey bsk =
-        BootstrappingKey::generate(lwe_key, glwe_key, params, rng);
+    BootstrappingKey bsk = BootstrappingKey::generateSeeded(
+        lwe_key, glwe_key, params, rng.next64(), rng);
     UnrolledBootstrappingKey ubsk =
         UnrolledBootstrappingKey::generate(lwe_key, glwe_key, params,
                                            rng);

@@ -3,7 +3,7 @@
  * strix_serverd: the multi-tenant encrypted-compute serving daemon.
  *
  * Binds a loopback port and serves the MSG1 protocol (see
- * net/wire.h): tenants upload EVK1/EVK2 key bundles, then submit
+ * net/wire.h): tenants upload EVK2 key bundles, then submit
  * Bootstrap / ApplyLut / EvalCircuit requests whose PBS work batches
  * across tenants through the shared BatchExecutor. SIGINT/SIGTERM
  * trigger a clean drain: pending responses are fulfilled and flushed
