@@ -1,7 +1,7 @@
 /**
  * @file
- * StrixServer implementation: one poll loop, one circuit worker, and
- * the shared BatchExecutor doing the actual PBS work.
+ * StrixServer implementation: one poll loop that also steps circuit
+ * runs, and the shared BatchExecutor doing the actual PBS work.
  */
 
 #include "server/server.h"
@@ -14,8 +14,7 @@
 #include "common/logging.h"
 #include "server/wire_codec.h"
 #include "tfhe/bootstrap.h"
-#include "tfhe/server_context.h"
-#include "workloads/circuit_analysis.h"
+#include "tfhe/gates.h"
 
 namespace strix {
 
@@ -28,14 +27,16 @@ futureReady(const std::future<LweCiphertext> &f)
            std::future_status::ready;
 }
 
-bool
-futureReady(const std::future<std::vector<LweCiphertext>> &f)
-{
-    return f.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-}
-
 } // namespace
+
+StrixServer::CircuitJob::CircuitJob(std::shared_ptr<const EvalKeys> keys,
+                                    Circuit c, CircuitPlan p,
+                                    std::vector<LweCiphertext> inputs)
+    : bundle(std::move(keys)), circuit(std::move(c)), plan(std::move(p)),
+      sign_tv(signTestVector(bundle->params().N)),
+      run(circuit, plan, bundle->params().n, std::move(inputs))
+{
+}
 
 StrixServer::StrixServer(Options opts,
                          std::shared_ptr<WaitableClock> clock)
@@ -70,7 +71,6 @@ StrixServer::start()
         return false;
     port_ = listener_.port();
     running_.store(true);
-    circuit_thread_ = std::thread([this] { circuitWorker(); });
     loop_ = std::thread([this] { run(); });
     return true;
 }
@@ -81,13 +81,6 @@ StrixServer::stop()
     stop_requested_.store(true);
     if (loop_.joinable())
         loop_.join();
-    {
-        MutexLock lock(circuit_m_);
-        circuit_stop_ = true;
-    }
-    circuit_cv_.notify_all();
-    if (circuit_thread_.joinable())
-        circuit_thread_.join();
     executor_->shutdown();
     running_.store(false);
 }
@@ -104,26 +97,6 @@ StrixServer::stats() const
     s.deadline_misses = deadline_misses_.load();
     s.protocol_errors = protocol_errors_.load();
     return s;
-}
-
-void
-StrixServer::circuitWorker()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            MutexLock lock(circuit_m_);
-            circuit_cv_.wait(lock, [&] {
-                circuit_m_.assertHeld();
-                return circuit_stop_ || !circuit_q_.empty();
-            });
-            if (circuit_q_.empty())
-                return; // stop requested and queue drained
-            job = std::move(circuit_q_.front());
-            circuit_q_.pop_front();
-        }
-        job();
-    }
 }
 
 void
@@ -225,7 +198,9 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
         }
         case MsgType::ApplyLut: {
             ApplyLutRequest req = decodeApplyLutPayload(m.payload);
-            if (req.ct.dim() != p.n)
+            // A LUT wider than the ring cannot be laid out on the test
+            // vector (makeIntTestVector would abort the daemon).
+            if (req.ct.dim() != p.n || req.msg_space > p.N)
                 throw std::runtime_error(
                     "request shape does not match tenant parameters");
             TorusPolynomial tv = makeIntTestVector(
@@ -256,28 +231,14 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
                         WireError::Infeasible, os.str(), now_us);
                 return;
             }
-            // The worker owns bundle + request for the eval's whole
-            // lifetime (pinning the tenant resident); its per-level
-            // PBS stream feeds the shared executor, coalescing with
-            // the Bootstrap/ApplyLut traffic of every session.
-            auto task = std::make_shared<
-                std::packaged_task<std::vector<LweCiphertext>()>>(
-                [executor = executor_, bundle,
-                 circuit = std::move(req.circuit),
-                 inputs = std::move(req.inputs),
-                 plan = std::move(plan)] {
-                    ServerContext ctx(bundle);
-                    ctx.attachExecutor(executor);
-                    return circuit.evalEncryptedAsync(ctx, inputs,
-                                                      plan);
-                });
-            pend.is_many = true;
-            pend.many = task->get_future();
-            {
-                MutexLock lock(circuit_m_);
-                circuit_q_.push_back([task] { (*task)(); });
-            }
-            circuit_cv_.notify_one();
+            // The job owns bundle + request for the eval's whole
+            // lifetime (pinning the tenant resident); each level's PBS
+            // feed the shared executor, coalescing with the
+            // Bootstrap/ApplyLut traffic of every session.
+            pend.circuit = std::make_unique<CircuitJob>(
+                bundle, std::move(req.circuit), std::move(plan),
+                std::move(req.inputs));
+            submitLevel(*pend.circuit);
             break;
         }
         default:
@@ -380,25 +341,59 @@ StrixServer::acceptPending(uint64_t /*now_us*/)
 }
 
 void
+StrixServer::submitLevel(CircuitJob &job)
+{
+    job.level.clear();
+    for (const LweCiphertext &lin : job.run.pending())
+        job.level.push_back(executor_->submit(job.bundle, lin, job.sign_tv));
+}
+
+bool
+StrixServer::advanceCircuit(CircuitJob &job, std::string &fail)
+{
+    if (job.run.done())
+        return true;
+    for (const std::future<LweCiphertext> &f : job.level)
+        if (!futureReady(f))
+            return false;
+    std::vector<LweCiphertext> outs;
+    outs.reserve(job.level.size());
+    try {
+        for (std::future<LweCiphertext> &f : job.level)
+            outs.push_back(f.get());
+    } catch (const std::exception &e) {
+        fail = e.what();
+        return true;
+    }
+    job.run.complete(std::move(outs));
+    submitLevel(job);
+    return job.run.done();
+}
+
+void
 StrixServer::completeFinished(uint64_t now_us)
 {
     for (auto it = pendings_.begin(); it != pendings_.end();) {
         Pending &pend = *it;
-        const bool ready = pend.is_many ? futureReady(pend.many)
-                                        : futureReady(pend.single);
-        if (!ready) {
-            ++it;
-            continue;
-        }
         std::vector<LweCiphertext> cts;
         std::string fail;
-        try {
-            if (pend.is_many)
-                cts = pend.many.get();
-            else
+        if (pend.circuit) {
+            if (!advanceCircuit(*pend.circuit, fail)) {
+                ++it;
+                continue;
+            }
+            if (fail.empty())
+                cts = pend.circuit->run.outputs();
+        } else {
+            if (!futureReady(pend.single)) {
+                ++it;
+                continue;
+            }
+            try {
                 cts.push_back(pend.single.get());
-        } catch (const std::exception &e) {
-            fail = e.what();
+            } catch (const std::exception &e) {
+                fail = e.what();
+            }
         }
         const uint64_t done_us = clock_->nowMicros();
         const bool missed = pend.deadline_abs_us != 0 &&
@@ -478,13 +473,13 @@ StrixServer::run()
     for (;;) {
         const bool draining = stop_requested_.load();
         uint64_t now_us = clock_->nowMicros();
+        completeFinished(now_us);
         // Drain must not depend on the executor's own flush policy: a
         // long flush_delay_us would strand admitted work (and us)
-        // forever. Force everything queued due each pass; the circuit
-        // worker's next per-level submissions get caught next pass.
+        // forever. Force everything queued due each pass, including
+        // the circuit levels completeFinished just submitted.
         if (draining && !pendings_.empty())
             executor_->flushNow();
-        completeFinished(now_us);
         flushSenders(now_us);
         if (draining && pendings_.empty()) {
             bool flushed = true;

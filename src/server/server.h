@@ -8,11 +8,14 @@
  * (MTU + flush-delay coalescing). PBS work never runs on the loop
  * thread: Bootstrap/ApplyLut requests are submitted to the shared
  * BatchExecutor -- so requests from *different tenants and different
- * connections* coalesce into full-width sweeps whenever their key
- * bundles match -- and EvalCircuit requests run plan-driven on a
- * dedicated circuit worker whose per-level PBS stream feeds the same
- * executor. The loop polls outstanding futures and ships each reply
- * when its work completes.
+ * connections* coalesce into one batch whenever their key bundles
+ * match, and batches of different tenants run at once on the
+ * executor's lanes. An EvalCircuit request becomes a PlanRun that the
+ * loop steps level by level: each level's PBS go to the same
+ * executor, and the loop advances the run once that level's futures
+ * resolve, so no thread blocks per circuit and circuits of different
+ * tenants overlap. The loop polls outstanding futures and ships each
+ * reply when its work completes.
  *
  * Tenants register by uploading an EVK2 EvalKeys bundle; any other
  * upload (another frame tag, key shapes at odds with the params
@@ -48,22 +51,21 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <future>
 #include <list>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/sync.h"
 #include "common/waitclock.h"
 #include "net/buffered.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "tfhe/batch_executor.h"
 #include "tfhe/eval_key_cache.h"
+#include "workloads/circuit_analysis.h"
 
 namespace strix {
 
@@ -140,8 +142,8 @@ class StrixServer
     StrixServer &operator=(const StrixServer &) = delete;
 
     /**
-     * Bind the listener and start the event loop + circuit worker.
-     * False if the port cannot be bound. Call at most once.
+     * Bind the listener and start the event loop. False if the port
+     * cannot be bound. Call at most once.
      */
     bool start();
 
@@ -182,20 +184,40 @@ class StrixServer
         bool closing = false;
     };
 
-    /** One admitted request waiting on its compute future. */
+    /**
+     * An admitted EvalCircuit: the stepper, what it references, and
+     * the executor futures of its current level. Heap-held by its
+     * Pending, so the run's references to circuit and plan stay
+     * valid; the bundle pins the tenant resident until the reply.
+     */
+    struct CircuitJob
+    {
+        CircuitJob(std::shared_ptr<const EvalKeys> keys, Circuit c,
+                   CircuitPlan p, std::vector<LweCiphertext> inputs);
+        // run refers to circuit and plan: the job must not move.
+        CircuitJob(const CircuitJob &) = delete;
+        CircuitJob &operator=(const CircuitJob &) = delete;
+
+        std::shared_ptr<const EvalKeys> bundle;
+        Circuit circuit;
+        CircuitPlan plan;
+        TorusPolynomial sign_tv; //!< every circuit PBS is a sign PBS
+        PlanRun run;
+        std::vector<std::future<LweCiphertext>> level; //!< run.pending()
+    };
+
+    /** One admitted request waiting on its compute future(s). */
     struct Pending
     {
         uint64_t conn_id = 0;
         uint64_t tenant = 0;
         uint64_t request_id = 0;
         uint64_t deadline_abs_us = 0; //!< 0 = no deadline
-        bool is_many = false;         //!< which future is live
-        std::future<LweCiphertext> single;
-        std::future<std::vector<LweCiphertext>> many;
+        std::future<LweCiphertext> single; //!< Bootstrap / ApplyLut
+        std::unique_ptr<CircuitJob> circuit; //!< EvalCircuit
     };
 
     void run();
-    void circuitWorker();
 
     void acceptPending(uint64_t now_us);
     /** Read + decode + dispatch; false when the conn must be dropped. */
@@ -206,6 +228,14 @@ class StrixServer
     void handleCompute(ConnState &c, WireMessage &&m, uint64_t now_us);
     /** Scan pendings; ship replies for completed work. */
     void completeFinished(uint64_t now_us);
+    /** Submit the PBS of @p job's current level to the executor. */
+    void submitLevel(CircuitJob &job);
+    /**
+     * Once every future of @p job's level has resolved, hand the
+     * outputs to its run and submit the next level. True when the job
+     * is finished: the run is done, or a PBS failed (@p fail set).
+     */
+    bool advanceCircuit(CircuitJob &job, std::string &fail);
     void flushSenders(uint64_t now_us);
 
     void sendOk(ConnState &c, const WireMessage &m,
@@ -236,14 +266,6 @@ class StrixServer
     std::vector<uint8_t> rbuf_; //!< loop-thread read scratch
     std::list<Pending> pendings_;
     std::map<uint64_t, size_t> inflight_; //!< per-tenant admitted
-
-    // -- circuit worker ---------------------------------------------
-    std::thread circuit_thread_;
-    Mutex circuit_m_;
-    CondVar circuit_cv_;
-    std::deque<std::function<void()>> circuit_q_
-        STRIX_GUARDED_BY(circuit_m_);
-    bool circuit_stop_ STRIX_GUARDED_BY(circuit_m_) = false;
 
     // -- counters ----------------------------------------------------
     std::atomic<uint64_t> conns_accepted_{0};

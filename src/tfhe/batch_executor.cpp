@@ -3,14 +3,13 @@
  * BatchExecutor implementation.
  *
  * One dispatcher thread owns the flush decisions: it scans the shards
- * for a due fill queue (size, deadline, or drain trigger), swaps out
- * up to target_batch requests under the lock, and runs the sweep with
- * the lock released so producers keep filling the next batch -- the
- * double-buffered fill/flush overlap. The sweep itself is
- * ServerContext::bootstrapBatch on the shard's private context, so
- * parallelism across ciphertexts and the fused FFT pipeline come from
- * the existing batch path unchanged (and results stay bit-identical
- * to it by construction).
+ * for a due fill queue (size, deadline, or drain trigger) and moves
+ * up to target_batch requests onto the shared ready queue. It never
+ * runs a PBS, so a flush costs microseconds and the next scan follows
+ * at once. The lanes pop the ready queue and run each request through
+ * bootstrapKeySwitch -- the same function ServerContext's bootstrap
+ * and bootstrapBatch call, so results stay bit-identical to them by
+ * construction.
  */
 
 #include "tfhe/batch_executor.h"
@@ -19,6 +18,8 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/parallel.h"
+#include "poly/negacyclic_fft.h"
 
 namespace strix {
 
@@ -35,12 +36,11 @@ constexpr uint64_t kNoDeadline = std::numeric_limits<uint64_t>::max();
 
 } // namespace
 
-BatchExecutor::Shard::Shard(std::shared_ptr<const EvalKeys> k,
-                            unsigned sweep_threads)
-    : keys(std::move(k)), eval(keys)
+BatchExecutor::Shard::Shard(std::shared_ptr<const EvalKeys> k)
+    : keys(std::move(k))
 {
-    if (sweep_threads != 0)
-        eval.setBatchThreads(sweep_threads);
+    // Lanes read the plan cache lock-free once it is built.
+    NegacyclicFft::prewarm(keys->params().N);
 }
 
 BatchExecutor::BatchExecutor() : BatchExecutor(Options()) {}
@@ -68,10 +68,19 @@ BatchExecutor::submit(std::shared_ptr<const EvalKeys> keys,
     {
         MutexLock lock(m_);
         panicIfNot(!stopping_, "BatchExecutor: submit after shutdown");
+        // The lanes start with the first request, not with the
+        // executor: a daemon builds its executor before any tenant
+        // registers, and lanes started that early bind to malloc
+        // arenas ahead of its event-loop thread, which then decodes
+        // key bundles into a fresh arena instead of reusing freed
+        // ones (serve_set1 peak RSS rose ~10% in half the runs on a
+        // 4-vCPU host).
+        if (lanes_.empty())
+            for (unsigned i = 0; i < ThreadPool::defaultThreadCount(); ++i)
+                lanes_.emplace_back([this] { laneLoop(); });
         std::unique_ptr<Shard> &slot = shards_[keys.get()];
         if (!slot)
-            slot = std::make_unique<Shard>(std::move(keys),
-                                           opts_.sweep_threads);
+            slot = std::make_unique<Shard>(std::move(keys));
         Request r;
         r.submit_us = clock_->nowMicros();
         r.ct = std::move(ct);
@@ -125,36 +134,33 @@ BatchExecutor::dispatchLoop()
         }
 
         if (due != nullptr) {
-            // Double-buffer swap: move up to one sweep's width out of
-            // the fill queue; anything beyond target_batch stays and
-            // is picked up by the next pass (likely as a size flush).
+            // Move up to one batch's width onto the ready queue;
+            // anything beyond target_batch stays and is picked up by
+            // the next pass (likely as a size flush).
             const size_t take =
                 std::min(due->fill.size(), opts_.target_batch);
-            std::vector<Request> batch;
-            batch.reserve(take);
             for (size_t i = 0; i < take; ++i) {
-                batch.push_back(std::move(due->fill.front()));
+                ready_.push_back({due, std::move(due->fill.front())});
                 due->fill.pop_front();
             }
+            due->on_lanes += take;
             ++stats_.sweeps;
             stats_.swept_lwes += take;
             ++*reason;
-
-            due->sweeping = true; // pins the shard across the unlock
-            lock.unlock();
-            runSweep(*due, std::move(batch)); // fill continues meanwhile
-            lock.lock();
-            due->sweeping = false;
-
-            stats_.completed += take;
-            in_flight_ -= take;
-            if (in_flight_ == 0)
-                drained_cv_.notify_all();
+            if (take == 1)
+                ready_cv_.notify_one();
+            else
+                ready_cv_.notify_all();
             continue;
         }
 
-        if (stopping_)
-            return; // every queue empty, nothing in flight
+        if (stopping_) {
+            // Every fill is empty and none can refill: the lanes may
+            // exit once the ready queue runs dry.
+            dispatch_done_ = true;
+            ready_cv_.notify_all();
+            return;
+        }
         flush_now_ = false; // queues momentarily empty: latch satisfied
         lock.unlock();
         if (next_deadline == kNoDeadline)
@@ -166,27 +172,32 @@ BatchExecutor::dispatchLoop()
 }
 
 void
-BatchExecutor::runSweep(Shard &shard, std::vector<Request> batch)
+BatchExecutor::laneLoop()
 {
-    std::vector<LweCiphertext> cts;
-    std::vector<const TorusPolynomial *> tvs;
-    cts.reserve(batch.size());
-    tvs.reserve(batch.size());
-    for (Request &r : batch) {
-        cts.push_back(std::move(r.ct));
-        tvs.push_back(&r.tv);
-    }
-    try {
-        std::vector<LweCiphertext> outs =
-            shard.eval.bootstrapBatch(cts.data(), tvs.data(),
-                                      batch.size());
-        for (size_t i = 0; i < batch.size(); ++i)
-            batch[i].result.set_value(std::move(outs[i]));
-    } catch (...) {
-        // A failed sweep fails every request it carried: each future
-        // observes the (shared) exception instead of hanging.
-        for (Request &r : batch)
-            r.result.set_exception(std::current_exception());
+    PbsScratch scratch; // this lane's working buffers, reused per PBS
+    MutexLock lock(m_);
+    for (;;) {
+        ready_cv_.wait(lock, [&] {
+            m_.assertHeld(); // the wait runs its predicate locked
+            return !ready_.empty() || dispatch_done_;
+        });
+        if (ready_.empty())
+            return; // dispatch done and nothing left to run
+        Ready job = std::move(ready_.front());
+        ready_.pop_front();
+        lock.unlock();
+        try {
+            job.req.result.set_value(bootstrapKeySwitch(
+                *job.shard->keys, job.req.ct, job.req.tv, scratch));
+        } catch (...) {
+            // A failed PBS fails only its own request.
+            job.req.result.set_exception(std::current_exception());
+        }
+        lock.lock();
+        --job.shard->on_lanes;
+        ++stats_.completed;
+        if (--in_flight_ == 0)
+            drained_cv_.notify_all();
     }
 }
 
@@ -197,7 +208,7 @@ BatchExecutor::releaseIdleShards()
     size_t released = 0;
     for (auto it = shards_.begin(); it != shards_.end();) {
         Shard &sh = *it->second;
-        if (sh.fill.empty() && !sh.sweeping) {
+        if (sh.fill.empty() && sh.on_lanes == 0) {
             it = shards_.erase(it);
             ++released;
         } else {
@@ -239,6 +250,15 @@ BatchExecutor::shutdown()
     MutexLock join_lock(join_mutex_);
     if (dispatcher_.joinable())
         dispatcher_.join();
+    // stopping_ bars new lanes, and with the dispatcher done the
+    // running ones exit once the ready queue is empty.
+    std::vector<std::thread> lanes;
+    {
+        MutexLock lock(m_);
+        lanes.swap(lanes_);
+    }
+    for (std::thread &lane : lanes)
+        lane.join();
 }
 
 BatchExecutor::Stats

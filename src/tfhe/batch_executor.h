@@ -3,29 +3,30 @@
  * BatchExecutor: cross-session dynamic batching for the PBS stream --
  * the software rendering of Strix's two-level ciphertext batching.
  *
- * The paper wins throughput by keeping full-width ciphertext batches
- * streaming through the PBS pipeline. `ServerContext::bootstrapBatch`
- * already batches *within* one caller's call; this executor closes the
- * remaining gap by coalescing *across* callers: independent sessions
- * submit single PBS requests and get futures back, and requests that
- * share a params-shard -- the same `EvalKeys` bundle by pointer
- * identity, which is what `ContextCache` hands out -- are swept
- * together as one full-width `bootstrapBatch` call. Requests from
- * different shards never co-batch (cross-tenant isolation by
- * construction: a sweep runs under exactly one key bundle).
+ * The paper wins throughput by keeping every PBS unit busy with
+ * ciphertexts. `ServerContext::bootstrapBatch` already batches
+ * *within* one caller's call; this executor closes the remaining gap
+ * by coalescing *across* callers: independent sessions submit single
+ * PBS requests and get futures back, and requests that share a
+ * params-shard -- the same `EvalKeys` bundle by pointer identity,
+ * which is what `ContextCache` hands out -- are flushed together as
+ * one batch. Requests from different shards never share a batch
+ * (cross-tenant isolation by construction: every request runs under
+ * exactly its own shard's key bundle).
  *
  * Flush policy is the buffered-sender shape: a shard flushes when its
  * fill reaches `target_batch` requests (size trigger) or when its
  * oldest request has waited `flush_delay_us` (deadline trigger), so a
- * saturated stream runs at full occupancy while a trickle still meets
- * a microsecond-scale latency bound. The staging is double-buffered:
- * the dispatcher swaps a shard's fill queue out under the lock and
- * runs the decompose -> batch-FFT -> MAC sweep outside it, so the next
- * batch fills while the current one is in flight. (Within the sweep,
- * the PR 4 fused external product already streams all decomposition
- * digits through one planned batch FFT -- the executor supplies that
- * pipeline with full batches, which is the paper's TvLP knob in
- * software.)
+ * saturated stream flushes at full width while a trickle still meets
+ * a microsecond-scale latency bound. A flush moves the batch onto one
+ * FIFO ready queue shared by every shard; a fixed set of lane threads
+ * (one per core, `ThreadPool::defaultThreadCount()`, started by the
+ * first submit) pops requests off it and runs each PBS+KS under its
+ * own shard's bundle. Due batches of different tenants therefore run
+ * at the same time, and a batch narrower than the lane count leaves
+ * the other lanes to the next flush instead of idling them -- the
+ * blind-rotation fragmentation of the paper's Fig. 2 does not arise
+ * between batches.
  *
  * Time comes from a WaitableClock, so the deadline path is testable
  * with a ManualWaitableClock and no real sleeps.
@@ -53,7 +54,7 @@
 
 namespace strix {
 
-/** Coalesces PBS requests across sessions into full-width sweeps. */
+/** Coalesces PBS requests across sessions and runs them on shared lanes. */
 class BatchExecutor
 {
   public:
@@ -63,7 +64,7 @@ class BatchExecutor
         /**
          * Size trigger: a shard flushes as soon as this many requests
          * are waiting (values < 1 are treated as 1). This is the
-         * sweep width the occupancy metric is measured against.
+         * batch width the occupancy metric is measured against.
          */
         size_t target_batch = 16;
 
@@ -73,12 +74,6 @@ class BatchExecutor
          * 0 flushes on the dispatcher's next pass.
          */
         uint64_t flush_delay_us = 200;
-
-        /**
-         * Worker-pool size for each shard's sweep, including the
-         * dispatcher thread (0 = ThreadPool's default).
-         */
-        unsigned sweep_threads = 0;
     };
 
     /** Monotonic counters; a consistent snapshot via stats(). */
@@ -86,14 +81,14 @@ class BatchExecutor
     {
         uint64_t submitted = 0;        //!< requests accepted
         uint64_t completed = 0;        //!< futures fulfilled
-        uint64_t sweeps = 0;           //!< bootstrapBatch calls issued
-        uint64_t swept_lwes = 0;       //!< requests across all sweeps
-        uint64_t size_flushes = 0;     //!< sweeps triggered by width
-        uint64_t deadline_flushes = 0; //!< sweeps triggered by age
-        uint64_t drain_flushes = 0;    //!< sweeps triggered by shutdown
+        uint64_t sweeps = 0;           //!< batches flushed to the lanes
+        uint64_t swept_lwes = 0;       //!< requests across all flushes
+        uint64_t size_flushes = 0;     //!< flushes triggered by width
+        uint64_t deadline_flushes = 0; //!< flushes triggered by age
+        uint64_t drain_flushes = 0;    //!< flushes triggered by shutdown
         size_t shards = 0;             //!< distinct EvalKeys seen
 
-        /** Mean batch width over target width: 1.0 = full sweeps. */
+        /** Mean batch width over target width: 1.0 = full flushes. */
         double occupancy(size_t target_batch) const
         {
             if (sweeps == 0 || target_batch == 0)
@@ -104,9 +99,10 @@ class BatchExecutor
     };
 
     /**
-     * Start the dispatcher. @p clock defaults to a fresh
-     * SteadyWaitableClock; tests pass a ManualWaitableClock to drive
-     * the deadline trigger deterministically.
+     * Start the dispatcher; the lanes start with the first submit.
+     * @p clock defaults to a fresh SteadyWaitableClock; tests pass a
+     * ManualWaitableClock to drive the deadline trigger
+     * deterministically.
      */
     explicit BatchExecutor(Options opts,
                            std::shared_ptr<WaitableClock> clock = nullptr);
@@ -124,9 +120,9 @@ class BatchExecutor
      * Queue one PBS+KS of @p ct against @p test_vector under @p keys
      * (panics on null, or after shutdown). The future yields a result
      * bit-identical to `ServerContext(keys).bootstrap(ct, tv)`; a
-     * failed sweep delivers the exception through every affected
-     * future instead. Safe from any thread; requests sharing a keys
-     * pointer coalesce into one sweep.
+     * failed PBS delivers its exception through that request's
+     * future alone. Safe from any thread; requests sharing a keys
+     * pointer coalesce into one batch.
      */
     std::future<LweCiphertext> submit(std::shared_ptr<const EvalKeys> keys,
                                       LweCiphertext ct,
@@ -145,26 +141,28 @@ class BatchExecutor
      * (non-blocking); requests submitted later fall back to the
      * normal triggers. A serving layer's shutdown drain calls this
      * each pass so pending responses are fulfilled promptly even
-     * under a very long flush_delay_us policy. Sweeps this forces are
-     * counted as drain_flushes.
+     * under a very long flush_delay_us policy. Flushes this forces
+     * are counted as drain_flushes.
      */
     void flushNow() STRIX_EXCLUDES(m_);
 
     /**
      * Stop accepting submissions, flush everything still queued
-     * (futures are fulfilled, not dropped), and join the dispatcher.
-     * Idempotent and safe to call concurrently; the destructor calls
-     * it. Submitting afterwards panics.
+     * (futures are fulfilled, not dropped), and join the dispatcher
+     * and the lanes once the ready queue is empty. Idempotent and
+     * safe to call concurrently; the destructor calls it. Submitting
+     * afterwards panics.
      */
     void shutdown() STRIX_EXCLUDES(m_, join_mutex_);
 
     /**
-     * Release shards whose fill queue is empty and whose sweep is not
-     * currently running, dropping the executor's reference to their
-     * EvalKeys bundle. A serving layer calls this after budget-driven
-     * key eviction so a departed tenant's bundle does not stay pinned
-     * by the executor forever; the shard is recreated transparently
-     * on that bundle's next submit. Returns the shards released.
+     * Release shards whose fill queue is empty and none of whose
+     * requests is queued for or running on a lane, dropping the
+     * executor's reference to their EvalKeys bundle. A serving layer
+     * calls this after budget-driven key eviction so a departed
+     * tenant's bundle does not stay pinned by the executor forever;
+     * the shard is recreated transparently on that bundle's next
+     * submit. Returns the shards released.
      */
     size_t releaseIdleShards() STRIX_EXCLUDES(m_);
 
@@ -184,36 +182,38 @@ class BatchExecutor
     };
 
     /**
-     * Per-params-shard state: the key bundle, a private ServerContext
-     * whose pool runs this shard's sweeps, and the fill queue the
-     * dispatcher swaps batches out of. Shards are created on first
-     * submit and live until shutdown or releaseIdleShards(); the
-     * dispatcher marks a shard `sweeping` under the lock before
-     * running its sweep unlocked, and release skips sweeping shards,
-     * so raw Shard pointers the dispatcher holds across the unlocked
-     * sweep stay valid.
+     * Per-params-shard state: the key bundle and the fill queue the
+     * dispatcher flushes batches out of. Shards are created on first
+     * submit and live until shutdown or releaseIdleShards(). A flush
+     * adds its width to `on_lanes` and each lane subtracts its one
+     * request once fulfilled; release skips a shard while the count
+     * is nonzero, so the raw Shard pointers on the ready queue and on
+     * running lanes stay valid and no bundle is freed under a PBS.
      */
     struct Shard
     {
-        Shard(std::shared_ptr<const EvalKeys> k, unsigned sweep_threads);
+        explicit Shard(std::shared_ptr<const EvalKeys> k);
 
-        std::shared_ptr<const EvalKeys> keys;
-        ServerContext eval;
+        const std::shared_ptr<const EvalKeys> keys;
         // Guarded by the owning BatchExecutor's m_. The analysis has
         // no way to express a guard that lives in another object, so
-        // this contract is manual: every fill access sits in a
-        // BatchExecutor member that provably holds m_ (submit and the
-        // locked sections of dispatchLoop); runSweep never touches it.
+        // this contract is manual: every access sits in a
+        // BatchExecutor member that provably holds m_ (submit,
+        // releaseIdleShards, and the locked sections of dispatchLoop
+        // and laneLoop).
         std::deque<Request> fill;
-        // Guarded by m_ like fill: true while the dispatcher runs
-        // this shard's sweep outside the lock.
-        bool sweeping = false;
+        size_t on_lanes = 0; //!< flushed, not yet fulfilled
+    };
+
+    /** A flushed request waiting for a lane. */
+    struct Ready
+    {
+        Shard *shard = nullptr; //!< pinned by shard->on_lanes
+        Request req;
     };
 
     void dispatchLoop() STRIX_EXCLUDES(m_);
-
-    /** Run one sweep outside the lock and fulfill its promises. */
-    static void runSweep(Shard &shard, std::vector<Request> batch);
+    void laneLoop() STRIX_EXCLUDES(m_);
 
     const Options opts_;
     const std::shared_ptr<WaitableClock> clock_;
@@ -225,11 +225,16 @@ class BatchExecutor
     mutable Mutex m_;
     std::map<const EvalKeys *, std::unique_ptr<Shard>> shards_
         STRIX_GUARDED_BY(m_);
+    std::deque<Ready> ready_ STRIX_GUARDED_BY(m_); //!< FIFO, all shards
     Stats stats_ STRIX_GUARDED_BY(m_);
     uint64_t in_flight_ STRIX_GUARDED_BY(m_) = 0; //!< submitted - completed
     bool stopping_ STRIX_GUARDED_BY(m_) = false;
     bool flush_now_ STRIX_GUARDED_BY(m_) = false; //!< force-flush latch
+    bool dispatch_done_ STRIX_GUARDED_BY(m_) = false; //!< no more flushes
     CondVar drained_cv_; //!< signaled at in_flight_ == 0
+    CondVar ready_cv_;   //!< wakes lanes: work queued or dispatch done
+
+    std::vector<std::thread> lanes_ STRIX_GUARDED_BY(m_); //!< first submit
 
     Mutex join_mutex_;       //!< serializes concurrent shutdown()s
     std::thread dispatcher_; //!< started last: sees a complete object

@@ -155,8 +155,11 @@ programmableBootstrap(const LweCiphertext &ct,
 Torus32
 encodeLut(int64_t m, uint64_t msg_space)
 {
-    // (2m+1) / (4p)
-    return encodeMessage(2 * m + 1, 4 * msg_space);
+    // (2m+1) / (4p). Reduce m mod 2p first: 2m+1 overflows int64_t
+    // for |m| beyond 2^62, and (2r+1) == (2m+1) mod 4p, so every
+    // non-overflowing m encodes exactly as before.
+    const int64_t r = m % static_cast<int64_t>(2 * msg_space);
+    return encodeMessage(2 * r + 1, 4 * msg_space);
 }
 
 int64_t

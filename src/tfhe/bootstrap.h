@@ -135,7 +135,8 @@ LweCiphertext programmableBootstrap(const LweCiphertext &ct,
  * Encode integer message @p m in [0, msg_space) at the *center* of its
  * phase window: mu = (2m+1) / (4*msg_space). Centered encoding keeps
  * the phase of message 0 strictly positive under noise, avoiding the
- * negacyclic sign flip.
+ * negacyclic sign flip. Any int64_t m is accepted (LUT entries come
+ * off the wire); decodeLut recovers m mod msg_space.
  */
 Torus32 encodeLut(int64_t m, uint64_t msg_space);
 

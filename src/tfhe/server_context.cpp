@@ -22,6 +22,15 @@ checkedParams(const std::shared_ptr<const EvalKeys> &keys)
 
 } // namespace
 
+LweCiphertext
+bootstrapKeySwitch(const EvalKeys &keys, const LweCiphertext &ct,
+                   const TorusPolynomial &test_vector, PbsScratch &scratch)
+{
+    LweCiphertext big =
+        programmableBootstrap(ct, test_vector, keys.bsk(), scratch);
+    return keySwitch(big, keys.ksk());
+}
+
 ServerContext::FftPrewarm::FftPrewarm(const TfheParams &p)
 {
     NegacyclicFft::prewarm(p.N);
@@ -62,9 +71,8 @@ LweCiphertext
 ServerContext::bootstrap(const LweCiphertext &ct,
                          const TorusPolynomial &test_vector) const
 {
-    LweCiphertext big =
-        programmableBootstrap(ct, test_vector, keys_->bsk());
-    return keySwitch(big, keys_->ksk());
+    PbsScratch scratch;
+    return bootstrapKeySwitch(*keys_, ct, test_vector, scratch);
 }
 
 LweCiphertext
@@ -104,9 +112,8 @@ ServerContext::bootstrapBatch(const LweCiphertext *cts,
     // shares nothing, so workers never touch common mutable state.
     std::vector<PbsScratch> scratch(pool->threads());
     pool->parallelFor(count, [&](size_t i, unsigned worker) {
-        LweCiphertext big = programmableBootstrap(
-            cts[i], *tvs[i], keys_->bsk(), scratch[worker]);
-        out[i] = keySwitch(big, keys_->ksk());
+        out[i] = bootstrapKeySwitch(*keys_, cts[i], *tvs[i],
+                                    scratch[worker]);
     });
     return out;
 }

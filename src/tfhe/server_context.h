@@ -15,7 +15,7 @@
  * synchronous calls there is an async seam: submitBootstrap /
  * submitApplyLut return futures and, when a BatchExecutor is
  * attached, coalesce with requests from every other session on the
- * same EvalKeys bundle into full-width sweeps (see
+ * same EvalKeys bundle and run on the executor's shared lanes (see
  * tfhe/batch_executor.h).
  *
  * Thread-safety contract
@@ -44,6 +44,17 @@
 namespace strix {
 
 class BatchExecutor;
+
+/**
+ * One PBS+KS of @p ct against @p test_vector under @p keys, with
+ * caller-owned scratch. Every bootstrap entry point and the
+ * BatchExecutor's lanes run this one function, so their outputs are
+ * bit-identical by construction.
+ */
+LweCiphertext bootstrapKeySwitch(const EvalKeys &keys,
+                                 const LweCiphertext &ct,
+                                 const TorusPolynomial &test_vector,
+                                 PbsScratch &scratch);
 
 /** PBS evaluation engine over a shared public-key bundle. */
 class ServerContext
@@ -103,9 +114,8 @@ class ServerContext
     /**
      * Batched PBS+KS with a per-ciphertext test vector: tvs[i] is the
      * LUT applied to cts[i] (every pointer non-null, same ring
-     * dimension). This is the sweep shape cross-session coalescing
-     * needs -- requests keep their own LUTs while sharing one
-     * parallel sweep -- and each out[i] is bit-identical to
+     * dimension): requests keep their own LUTs while sharing one
+     * parallel sweep, and each out[i] is bit-identical to
      * bootstrap(cts[i], *tvs[i]) at any thread count.
      */
     std::vector<LweCiphertext>
@@ -138,7 +148,7 @@ class ServerContext
     /**
      * Async PBS+KS: returns a future for bootstrap(ct, test_vector).
      * With an executor attached the request is queued for a coalesced
-     * sweep (latency bounded by the executor's flush policy); without
+     * batch (latency bounded by the executor's flush policy); without
      * one it runs inline and the future is already ready. Results are
      * bit-identical either way.
      */

@@ -133,25 +133,15 @@ class Circuit
      * linear combinations. Panics if the plan is infeasible or was
      * built for a different circuit. Outputs are decode-identical to
      * the naive path (and bit-identical for MUX-free circuits when
-     * the plan elides nothing). Defined in circuit_analysis.cpp.
+     * the plan elides nothing). This drives a PlanRun to completion;
+     * callers that resolve each level asynchronously -- the serving
+     * daemon, through BatchExecutor futures -- step a PlanRun
+     * themselves. Defined in circuit_analysis.cpp.
      */
     std::vector<LweCiphertext>
     evalEncrypted(const ServerContext &server,
                   const std::vector<LweCiphertext> &inputs,
                   const CircuitPlan &plan) const;
-
-    /**
-     * Async plan-driven evaluation: per level, every surviving PBS is
-     * submitted through ServerContext::submitBootstrap, so with a
-     * BatchExecutor attached the circuit's PBS stream coalesces with
-     * every other session on the same EvalKeys bundle. Same results
-     * as the synchronous plan overload. Defined in
-     * circuit_analysis.cpp.
-     */
-    std::vector<LweCiphertext>
-    evalEncryptedAsync(const ServerContext &server,
-                       const std::vector<LweCiphertext> &inputs,
-                       const CircuitPlan &plan) const;
 
     /**
      * Lower to a layered PBS/KS workload graph: gates at the same

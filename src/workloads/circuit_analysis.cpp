@@ -2,7 +2,7 @@
  * @file
  * CircuitAnalyzer implementation: majority fusion, XOR elision,
  * worst-case variance propagation, budget relaxation, levelization,
- * and the plan-driven (batched + async) evaluation paths.
+ * and the level stepper (PlanRun) behind plan-driven evaluation.
  */
 
 #include "workloads/circuit_analysis.h"
@@ -720,145 +720,138 @@ linearForm(const Circuit &c, const CircuitPlan &plan, Wire w,
     }
 }
 
-/**
- * Shared driver for the sync and async plan paths. @p sweep runs one
- * level's linear forms through a PBS+KS sweep and must return outputs
- * in order (sync: one bootstrapBatch call; async: a submitBootstrap
- * volley).
- */
-template <typename Sweep>
-std::vector<LweCiphertext>
-evalPlanned(const Circuit &c, const CircuitPlan &plan,
-            const ServerContext &server,
-            const std::vector<LweCiphertext> &inputs, Sweep sweep)
+} // namespace
+
+PlanRun::PlanRun(const Circuit &circuit, const CircuitPlan &plan,
+                 uint32_t lwe_n, std::vector<LweCiphertext> inputs)
+    : circuit_(circuit), plan_(plan), lwe_n_(lwe_n),
+      inputs_(std::move(inputs))
 {
-    panicIfNot(plan.numNodes() == c.numNodes(),
+    panicIfNot(plan.numNodes() == circuit.numNodes(),
                "evalEncrypted(plan): plan built for another circuit");
     panicIfNot(plan.feasible(),
                "evalEncrypted(plan): plan is infeasible for the "
                "requested noise budget -- see plan.diagnostics()");
-    panicIfNot(inputs.size() == c.numInputs(),
+    panicIfNot(inputs_.size() == circuit.numInputs(),
                "evalEncrypted(plan): wrong input count");
-    const uint32_t lwe_n = server.params().n;
-    const Torus32 mu8 = encodeMessage(1, 8);
 
     // Group nodes by plan level; PBS nodes sweep first, then the
     // free nodes of the level evaluate in construction (= topological)
     // order, so linear chains may ride the same level as the
     // bootstraps they consume.
-    std::vector<std::vector<Wire>> by_level(plan.depth() + 1);
-    for (Wire i = 0; i < c.numNodes(); ++i)
-        by_level[std::min<uint32_t>(plan.node(i).level, plan.depth())]
+    by_level_.resize(plan.depth() + 1);
+    for (Wire i = 0; i < circuit.numNodes(); ++i)
+        by_level_[std::min<uint32_t>(plan.node(i).level, plan.depth())]
             .push_back(i);
-
-    std::vector<LweCiphertext> vals(c.numNodes());
-    size_t next_input = 0;
-    for (uint32_t lvl = 0; lvl <= plan.depth(); ++lvl) {
-        // (a) One batched sweep over the level's surviving PBS.
-        std::vector<LweCiphertext> lins;
-        std::vector<Wire> owners; // MUX contributes two entries
-        for (Wire w : by_level[lvl]) {
-            const CircuitPlan::Node &p = plan.node(w);
-            if (p.action != PlanAction::Bootstrap || p.level != lvl)
-                continue;
-            if (c.node(w).op == GateOp::Mux) {
-                LweCiphertext lin2;
-                lins.push_back(
-                    linearForm(c, plan, w, vals, lwe_n, &lin2));
-                lins.push_back(std::move(lin2));
-                owners.push_back(w);
-                owners.push_back(w);
-            } else {
-                lins.push_back(linearForm(c, plan, w, vals, lwe_n));
-                owners.push_back(w);
-            }
-        }
-        if (!lins.empty()) {
-            std::vector<LweCiphertext> outs = sweep(lins);
-            for (size_t i = 0; i < owners.size(); ++i) {
-                const Wire w = owners[i];
-                if (c.node(w).op == GateOp::Mux) {
-                    // u1 + u2 + 1/8 after keyswitching each half:
-                    // decode-identical to gateMux (which keyswitches
-                    // the sum once).
-                    vals[w] = std::move(outs[i]);
-                    vals[w].addAssign(outs[i + 1]);
-                    vals[w].addAssign(
-                        LweCiphertext::trivial(lwe_n, mu8));
-                    ++i; // consumed the pair
-                } else {
-                    vals[w] = std::move(outs[i]);
-                }
-            }
-        }
-        // (b) Free nodes of the level.
-        for (Wire w : by_level[lvl]) {
-            const CircuitPlan::Node &p = plan.node(w);
-            const Circuit::Node &n = c.node(w);
-            switch (p.action) {
-              case PlanAction::Wire:
-                vals[w] = n.op == GateOp::Input
-                              ? inputs[next_input++]
-                              : LweCiphertext::trivial(
-                                    lwe_n, n.const_value ? mu8
-                                                         : 0u - mu8);
-                break;
-              case PlanAction::Linear:
-                if (n.op == GateOp::Not) {
-                    vals[w] = vals[n.a];
-                    vals[w].negate();
-                } else {
-                    vals[w] = linearForm(c, plan, w, vals, lwe_n);
-                }
-                break;
-              case PlanAction::Bootstrap:
-              case PlanAction::Fused:
-                break; // swept above / never computed
-            }
-        }
-    }
-
-    std::vector<LweCiphertext> out;
-    out.reserve(c.numOutputs());
-    for (Wire w : c.outputs())
-        out.push_back(vals[w]);
-    return out;
+    vals_.resize(circuit.numNodes());
+    prepareLevel();
 }
 
-} // namespace
+void
+PlanRun::prepareLevel()
+{
+    for (; !done(); ++level_) {
+        for (Wire w : by_level_[level_]) {
+            const CircuitPlan::Node &p = plan_.node(w);
+            if (p.action != PlanAction::Bootstrap || p.level != level_)
+                continue;
+            if (circuit_.node(w).op == GateOp::Mux) {
+                LweCiphertext lin2;
+                lins_.push_back(
+                    linearForm(circuit_, plan_, w, vals_, lwe_n_, &lin2));
+                lins_.push_back(std::move(lin2));
+                owners_.push_back(w);
+                owners_.push_back(w);
+            } else {
+                lins_.push_back(
+                    linearForm(circuit_, plan_, w, vals_, lwe_n_));
+                owners_.push_back(w);
+            }
+        }
+        if (!lins_.empty())
+            return; // the caller bootstraps this level
+        evalFreeNodes();
+    }
+}
+
+void
+PlanRun::complete(std::vector<LweCiphertext> outs)
+{
+    panicIfNot(!done(), "PlanRun::complete: run already done");
+    panicIfNot(outs.size() == lins_.size(),
+               "PlanRun::complete: one output per pending PBS");
+    const Torus32 mu8 = encodeMessage(1, 8);
+    for (size_t i = 0; i < owners_.size(); ++i) {
+        const Wire w = owners_[i];
+        if (circuit_.node(w).op == GateOp::Mux) {
+            // u1 + u2 + 1/8 after keyswitching each half:
+            // decode-identical to gateMux (which keyswitches the sum
+            // once).
+            vals_[w] = std::move(outs[i]);
+            vals_[w].addAssign(outs[i + 1]);
+            vals_[w].addAssign(LweCiphertext::trivial(lwe_n_, mu8));
+            ++i; // consumed the pair
+        } else {
+            vals_[w] = std::move(outs[i]);
+        }
+    }
+    lins_.clear();
+    owners_.clear();
+    evalFreeNodes();
+    ++level_;
+    prepareLevel();
+}
+
+void
+PlanRun::evalFreeNodes()
+{
+    const Torus32 mu8 = encodeMessage(1, 8);
+    for (Wire w : by_level_[level_]) {
+        const CircuitPlan::Node &p = plan_.node(w);
+        const Circuit::Node &n = circuit_.node(w);
+        switch (p.action) {
+          case PlanAction::Wire:
+            vals_[w] = n.op == GateOp::Input
+                           ? std::move(inputs_[next_input_++])
+                           : LweCiphertext::trivial(
+                                 lwe_n_, n.const_value ? mu8 : 0u - mu8);
+            break;
+          case PlanAction::Linear:
+            if (n.op == GateOp::Not) {
+                vals_[w] = vals_[n.a];
+                vals_[w].negate();
+            } else {
+                vals_[w] = linearForm(circuit_, plan_, w, vals_, lwe_n_);
+            }
+            break;
+          case PlanAction::Bootstrap:
+          case PlanAction::Fused:
+            break; // bootstrapped via pending() / never computed
+        }
+    }
+}
+
+std::vector<LweCiphertext>
+PlanRun::outputs() const
+{
+    panicIfNot(done(), "PlanRun::outputs: run not done");
+    std::vector<LweCiphertext> out;
+    out.reserve(circuit_.numOutputs());
+    for (Wire w : circuit_.outputs())
+        out.push_back(vals_[w]);
+    return out;
+}
 
 std::vector<LweCiphertext>
 Circuit::evalEncrypted(const ServerContext &server,
                        const std::vector<LweCiphertext> &inputs,
                        const CircuitPlan &plan) const
 {
+    PlanRun run(*this, plan, server.params().n, inputs);
     const TorusPolynomial tv = signTestVector(server.params().N);
-    return evalPlanned(
-        *this, plan, server, inputs,
-        [&](const std::vector<LweCiphertext> &lins) {
-            return server.bootstrapBatch(lins, tv);
-        });
-}
-
-std::vector<LweCiphertext>
-Circuit::evalEncryptedAsync(const ServerContext &server,
-                            const std::vector<LweCiphertext> &inputs,
-                            const CircuitPlan &plan) const
-{
-    const TorusPolynomial tv = signTestVector(server.params().N);
-    return evalPlanned(
-        *this, plan, server, inputs,
-        [&](const std::vector<LweCiphertext> &lins) {
-            std::vector<std::future<LweCiphertext>> futs;
-            futs.reserve(lins.size());
-            for (const LweCiphertext &lin : lins)
-                futs.push_back(server.submitBootstrap(lin, tv));
-            std::vector<LweCiphertext> outs;
-            outs.reserve(futs.size());
-            for (auto &f : futs)
-                outs.push_back(f.get());
-            return outs;
-        });
+    while (!run.done())
+        run.complete(server.bootstrapBatch(run.pending(), tv));
+    return run.outputs();
 }
 
 WorkloadGraph

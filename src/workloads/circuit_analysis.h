@@ -44,11 +44,11 @@
  *    under-bootstrapping.
  *
  *  - **Levelization.** The surviving PBS ops are levelized by
- *    dependency depth so Circuit::evalEncrypted(plan) lands all PBS
- *    of a level in one bootstrapBatch sweep (or one submitBootstrap
- *    volley through an attached BatchExecutor) -- turning the
- *    latency-bound gate stream into width-bound batches. This is the
- *    single level computation Circuit::levels()/depth()/
+ *    dependency depth so a PlanRun hands out all PBS of a level at
+ *    once -- one bootstrapBatch sweep in Circuit::evalEncrypted(plan),
+ *    or one volley of BatchExecutor futures in the serving daemon --
+ *    turning the latency-bound gate stream into width-bound batches.
+ *    This is the single level computation Circuit::levels()/depth()/
  *    toWorkloadGraph() now delegate to.
  *
  * The reference for the optimization framing is Benhamouda et al.,
@@ -265,6 +265,75 @@ class CircuitAnalyzer
 CircuitPlan analyzeCircuit(const Circuit &circuit,
                            const TfheParams &params,
                            const AnalysisOptions &options = {});
+
+/**
+ * One plan-driven evaluation, stepped level by level. The run never
+ * bootstraps anything itself: pending() hands out the next level's
+ * linear forms, the caller runs each through a sign PBS+KS (under
+ * signTestVector(N)) however it likes -- one bootstrapBatch sweep, or
+ * a volley of BatchExecutor futures resolved later -- and complete()
+ * takes the outputs back and evaluates the free nodes up to the next
+ * PBS level. Circuit::evalEncrypted(server, inputs, plan) drives it
+ * synchronously; the serving daemon advances it from its event loop,
+ * so no thread blocks per circuit.
+ *
+ *     PlanRun run(circuit, plan, params.n, inputs);
+ *     while (!run.done())
+ *         run.complete(server.bootstrapBatch(run.pending(), tv));
+ *     std::vector<LweCiphertext> out = run.outputs();
+ *
+ * Holds references to @p circuit and @p plan: both must outlive the
+ * run. Not thread-safe; one owner steps it.
+ */
+class PlanRun
+{
+  public:
+    /**
+     * Start a run of @p plan over @p circuit at LWE dimension
+     * @p lwe_n and evaluate up to the first PBS level. Panics if the
+     * plan is infeasible or was built for another circuit, or on a
+     * wrong input count.
+     */
+    PlanRun(const Circuit &circuit, const CircuitPlan &plan,
+            uint32_t lwe_n, std::vector<LweCiphertext> inputs);
+
+    /** True once every level has been evaluated. */
+    bool done() const { return level_ > plan_.depth(); }
+
+    /**
+     * The current level's linear forms, each to be sign-bootstrapped
+     * and keyswitched (MUX contributes two). Empty once done().
+     */
+    const std::vector<LweCiphertext> &pending() const { return lins_; }
+
+    /**
+     * Hand back the PBS+KS outputs of pending(), in order, and advance
+     * to the next level that bootstraps (or to done()). Panics on a
+     * size mismatch or after done().
+     */
+    void complete(std::vector<LweCiphertext> outs);
+
+    /** The encrypted primary outputs. Panics unless done(). */
+    std::vector<LweCiphertext> outputs() const;
+
+  private:
+    /** Collect the PBS of level_, evaluating PBS-free levels on the
+     * way. */
+    void prepareLevel();
+    /** Evaluate the free (Wire/Linear) nodes of level_. */
+    void evalFreeNodes();
+
+    const Circuit &circuit_;
+    const CircuitPlan &plan_;
+    const uint32_t lwe_n_;
+    std::vector<LweCiphertext> inputs_;
+    size_t next_input_ = 0;
+    std::vector<std::vector<Wire>> by_level_;
+    std::vector<LweCiphertext> vals_;
+    uint32_t level_ = 0;
+    std::vector<LweCiphertext> lins_; //!< pending linear forms
+    std::vector<Wire> owners_;        //!< node of each lins_ entry
+};
 
 } // namespace strix
 

@@ -3,8 +3,10 @@
  * BatchExecutor tests: the WaitableClock seam, both flush triggers
  * (size and deadline, the latter driven by a ManualWaitableClock with
  * no real sleeps), bit-identity against the direct bootstrapBatch
- * path, cross-tenant shard isolation, shutdown/drain semantics, and a
- * concurrent mixed-tenant submit stress for the TSan CI leg.
+ * path with two tenants' batches on the lanes at once, cross-tenant
+ * shard isolation, shutdown/drain semantics, and concurrent
+ * mixed-tenant submit stresses (one racing releaseIdleShards) for the
+ * TSan CI leg.
  */
 
 #include <atomic>
@@ -163,13 +165,23 @@ TEST_F(BatchExecutorTest, DeadlineTriggerFiresOnVirtualTimeOnly)
 
 TEST_F(BatchExecutorTest, ResultsBitIdenticalToDirectBatch)
 {
+    // A second tenant on another ring size: with target_batch 2 and
+    // the submissions interleaved, both shards' batches are on the
+    // lanes at the same time.
+    TestKeys other(midParams(), kSeedBatchExecutor + 3);
     constexpr size_t kCount = 10;
-    std::vector<LweCiphertext> cts;
-    std::vector<TorusPolynomial> tvs;
+    std::vector<LweCiphertext> cts, cts_b;
+    std::vector<TorusPolynomial> tvs, tvs_b;
     std::vector<const TorusPolynomial *> tv_ptrs;
     for (size_t i = 0; i < kCount; ++i) {
         cts.push_back(encrypt(int64_t(i)));
         tvs.push_back(shiftLut(int64_t(i % 3))); // heterogeneous LUTs
+        cts_b.push_back(
+            other.client.encryptInt(int64_t(i % kSpace), kSpace));
+        tvs_b.push_back(makeIntTestVector(
+            other.server.params().N, kSpace, [i](int64_t v) {
+                return (v + int64_t(i % 4)) % int64_t(kSpace);
+            }));
     }
     for (size_t i = 0; i < kCount; ++i)
         tv_ptrs.push_back(&tvs[i]);
@@ -178,16 +190,30 @@ TEST_F(BatchExecutorTest, ResultsBitIdenticalToDirectBatch)
         cts.data(), tv_ptrs.data(), kCount);
 
     BatchExecutor::Options opts;
-    opts.target_batch = 5;
+    opts.target_batch = 2;
     opts.flush_delay_us = kNeverUs;
     BatchExecutor exec(opts);
-    std::vector<std::future<LweCiphertext>> futs;
-    for (size_t i = 0; i < kCount; ++i)
+    std::vector<std::future<LweCiphertext>> futs, futs_b;
+    for (size_t i = 0; i < kCount; ++i) {
         futs.push_back(
             exec.submit(keys_.client.evalKeys(), cts[i], tvs[i]));
+        futs_b.push_back(
+            exec.submit(other.client.evalKeys(), cts_b[i], tvs_b[i]));
+    }
 
-    for (size_t i = 0; i < kCount; ++i)
-        expectSameCiphertext(futs[i].get(), direct[i], i);
+    for (size_t i = 0; i < kCount; ++i) {
+        const LweCiphertext got = futs[i].get();
+        expectSameCiphertext(got, direct[i], i);
+        expectSameCiphertext(got, keys_.server.bootstrap(cts[i], tvs[i]),
+                             i);
+        expectSameCiphertext(futs_b[i].get(),
+                             other.server.bootstrap(cts_b[i], tvs_b[i]),
+                             kCount + i);
+    }
+    exec.drain();
+    BatchExecutor::Stats st = exec.stats();
+    EXPECT_EQ(st.shards, 2u);
+    EXPECT_EQ(st.size_flushes, kCount); // 2 tenants x kCount / 2
 }
 
 TEST_F(BatchExecutorTest, PerRequestLutBatchMatchesSingleBootstrap)
@@ -407,4 +433,77 @@ TEST_F(BatchExecutorTest, ConcurrentMixedTenantSubmitStress)
     EXPECT_EQ(st.completed, st.submitted);
     EXPECT_EQ(st.swept_lwes, st.submitted);
     EXPECT_EQ(st.shards, 2u);
+}
+
+/**
+ * The shard-lifetime stress: client threads submit for two tenants
+ * while another thread releases idle shards in a loop, so shards are
+ * dropped and recreated under requests that are queued or running on
+ * lanes. A shard freed under a running PBS is a use-after-free TSan
+ * (and ASan) report; a lost request is a future that never decodes.
+ */
+TEST_F(BatchExecutorTest, ReleaseIdleShardsRacingSubmitsStress)
+{
+    TestKeys other(midParams(), kSeedBatchExecutor + 4);
+
+    BatchExecutor::Options opts;
+    opts.target_batch = 2;
+    opts.flush_delay_us = 100;
+    BatchExecutor exec(opts);
+
+    TorusPolynomial tv_a = shiftLut(3);
+    TorusPolynomial tv_b = makeIntTestVector(
+        other.server.params().N, kSpace,
+        [](int64_t v) { return (v + 5) % int64_t(kSpace); });
+
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 5;
+    std::vector<std::future<LweCiphertext>> futs(
+        size_t(kThreads) * kPerThread);
+    std::atomic<bool> submitting{true};
+    std::thread releaser([&] {
+        while (submitting.load()) {
+            exec.releaseIdleShards();
+            std::this_thread::yield();
+        }
+    });
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                const size_t idx = size_t(t) * kPerThread + size_t(i);
+                const bool tenant_a = idx % 2 == 0;
+                TestKeys &k = tenant_a ? keys_ : other;
+                futs[idx] = exec.submit(
+                    k.client.evalKeys(),
+                    k.client.encryptInt(int64_t(idx % kSpace), kSpace),
+                    tenant_a ? tv_a : tv_b);
+                // Spread the submissions so shards go idle between
+                // them and the releaser gets to drop them.
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    for (size_t idx = 0; idx < futs.size(); ++idx) {
+        const bool tenant_a = idx % 2 == 0;
+        TestKeys &k = tenant_a ? keys_ : other;
+        const int64_t shift = tenant_a ? 3 : 5;
+        EXPECT_EQ(k.client.decryptInt(futs[idx].get(), kSpace),
+                  int64_t((idx % kSpace + uint64_t(shift)) % kSpace))
+            << "request " << idx;
+    }
+    submitting = false;
+    releaser.join();
+
+    exec.drain();
+    BatchExecutor::Stats st = exec.stats();
+    EXPECT_EQ(st.submitted, uint64_t(kThreads) * kPerThread);
+    EXPECT_EQ(st.completed, st.submitted);
+    EXPECT_EQ(st.swept_lwes, st.submitted);
+    // Nothing is queued or on a lane any more: every shard is idle.
+    exec.releaseIdleShards();
+    EXPECT_EQ(exec.stats().shards, 0u);
 }

@@ -3,12 +3,14 @@
  * CircuitAnalyzer tests: elision accounting on the paper's parameter
  * sets, decode-identity of planned vs naive evaluation (exhaustive on
  * the fast exact context), bit-identity of no-elision plans, the
- * async/BatchExecutor path, levelization unification, and the
+ * PlanRun stepper driven through submitBootstrap futures (inline and
+ * through a BatchExecutor), levelization unification, and the
  * infeasible-budget diagnostics contract.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +50,30 @@ fromBits(const std::vector<bool> &bits)
     for (size_t i = 0; i < bits.size(); ++i)
         v |= uint64_t(bits[i]) << i;
     return v;
+}
+
+/**
+ * Step a PlanRun the way the serving daemon does: each level's linear
+ * forms go out as submitBootstrap futures, and the run advances once
+ * they all resolve.
+ */
+std::vector<LweCiphertext>
+evalThroughFutures(const ServerContext &session, const Circuit &c,
+                   const CircuitPlan &plan,
+                   const std::vector<LweCiphertext> &inputs)
+{
+    const TorusPolynomial tv = signTestVector(session.params().N);
+    PlanRun run(c, plan, session.params().n, inputs);
+    while (!run.done()) {
+        std::vector<std::future<LweCiphertext>> futs;
+        for (const LweCiphertext &lin : run.pending())
+            futs.push_back(session.submitBootstrap(lin, tv));
+        std::vector<LweCiphertext> outs;
+        for (std::future<LweCiphertext> &f : futs)
+            outs.push_back(f.get());
+        run.complete(std::move(outs));
+    }
+    return run.outputs();
 }
 
 std::vector<LweCiphertext>
@@ -240,14 +266,14 @@ TEST(CircuitAnalysis, PlannedComparatorAndMuxDecodeIdentically)
 TEST(CircuitAnalysis, AsyncPathMatchesSyncBitForBit)
 {
     // submitBootstrap without an executor runs inline and is
-    // documented bit-identical; the async planned path must therefore
-    // reproduce the sync planned ciphertexts exactly.
+    // documented bit-identical; stepping the plan through its futures
+    // must therefore reproduce the sync planned ciphertexts exactly.
     const uint32_t bits = 2;
     Circuit c = buildAdder(bits);
     CircuitPlan plan = analyzeCircuit(c, exactKeys().server.params());
     auto in = encryptBits(toBits(0b0111, 2 * bits));
     auto sync_out = c.evalEncrypted(exactKeys().server, in, plan);
-    auto async_out = c.evalEncryptedAsync(exactKeys().server, in, plan);
+    auto async_out = evalThroughFutures(exactKeys().server, c, plan, in);
     ASSERT_EQ(async_out.size(), sync_out.size());
     for (size_t i = 0; i < sync_out.size(); ++i)
         EXPECT_EQ(async_out[i].raw(), sync_out[i].raw());
@@ -268,7 +294,8 @@ TEST(CircuitAnalysis, AsyncPathCoalescesThroughBatchExecutor)
     session.attachExecutor(exec);
     auto in = encryptBits(toBits(0b1001, 2 * bits));
     auto naive = decryptBits(c.evalEncrypted(exactKeys().server, in));
-    auto coalesced = decryptBits(c.evalEncryptedAsync(session, in, plan));
+    auto coalesced =
+        decryptBits(evalThroughFutures(session, c, plan, in));
     EXPECT_EQ(coalesced, naive);
     EXPECT_GT(exec->stats().submitted, 0u);
     session.attachExecutor(nullptr);

@@ -3,11 +3,12 @@
  * StrixServer integration tests over live loopback sockets: the
  * tenant lifecycle (register / compute / re-register), admission
  * control, deadlines, budget-driven key eviction, drain semantics,
- * and a hostile-wire-input suite (truncated, length-lying,
- * type-confused, bit-flipped frames and oversized payloads) -- every
- * hostile case must produce a structured error frame or a clean
- * close, never a crash. Runs under the unit label so the ASan+UBSan
- * CI leg executes all of it.
+ * circuits of two tenants stepped at once by the event loop, and a
+ * hostile-wire-input suite (truncated, length-lying, type-confused,
+ * bit-flipped frames, oversized payloads, LUTs wider than the ring
+ * or with extreme entries) -- every hostile case must produce a
+ * structured error frame or a clean close, never a crash. Runs under
+ * the unit label so the ASan+UBSan CI leg executes all of it.
  */
 
 #include <sys/socket.h>
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -66,6 +68,29 @@ bootstrapPayload(const ClientKeyset &keyset, int64_t m)
     return encodeBootstrapPayload(
         keyset.encryptInt(m, kSpace),
         makeIntTestVector(p.N, kSpace, triple));
+}
+
+/** Encrypt the inputs of buildAdder(bits) for a + b. */
+std::vector<LweCiphertext>
+adderInputs(const ClientKeyset &keyset, uint32_t bits, uint64_t a,
+            uint64_t b)
+{
+    std::vector<LweCiphertext> in;
+    for (uint32_t i = 0; i < bits; ++i)
+        in.push_back(keyset.encryptBit(((a >> i) & 1) != 0));
+    for (uint32_t i = 0; i < bits; ++i)
+        in.push_back(keyset.encryptBit(((b >> i) & 1) != 0));
+    return in;
+}
+
+/** Decrypt an adder's sum bits (carry last) to an integer. */
+uint64_t
+adderSum(const ClientKeyset &keyset, const std::vector<LweCiphertext> &out)
+{
+    uint64_t v = 0;
+    for (size_t i = 0; i < out.size(); ++i)
+        v |= uint64_t(keyset.decryptBit(out[i])) << i;
+    return v;
 }
 
 /** Register @p tenant through @p client; asserts success. */
@@ -169,6 +194,59 @@ TEST(Server, EvalCircuitRoundTrip)
         ASSERT_EQ(out.size(), 2u);
         EXPECT_EQ(keyset->decryptBit(out[0]), va != vb);
         EXPECT_EQ(keyset->decryptBit(out[1]), va && vb);
+    }
+}
+
+TEST(Server, ConcurrentCircuitsOfTwoTenantsMatchInProcess)
+{
+    // Two tenants on two connections each have an adder4 in flight at
+    // once; the loop steps both runs, level by level, through the one
+    // executor. Each reply must equal the in-process planned
+    // evaluation under the very bundle the server decoded.
+    Harness h;
+    StrixClient client_b;
+    ASSERT_TRUE(client_b.connectLoopback(h.server.port()));
+    auto keyset_a = keysetFor(501);
+    auto keyset_b = keysetFor(502);
+    registerTenant(h.client, 1, *keyset_a);
+    registerTenant(client_b, 2, *keyset_b);
+
+    constexpr uint32_t kBits = 4;
+    const Circuit adder = buildAdder(kBits);
+    const std::vector<LweCiphertext> in_a =
+        adderInputs(*keyset_a, kBits, 11, 6);
+    const std::vector<LweCiphertext> in_b =
+        adderInputs(*keyset_b, kBits, 5, 14);
+    ASSERT_NE(h.client.send(MsgType::EvalCircuit, 1,
+                            encodeCircuitPayload(adder, in_a)),
+              0u);
+    ASSERT_NE(client_b.send(MsgType::EvalCircuit, 2,
+                            encodeCircuitPayload(adder, in_b)),
+              0u);
+
+    StrixClient::Reply ra, rb;
+    ASSERT_TRUE(h.client.recvReply(ra));
+    ASSERT_TRUE(client_b.recvReply(rb));
+    ASSERT_TRUE(ra.ok) << ra.error_text;
+    ASSERT_TRUE(rb.ok) << rb.error_text;
+
+    const std::pair<const ClientKeyset *, const std::vector<LweCiphertext> *>
+        sides[] = {{keyset_a.get(), &in_a}, {keyset_b.get(), &in_b}};
+    const StrixClient::Reply *replies[] = {&ra, &rb};
+    const uint64_t sums[] = {11 + 6, 5 + 14};
+    for (size_t t = 0; t < 2; ++t) {
+        const ClientKeyset &ks = *sides[t].first;
+        ServerContext local(decodeEvalKeysPayload(keysPayload(ks)));
+        const CircuitPlan plan = analyzeCircuit(adder, local.params());
+        const std::vector<LweCiphertext> want =
+            adder.evalEncrypted(local, *sides[t].second, plan);
+        const std::vector<LweCiphertext> got =
+            decodeCiphertexts(replies[t]->payload);
+        ASSERT_EQ(got.size(), want.size()) << "tenant " << t + 1;
+        for (size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i].raw(), want[i].raw())
+                << "tenant " << t + 1 << " output " << i;
+        EXPECT_EQ(adderSum(ks, got), sums[t]) << "tenant " << t + 1;
     }
 }
 
@@ -526,6 +604,59 @@ TEST(ServerHostile, OversizedComputePayloadRejected)
     EXPECT_TRUE(h.client.ping());
 }
 
+TEST(ServerHostile, LutWiderThanRingRejected)
+{
+    // msg_space passes the decoder's cap but exceeds the tenant's ring
+    // (N = 512): the test vector cannot hold it, so the request is
+    // BadPayload -- not a daemon abort -- and the tenant stays served.
+    Harness h;
+    auto keyset = keysetFor(501);
+    registerTenant(h.client, 1, *keyset);
+    const uint64_t wide = 2 * uint64_t(keyset->evalKeys()->params().N);
+    ASSERT_LE(wide, kMaxLutMsgSpace);
+
+    StrixClient::Reply r = h.client.call(
+        MsgType::ApplyLut, 1,
+        encodeApplyLutPayload(keyset->encryptInt(1, kSpace), wide,
+                              std::vector<int64_t>(wide, 1)));
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.error, WireError::BadPayload) << r.error_text;
+
+    r = h.client.call(MsgType::Bootstrap, 1, bootstrapPayload(*keyset, 2));
+    ASSERT_TRUE(r.ok) << r.error_text;
+    EXPECT_EQ(keyset->decryptInt(decodeCiphertexts(r.payload).at(0),
+                                 kSpace),
+              triple(2));
+}
+
+TEST(ServerHostile, ExtremeLutEntriesDecodeModMsgSpace)
+{
+    // Table entries come off the wire as raw int64s; the encoder must
+    // reduce them without signed overflow (UBSan fails this at
+    // INT64_MAX/INT64_MIN otherwise). Each reply decodes to its entry
+    // mod msg_space.
+    Harness h;
+    auto keyset = keysetFor(501);
+    registerTenant(h.client, 1, *keyset);
+    std::vector<int64_t> table(kSpace, 0);
+    table[0] = std::numeric_limits<int64_t>::max();
+    table[1] = std::numeric_limits<int64_t>::min();
+    for (int64_t m = 0; m < 2; ++m) {
+        StrixClient::Reply r = h.client.call(
+            MsgType::ApplyLut, 1,
+            encodeApplyLutPayload(keyset->encryptInt(m, kSpace), kSpace,
+                                  table));
+        ASSERT_TRUE(r.ok) << r.error_text;
+        const int64_t entry = table[size_t(m)];
+        const int64_t want =
+            (entry % int64_t(kSpace) + int64_t(kSpace)) % int64_t(kSpace);
+        EXPECT_EQ(keyset->decryptInt(decodeCiphertexts(r.payload).at(0),
+                                     kSpace),
+                  want)
+            << "entry " << entry;
+    }
+}
+
 TEST(ServerHostile, HostileCircuitOperandsRejected)
 {
     Harness h;
@@ -562,28 +693,45 @@ TEST(Server, DrainFulfilsPendingBeforeShutdown)
 {
     StrixServer::Options opts;
     // The executor's own triggers never fire; only the shutdown
-    // drain can fulfil the request.
+    // drain can fulfil the requests -- and step the circuit through
+    // each of its levels.
     opts.exec.target_batch = 1000;
     opts.exec.flush_delay_us = 1000ull * 1000 * 1000;
     Harness h(opts);
     auto keyset = keysetFor(501);
     registerTenant(h.client, 1, *keyset);
 
-    ASSERT_NE(h.client.send(MsgType::Bootstrap, 1,
-                            bootstrapPayload(*keyset, 3)),
-              0u);
-    // Wait until the server has admitted the request (stop() stops
-    // reading, so racing it could drop the unread frame instead).
-    while (h.server.stats().requests < 2)
+    const uint64_t boot_id = h.client.send(MsgType::Bootstrap, 1,
+                                           bootstrapPayload(*keyset, 3));
+    ASSERT_NE(boot_id, 0u);
+    constexpr uint32_t kBits = 2;
+    const Circuit adder = buildAdder(kBits);
+    ASSERT_GT(analyzeCircuit(adder, keyset->evalKeys()->params()).depth(),
+              1u)
+        << "the circuit must need more than one drain-forced level";
+    const uint64_t circuit_id = h.client.send(
+        MsgType::EvalCircuit, 1,
+        encodeCircuitPayload(adder, adderInputs(*keyset, kBits, 3, 2)));
+    ASSERT_NE(circuit_id, 0u);
+    // Wait until the server has admitted both requests (stop() stops
+    // reading, so racing it could drop an unread frame instead).
+    while (h.server.stats().requests < 3)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     h.server.stop();
-    StrixClient::Reply r;
-    ASSERT_TRUE(h.client.recvReply(r));
-    ASSERT_TRUE(r.ok) << r.error_text;
-    std::vector<LweCiphertext> out = decodeCiphertexts(r.payload);
-    EXPECT_EQ(keyset->decryptInt(out.at(0), kSpace), triple(3));
-    EXPECT_GE(h.server.executorStats().drain_flushes, 1u);
+    for (int i = 0; i < 2; ++i) {
+        StrixClient::Reply r;
+        ASSERT_TRUE(h.client.recvReply(r));
+        ASSERT_TRUE(r.ok) << r.error_text;
+        std::vector<LweCiphertext> out = decodeCiphertexts(r.payload);
+        if (r.request_id == boot_id) {
+            EXPECT_EQ(keyset->decryptInt(out.at(0), kSpace), triple(3));
+        } else {
+            EXPECT_EQ(r.request_id, circuit_id);
+            EXPECT_EQ(adderSum(*keyset, out), 3u + 2u);
+        }
+    }
+    EXPECT_GE(h.server.executorStats().drain_flushes, 2u);
 }
 
 TEST(Server, RequestsDuringDrainAnswerShuttingDown)
