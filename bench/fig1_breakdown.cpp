@@ -13,9 +13,12 @@
  * linear combination -> blindRotate -> sampleExtract -> keySwitch,
  * timing every stage, so the stages sum to the gate. It then replays
  * the same blind rotation one CMux iteration at a time, timing the
- * kernels of each iteration on the real accumulator. The program
- * exits 1 unless the staged gate equals gateNand and every staged
- * iteration equals GgswFft::cmuxRotate, bit for bit.
+ * kernels of each iteration on the real accumulator in the sequence
+ * GgswFft::externalProduct runs them: one forwardBatch over every
+ * digit, one fused mulAccumulateColumns, and an in-place
+ * inverseBitReversed per output column. The program exits 1 unless
+ * the staged gate equals gateNand and every staged iteration equals
+ * GgswFft::cmuxRotate, bit for bit.
  */
 
 #include <chrono>
@@ -71,8 +74,8 @@ struct IterTimes
     double rotate = 0;    //!< X^a * acc - acc
     double decompose = 0; //!< gadget decomposition of every component
     double fft = 0;       //!< one forwardBatch over every digit
-    double mac = 0;       //!< clear + multiply-accumulate
-    double ifft_acc = 0;  //!< inverse FFTs + accumulate
+    double mac = 0;       //!< one fused mulAccumulateColumns
+    double ifft_acc = 0;  //!< in-place inverse FFTs + accumulate
     uint64_t count = 0;   //!< iterations staged
 
     double total() const
@@ -137,15 +140,16 @@ stagedCmux(const GgswFft &ggsw, GlweCiphertext &acc, uint32_t power,
     eng.forwardBatch(s.fdigits.data(), s.digit_coeffs.data(), nrows,
                      kernels);
     t.fft += lap(clk);
-    for (auto &col : s.acc)
-        col.assign(m, Cplx(0, 0));
     for (size_t r = 0; r < nrows; ++r)
         for (uint32_t c = 0; c <= k; ++c)
-            kernels.mulAccumulate(s.acc[c].data(), s.fdigits.data() + r * m,
-                                  ggsw.row(r, c).data(), m);
+            s.bsk_rows[r * (k + 1) + c] = ggsw.row(r, c).data();
+    eng.mulAccumulateColumns(s.facc.data(), s.fdigits.data(),
+                             s.bsk_rows.data(), nrows, size_t(k) + 1,
+                             kernels);
     t.mac += lap(clk);
     for (uint32_t c = 0; c <= k; ++c)
-        eng.inverse(s.prod.poly(c), s.acc[c], kernels);
+        eng.inverseBitReversed(s.prod.poly(c), s.facc.data() + c * m,
+                               kernels);
     acc.addAssign(s.prod);
     t.ifft_acc += lap(clk);
     ++t.count;
@@ -174,7 +178,8 @@ stagedIterations(const BootstrappingKey &bsk, const LweCiphertext &lin,
 
     s.digit_coeffs.resize(nrows * p.N);
     s.fdigits.resize(nrows * p.N / 2);
-    s.acc.resize(size_t(p.k) + 1);
+    s.facc.resize((size_t(p.k) + 1) * p.N / 2);
+    s.bsk_rows.resize(nrows * (size_t(p.k) + 1));
     s.diff = GlweCiphertext(p.k, p.N);
     s.prod = GlweCiphertext(p.k, p.N);
 

@@ -154,9 +154,10 @@ BM_GadgetDecomposePoly(benchmark::State &state)
 BENCHMARK(BM_GadgetDecomposePoly)->Arg(1024)->Arg(16384);
 
 /**
- * One batch-fused FFT external product (decompose, one forwardBatch
- * sweep over every digit, MAC, inverse FFTs) with a persistent
- * scratch, as each blind-rotation iteration runs it.
+ * One streaming FFT external product (decompose, one forwardBatch
+ * sweep over every digit, one fused mulAccumulateColumns, an in-place
+ * inverseBitReversed per column) with a persistent scratch, as each
+ * blind-rotation iteration runs it.
  */
 void
 BM_ExternalProductFft(benchmark::State &state)
@@ -174,7 +175,7 @@ BM_ExternalProductFft(benchmark::State &state)
         ggsw.externalProduct(out, ct, scratch);
         benchmark::DoNotOptimize(&out);
     }
-    state.SetLabel("batch-fused FFT sweep");
+    state.SetLabel("streaming FFT external product");
 }
 BENCHMARK(BM_ExternalProductFft);
 

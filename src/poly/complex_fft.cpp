@@ -7,6 +7,7 @@
 #include "poly/complex_fft.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "poly/plan_cache.h"
@@ -55,26 +56,37 @@ FftPlan::tables() const
 }
 
 void
+FftPlan::bitReversePermute(Cplx *data) const
+{
+    for (size_t i = 0; i < m_; ++i) {
+        const size_t j = bit_reverse_[i];
+        if (i < j)
+            std::swap(data[i], data[j]);
+    }
+}
+
+void
 FftPlan::forward(Cplx *data) const
 {
-    activeKernels().fftForward(tables(), data);
+    forward(data, activeKernels());
 }
 
 void
 FftPlan::inverse(Cplx *data) const
 {
-    activeKernels().fftInverse(tables(), data);
+    inverse(data, activeKernels());
 }
 
 void
 FftPlan::forwardBatch(Cplx *data, size_t batch) const
 {
-    activeKernels().fftForwardBatch(tables(), data, batch);
+    forwardBatch(data, batch, activeKernels());
 }
 
 void
 FftPlan::forward(Cplx *data, const PolyKernels &kernels) const
 {
+    bitReversePermute(data);
     kernels.fftForward(tables(), data);
 }
 
@@ -82,13 +94,20 @@ void
 FftPlan::forwardBatch(Cplx *data, size_t batch,
                       const PolyKernels &kernels) const
 {
+    for (size_t b = 0; b < batch; ++b)
+        bitReversePermute(data + b * m_);
     kernels.fftForwardBatch(tables(), data, batch);
 }
 
 void
 FftPlan::inverse(Cplx *data, const PolyKernels &kernels) const
 {
+    bitReversePermute(data);
     kernels.fftInverse(tables(), data);
+    // m is a power of two, so this scaling is exact.
+    const double inv = 1.0 / static_cast<double>(m_);
+    for (size_t i = 0; i < m_; ++i)
+        data[i] *= inv;
 }
 
 namespace {

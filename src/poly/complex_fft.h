@@ -8,10 +8,11 @@
  * cached per size.
  *
  * The butterfly loops themselves live behind the runtime-dispatched
- * kernel table in poly/simd.h: a plan holds only the precomputed
- * tables (bit-reversal permutation, stage-major twiddles), and
- * forward()/inverse() run whichever backend activeKernels() selected
- * at startup (AVX2+FMA where available, scalar otherwise or under
+ * kernel table in poly/simd.h: a plan holds the precomputed tables
+ * (bit-reversal permutation, stage-major twiddles), and
+ * forward()/inverse() permute their natural-order input, then run the
+ * stage-only kernels of whichever backend activeKernels() selected at
+ * startup (AVX2+FMA where available, scalar otherwise or under
  * STRIX_FORCE_SCALAR=1). The kernel-explicit overloads let tests and
  * benchmarks run both backends side by side in one process.
  */
@@ -102,6 +103,9 @@ class FftPlan
     static void prewarm(size_t m);
 
   private:
+    /** In-place bit-reversal permutation of one size-M member. */
+    void bitReversePermute(Cplx *data) const;
+
     size_t m_;
     std::vector<uint32_t> bit_reverse_;
     /**

@@ -22,9 +22,16 @@ NegacyclicFft::NegacyclicFft(size_t n)
     panicIfNot(n >= 4 && (n & (n - 1)) == 0,
                "negacyclic FFT ring dim must be 2^k >= 4");
     twist_.resize(n / 2);
+    untwist_.resize(n / 2);
+    // The stage-only inverse FFT leaves its output m = N/2 times too
+    // large. m is a power of two, so folding 1/m into the untwist
+    // table scales every product of the untwist exactly: the result
+    // equals scaling first, bit for bit.
+    const double inv_m = 2.0 / static_cast<double>(n);
     for (size_t j = 0; j < n / 2; ++j) {
         double ang = M_PI * static_cast<double>(j) / static_cast<double>(n);
         twist_[j] = Cplx(std::cos(ang), std::sin(ang));
+        untwist_[j] = twist_[j] * inv_m;
     }
 }
 
@@ -82,9 +89,11 @@ void
 NegacyclicFft::forwardBatch(Cplx *out, const int32_t *coeffs, size_t batch,
                             const PolyKernels &kernels) const
 {
-    const size_t m = n_ / 2;
-    kernels.twistBatch(out, coeffs, twist_.data(), m, batch);
-    plan_.forwardBatch(out, batch, kernels);
+    // Fold+twist lands bit-reversed, so the stage-only sweep needs no
+    // permutation pass and leaves natural-order spectra.
+    const FftTables t = plan_.tables();
+    kernels.twistBatch(t, out, coeffs, twist_.data(), batch);
+    kernels.fftForwardBatch(t, out, batch);
 }
 
 void
@@ -100,11 +109,32 @@ NegacyclicFft::inverse(TorusPolynomial &out, const FreqPolynomial &freq,
     panicIfNot(out.size() == n_, "inverse: polynomial size mismatch");
     panicIfNot(freq.size() == n_ / 2, "inverse: freq size mismatch");
     const size_t m = n_ / 2;
-    FreqPolynomial work = freq;
-    plan_.inverse(work.data(), kernels);
-    // Untwist by conj(w^j), round to the integer grid, wrap mod 2^32.
-    kernels.untwist(out.data(), out.data() + m, work.data(),
-                    twist_.data(), m);
+    const uint32_t *rev = plan_.tables().bit_reverse;
+    FreqPolynomial work(m);
+    for (size_t i = 0; i < m; ++i)
+        work[rev[i]] = freq[i];
+    inverseBitReversed(out, work.data(), kernels);
+}
+
+void
+NegacyclicFft::mulAccumulateColumns(Cplx *acc, const Cplx *fdigits,
+                                    const Cplx *const *rows, size_t nrows,
+                                    size_t ncols,
+                                    const PolyKernels &kernels) const
+{
+    kernels.mulAccumulateColumns(plan_.tables(), acc, fdigits, rows, nrows,
+                                 ncols);
+}
+
+void
+NegacyclicFft::inverseBitReversed(TorusPolynomial &out, Cplx *work,
+                                  const PolyKernels &kernels) const
+{
+    panicIfNot(out.size() == n_, "inverse: polynomial size mismatch");
+    const size_t m = n_ / 2;
+    kernels.fftInverse(plan_.tables(), work);
+    // Untwist by conj(w^j)/m, round to the integer grid, wrap mod 2^32.
+    kernels.untwist(out.data(), out.data() + m, work, untwist_.data(), m);
 }
 
 void
@@ -160,15 +190,6 @@ negacyclicMulFft(TorusPolynomial &result, const IntPolynomial &a,
     eng.forward(fb, b);
     NegacyclicFft::mulAccumulate(prod, fa, fb);
     eng.inverse(result, prod);
-}
-
-void
-negacyclicMulAddFft(TorusPolynomial &result, const IntPolynomial &a,
-                    const TorusPolynomial &b)
-{
-    TorusPolynomial tmp(result.size());
-    negacyclicMulFft(tmp, a, b);
-    result.addAssign(tmp);
 }
 
 } // namespace strix

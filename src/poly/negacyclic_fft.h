@@ -51,7 +51,8 @@ class NegacyclicFft
 
     /**
      * Inverse transform onto the Torus32 grid (round and wrap
-     * mod 2^32).
+     * mod 2^32). Copies @p freq into bit-reversed order, then takes
+     * the same in-place path as inverseBitReversed.
      */
     void inverse(TorusPolynomial &out, const FreqPolynomial &freq) const;
 
@@ -60,12 +61,39 @@ class NegacyclicFft
      * coefficient rows: row b of @p coeffs is the N signed
      * (centered-lift) coefficients of one polynomial, row b of @p out
      * its N/2 frequency points. Bit-identical to calling forward() on
-     * each row; the fold/twist and every FFT stage sweep the batch as
-     * one planned pass (Strix's streaming-FFT batch schedule). This is
-     * the path the external product feeds its (k+1)*l decomposition
-     * digits through.
+     * each row; the fold+twist stores straight into bit-reversed
+     * slots and every FFT stage sweeps the batch as one planned pass
+     * (Strix's streaming-FFT batch schedule), with no permutation
+     * pass. This is the path the external product feeds its (k+1)*l
+     * decomposition digits through.
      */
     void forwardBatch(Cplx *out, const int32_t *coeffs, size_t batch) const;
+
+    /**
+     * The external product's MAC (the VMA unit): column c of @p acc
+     * (N/2 points at acc + c*N/2) receives
+     * sum over r of fdigits row r * rows[r*ncols + c], accumulated in
+     * registers in row order and stored in bit-reversed order, ready
+     * for inverseBitReversed. Bit-identical to zero-filled
+     * accumulators fed by mulAccumulate row by row, then permuted.
+     *
+     * @param fdigits nrows contiguous spectra of N/2 points
+     * @param rows    nrows*ncols row pointers of N/2 points each
+     */
+    void mulAccumulateColumns(Cplx *acc, const Cplx *fdigits,
+                              const Cplx *const *rows, size_t nrows,
+                              size_t ncols,
+                              const PolyKernels &kernels) const;
+
+    /**
+     * Inverse transform of a spectrum held in bit-reversed order (as
+     * mulAccumulateColumns leaves it), run in place on @p work: the
+     * stage-only inverse FFT, then untwist+round with 1/(N/2) folded
+     * into the untwist table. @p work (N/2 points) is clobbered.
+     * Bit-identical to inverse() on the natural-order spectrum.
+     */
+    void inverseBitReversed(TorusPolynomial &out, Cplx *work,
+                            const PolyKernels &kernels) const;
 
     /**
      * out_k += a_k * b_k (frequency-domain multiply-accumulate).
@@ -112,17 +140,14 @@ class NegacyclicFft
                      size_t size, const PolyKernels &kernels) const;
 
     size_t n_;
-    const FftPlan &plan_;     //!< N/2-point complex FFT
-    std::vector<Cplx> twist_; //!< exp(i*pi*j/N), j in [0, N/2)
+    const FftPlan &plan_;       //!< N/2-point complex FFT
+    std::vector<Cplx> twist_;   //!< exp(i*pi*j/N), j in [0, N/2)
+    std::vector<Cplx> untwist_; //!< twist_[j] * (1/(N/2)), exactly
 };
 
 /** result = a * b mod (X^N+1) via the folded FFT. */
 void negacyclicMulFft(TorusPolynomial &result, const IntPolynomial &a,
                       const TorusPolynomial &b);
-
-/** result += a * b mod (X^N+1) via the folded FFT. */
-void negacyclicMulAddFft(TorusPolynomial &result, const IntPolynomial &a,
-                         const TorusPolynomial &b);
 
 } // namespace strix
 

@@ -1,20 +1,30 @@
 /**
  * @file
- * Runtime-dispatched kernel tables for the hot transform loops.
+ * Runtime-dispatched kernel tables for the hot loops of a software PBS.
  *
- * Every cycle of a software PBS is spent in four loops: the FFT
+ * Almost every cycle of a PBS is spent in these loops: the FFT
  * butterfly stages, the fold+twist feeding the negacyclic transform,
- * the untwist+round leaving it, and the frequency-domain
- * multiply-accumulate of the external product. This header exposes
- * those loops as a table of C function pointers so that one CPUID
- * check at startup -- not an #ifdef at build time -- decides whether
- * the AVX2+FMA implementations or the portable scalar reference runs.
+ * the untwist+round leaving it, the frequency-domain multiply-
+ * accumulate of the external product, and the row subtraction of the
+ * keyswitch. This header exposes them as a table of C function
+ * pointers so that one CPUID check at startup -- not an #ifdef at
+ * build time -- decides whether the AVX2+FMA implementations or the
+ * portable scalar reference runs.
+ *
+ * An external product streams through the table once, with no pass
+ * that only permutes, clears, copies or scales: twistBatch and
+ * mulAccumulateColumns store bit-reversed for the stage-only FFT
+ * entries, and the untwist table carries the inverse's 1/m. Every
+ * element still sees the same floating-point operations in the same
+ * order, so each table's results are bit-identical to the
+ * permute/zero-fill/scale sequence this replaces.
  *
  * Dispatch contract:
  *  - scalarKernels() is always available and is the semantic
  *    reference; the vector backends must match it to floating-point
  *    rounding (tests/test_fft.cpp cross-checks every table entry over
- *    every plan size the parameter sets use).
+ *    every plan size the parameter sets use) and exactly on the
+ *    integer entry (subScaledRow).
  *  - avx2Kernels() returns nullptr unless the binary was built with
  *    STRIX_SIMD=ON *and* the running CPU reports AVX2 and FMA.
  *  - activeKernels() picks the best available table once (latched on
@@ -56,34 +66,48 @@ struct FftTables
 };
 
 /**
- * One backend's implementations of the transform hot loops. All
- * pointers are non-null in a published table.
+ * One backend's implementations of the hot loops. All pointers are
+ * non-null in a published table.
+ *
+ * The three FFT entries are butterfly stages only: their input is in
+ * bit-reversed order and their output in natural order. FftPlan's
+ * natural-order API applies the permutation (and the inverse's 1/m)
+ * around them; the external product never needs either, because
+ * twistBatch and mulAccumulateColumns store bit-reversed directly.
  */
 struct PolyKernels
 {
     const char *name; //!< "scalar", "avx2", ... (stable, test-visible)
 
-    /** In-place forward DIT FFT (positive exponent), bit-reversal included. */
+    /**
+     * In-place forward DIT butterfly stages (positive exponent) on a
+     * bit-reversed input, leaving the spectrum in natural order.
+     */
     void (*fftForward)(const FftTables &t, Cplx *data);
 
     /**
-     * Batched in-place forward FFT over @p batch contiguous
-     * transforms: member b occupies data[b*m, (b+1)*m). Semantically
+     * Batched fftForward over @p batch contiguous transforms: member b
+     * occupies data[b*m, (b+1)*m), already bit-reversed. Semantically
      * identical to calling fftForward on each member -- the tests
-     * assert bit-exact agreement -- but the stage loop is fused: after
-     * per-member bit reversal, each butterfly stage sweeps the whole
-     * batch before the next stage runs. Member starts are multiples of
-     * m (itself a multiple of every stage length), so one base sweep
-     * over batch*m elements never straddles a member boundary, and the
-     * vector backend can hoist a small stage's twiddles into registers
-     * once per stage instead of reloading them per transform. This is
-     * the software analogue of Strix's streaming FFT: the (k+1)*l
-     * decomposition digits of an external product go through the plan
-     * as one scheduled batch.
+     * assert bit-exact agreement -- but the stage loop is fused: each
+     * butterfly stage sweeps the whole batch before the next stage
+     * runs. Member starts are multiples of m (itself a multiple of
+     * every stage length), so one base sweep over batch*m elements
+     * never straddles a member boundary, and the vector backend can
+     * hoist a small stage's twiddles into registers once per stage
+     * instead of reloading them per transform. This is the software
+     * analogue of Strix's streaming FFT: the (k+1)*l decomposition
+     * digits of an external product go through the plan as one
+     * scheduled batch.
      */
     void (*fftForwardBatch)(const FftTables &t, Cplx *data, size_t batch);
 
-    /** In-place inverse FFT (negative exponent), scaled by 1/m. */
+    /**
+     * In-place inverse butterfly stages (negative exponent) on a
+     * bit-reversed input, leaving natural order, *unscaled*: the
+     * output is m times the inverse DFT. NegacyclicFft folds the 1/m
+     * into its untwist table; FftPlan::inverse scales explicitly.
+     */
     void (*fftInverse)(const FftTables &t, Cplx *data);
 
     /**
@@ -96,15 +120,15 @@ struct PolyKernels
                   const Cplx *tw, size_t m);
 
     /**
-     * Batched fold+twist over a contiguous digit matrix: row b of
-     * @p coeffs is the length-2m coefficient array of one polynomial
-     * (so lo = coeffs + b*2m, hi = lo + m), and row b of @p out is its
-     * m twisted points. Bit-identical to calling twist per row; a
-     * separate entry so backends may amortize the shared twist table
-     * across the batch.
+     * Batched fold+twist over a contiguous digit matrix, stored
+     * bit-reversed for fftForwardBatch: row b of @p coeffs is the
+     * length-2m coefficient array of one polynomial (lo = coeffs +
+     * b*2m, hi = lo + m), and its point j -- the same value twist
+     * computes -- lands at out[b*m + t.bit_reverse[j]].
      */
-    void (*twistBatch)(Cplx *out, const int32_t *coeffs, const Cplx *tw,
-                       size_t m, size_t batch);
+    void (*twistBatch)(const FftTables &t, Cplx *out,
+                       const int32_t *coeffs, const Cplx *tw,
+                       size_t batch);
 
     /**
      * Untwist+round leaving the negacyclic transform: for
@@ -112,11 +136,15 @@ struct PolyKernels
      * lo[j] and round(u.im) mod 2^32 into hi[j].
      *
      * Contract: |u| < 2^51 for every element. That is the validity
-     * bound of the vector backends' magic-number rounding, and every
-     * shipped parameter set stays below ~2^50 (inner products of N
-     * decomposed coefficients: N * Bg/2 * 2^31). Backends may differ
-     * on exact-.5 ties (round-half-even vs half-away), a one-ulp
-     * slack the tests allow.
+     * bound of the vector backends' magic-number rounding (and what
+     * keeps llround inside int64). It is a statistical margin, not a
+     * guarantee: one decomposed product is bounded by
+     * N * Bg/2 * 2^31 (2^50 at set I), and an external-product column
+     * sums (k+1)*l of them, so set I's worst case is 4 * 2^50 = 2^52.
+     * Real digits and key rows are uniform-looking, so the sums
+     * random-walk to around 2^45, far inside the contract. Backends
+     * may differ on exact-.5 ties (round-half-even vs half-away), a
+     * one-ulp slack the tests allow.
      */
     void (*untwist)(uint32_t *lo, uint32_t *hi, const Cplx *freq,
                     const Cplx *tw, size_t m);
@@ -124,6 +152,28 @@ struct PolyKernels
     /** out[i] += a[i] * b[i] for i in [0, m). */
     void (*mulAccumulate)(Cplx *out, const Cplx *a, const Cplx *b,
                           size_t m);
+
+    /**
+     * Fused external-product MAC: for every output column c < ncols
+     * and point i < m,
+     *   acc[c*m + t.bit_reverse[i]] =
+     *       sum over r = 0, 1, ..., nrows-1 of a[r*m + i] * b[r*ncols + c][i],
+     * accumulated from +0.0 in that row order -- the order, and
+     * therefore the bits, of zero-filled accumulators fed by one
+     * mulAccumulate call per row. The sum stays in registers across
+     * the rows and is stored once, bit-reversed for fftInverse.
+     * @p b holds nrows*ncols row pointers.
+     */
+    void (*mulAccumulateColumns)(const FftTables &t, Cplx *acc,
+                                 const Cplx *a, const Cplx *const *b,
+                                 size_t nrows, size_t ncols);
+
+    /**
+     * Keyswitch row step: out[i] -= digit * row[i] (mod 2^32) for i in
+     * [0, len). Integer arithmetic, so every backend is exact.
+     */
+    void (*subScaledRow)(uint32_t *out, const uint32_t *row,
+                         uint32_t digit, size_t len);
 };
 
 /** Portable reference table; always built, never null. */
@@ -149,12 +199,12 @@ bool simdForcedScalar();
  */
 const PolyKernels &activeKernels();
 
-// NOTE for backend authors: each backend TU carries its own
-// file-local copy of the bit-reversal permutation instead of a shared
-// inline helper here. A header-inline function compiled into the
-// AVX2 TU would be emitted under -mavx2, and the linker may keep that
-// VEX-encoded comdat copy for *all* TUs -- leaking AVX instructions
-// into the scalar path on machines the dispatch is meant to protect.
+// NOTE for backend authors: keep helpers a backend TU calls file-local
+// rather than shared header inlines. A header-inline function
+// compiled into the AVX2 TU would be emitted under -mavx2, and the
+// linker may keep that VEX-encoded comdat copy for *all* TUs --
+// leaking AVX instructions into the scalar path on machines the
+// dispatch is meant to protect.
 
 } // namespace strix
 

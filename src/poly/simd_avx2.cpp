@@ -26,22 +26,9 @@
 #include <immintrin.h>
 
 #include <cmath>
-#include <utility>
 
 namespace strix {
 namespace {
-
-// Deliberately file-local (not a shared header inline): see the
-// backend-author note in simd.h.
-void
-bitReversePermute(const FftTables &t, Cplx *data)
-{
-    for (size_t i = 0; i < t.m; ++i) {
-        size_t j = t.bit_reverse[i];
-        if (i < j)
-            std::swap(data[i], data[j]);
-    }
-}
 
 /** [a0*b0, a1*b1] for 2 packed complex doubles per register. */
 inline __m256d
@@ -143,13 +130,12 @@ butterflyStages(const FftTables &t, Cplx *data)
 void
 fftForwardAvx2(const FftTables &t, Cplx *data)
 {
-    bitReversePermute(t, data);
     butterflyStages<false>(t, data);
 }
 
 /**
- * One L1-resident chunk of the batched forward FFT: per-member bit
- * reversal, then every butterfly stage sweeps the whole chunk before
+ * One L1-resident chunk of the batched forward FFT (members already
+ * bit-reversed): every butterfly stage sweeps the whole chunk before
  * the next stage runs. Member starts are multiples of t.m, which
  * every stage length divides, so one base sweep over batch*m elements
  * never straddles a member.
@@ -166,8 +152,6 @@ fftForwardAvx2(const FftTables &t, Cplx *data)
 void
 fftForwardBatchChunkAvx2(const FftTables &t, Cplx *data, size_t batch)
 {
-    for (size_t b = 0; b < batch; ++b)
-        bitReversePermute(t, data + b * t.m);
     double *d = reinterpret_cast<double *>(data);
     const size_t m = t.m;
     const size_t total = m * batch;
@@ -273,13 +257,44 @@ fftForwardBatchAvx2(const FftTables &t, Cplx *data, size_t batch)
 void
 fftInverseAvx2(const FftTables &t, Cplx *data)
 {
-    bitReversePermute(t, data);
     butterflyStages<true>(t, data);
-    double *d = reinterpret_cast<double *>(data);
-    const __m256d inv =
-        _mm256_set1_pd(1.0 / static_cast<double>(t.m));
-    for (size_t i = 0; i < 2 * t.m; i += 4)
-        _mm256_storeu_pd(d + i, _mm256_mul_pd(_mm256_loadu_pd(d + i), inv));
+}
+
+/**
+ * Fold+twist of points j..j+3: [c_j, c_j+1] and [c_j+2, c_j+3] with
+ * c = (lo + i*hi) * tw.
+ */
+inline void
+twistFour(const int32_t *lo, const int32_t *hi, const double *twd,
+          size_t j, __m256d &c01, __m256d &c23)
+{
+    __m256d re = _mm256_cvtepi32_pd(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo + j)));
+    __m256d im = _mm256_cvtepi32_pd(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(hi + j)));
+    // Interleave [r0..r3]/[i0..i3] into packed complex pairs.
+    __m256d t0 = _mm256_unpacklo_pd(re, im); // [r0 i0 r2 i2]
+    __m256d t1 = _mm256_unpackhi_pd(re, im); // [r1 i1 r3 i3]
+    c01 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x20),
+                  _mm256_loadu_pd(twd + 2 * j));
+    c23 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x31),
+                  _mm256_loadu_pd(twd + 2 * j + 4));
+}
+
+/** Fold+twist of one point: the scalar tail of both twist kernels. */
+inline Cplx
+twistPoint(const int32_t *lo, const int32_t *hi, const Cplx *tw, size_t j)
+{
+    return Cplx(static_cast<double>(lo[j]), static_cast<double>(hi[j])) *
+           tw[j];
+}
+
+/** Store the two complex values of @p v at slots @p i0 and @p i1. */
+inline void
+storePair(double *d, size_t i0, size_t i1, __m256d v)
+{
+    _mm_storeu_pd(d + 2 * i0, _mm256_castpd256_pd128(v));
+    _mm_storeu_pd(d + 2 * i1, _mm256_extractf128_pd(v, 1));
 }
 
 void
@@ -290,35 +305,42 @@ twistAvx2(Cplx *out, const int32_t *lo, const int32_t *hi, const Cplx *tw,
     const double *twd = reinterpret_cast<const double *>(tw);
     size_t j = 0;
     for (; j + 4 <= m; j += 4) {
-        __m256d re = _mm256_cvtepi32_pd(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo + j)));
-        __m256d im = _mm256_cvtepi32_pd(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(hi + j)));
-        // Interleave [r0..r3]/[i0..i3] into packed complex pairs.
-        __m256d t0 = _mm256_unpacklo_pd(re, im); // [r0 i0 r2 i2]
-        __m256d t1 = _mm256_unpackhi_pd(re, im); // [r1 i1 r3 i3]
-        __m256d c01 = _mm256_permute2f128_pd(t0, t1, 0x20);
-        __m256d c23 = _mm256_permute2f128_pd(t0, t1, 0x31);
-        _mm256_storeu_pd(o + 2 * j,
-                         cplxMul(c01, _mm256_loadu_pd(twd + 2 * j)));
-        _mm256_storeu_pd(o + 2 * j + 4,
-                         cplxMul(c23, _mm256_loadu_pd(twd + 2 * j + 4)));
+        __m256d c01, c23;
+        twistFour(lo, hi, twd, j, c01, c23);
+        _mm256_storeu_pd(o + 2 * j, c01);
+        _mm256_storeu_pd(o + 2 * j + 4, c23);
     }
     for (; j < m; ++j)
-        out[j] = Cplx(static_cast<double>(lo[j]),
-                      static_cast<double>(hi[j])) *
-                 tw[j];
+        out[j] = twistPoint(lo, hi, tw, j);
 }
 
+/**
+ * Batched fold+twist, each point stored straight into its
+ * bit-reversed slot: the same values twistAvx2 computes, without the
+ * separate permutation pass the FFT would otherwise open with.
+ */
 void
-twistBatchAvx2(Cplx *out, const int32_t *coeffs, const Cplx *tw, size_t m,
-               size_t batch)
+twistBatchAvx2(const FftTables &t, Cplx *out, const int32_t *coeffs,
+               const Cplx *tw, size_t batch)
 {
-    // The twist table is shared by every row and stays cache-hot
-    // across the batch; the per-row loop is already vectorized.
-    for (size_t b = 0; b < batch; ++b)
-        twistAvx2(out + b * m, coeffs + b * 2 * m, coeffs + b * 2 * m + m,
-                  tw, m);
+    const size_t m = t.m;
+    const uint32_t *rev = t.bit_reverse;
+    const double *twd = reinterpret_cast<const double *>(tw);
+    for (size_t b = 0; b < batch; ++b) {
+        const int32_t *lo = coeffs + b * 2 * m;
+        const int32_t *hi = lo + m;
+        Cplx *row = out + b * m;
+        double *o = reinterpret_cast<double *>(row);
+        size_t j = 0;
+        for (; j + 4 <= m; j += 4) {
+            __m256d c01, c23;
+            twistFour(lo, hi, twd, j, c01, c23);
+            storePair(o, rev[j], rev[j + 1], c01);
+            storePair(o, rev[j + 2], rev[j + 3], c23);
+        }
+        for (; j < m; ++j)
+            row[rev[j]] = twistPoint(lo, hi, tw, j);
+    }
 }
 
 void
@@ -394,10 +416,90 @@ mulAccumulateAvx2(Cplx *out, const Cplx *a, const Cplx *b, size_t m)
         out[i] += a[i] * b[i];
 }
 
+/**
+ * Fused external-product MAC. Per output column, two registers (four
+ * points) accumulate every digit row's product from +0.0 in row
+ * order -- the same add(acc, cplxMul(digit, row)) sequence
+ * mulAccumulateAvx2 applies per call, so the sums are bit-identical
+ * to zero-filled accumulators fed one row at a time -- and are then
+ * stored once, each point at its bit-reversed slot. cplxMul rounds
+ * its two products differently under FMA, so the operand order
+ * (digit, row) is part of that contract.
+ */
+void
+mulAccumulateColumnsAvx2(const FftTables &t, Cplx *acc, const Cplx *a,
+                         const Cplx *const *b, size_t nrows, size_t ncols)
+{
+    const size_t m = t.m;
+    const uint32_t *rev = t.bit_reverse;
+    const double *ad = reinterpret_cast<const double *>(a);
+    for (size_t c = 0; c < ncols; ++c) {
+        double *col = reinterpret_cast<double *>(acc + c * m);
+        const Cplx *const *bc = b + c;
+        size_t i = 0;
+        for (; i + 4 <= m; i += 4) {
+            __m256d s0 = _mm256_setzero_pd();
+            __m256d s1 = _mm256_setzero_pd();
+            for (size_t r = 0; r < nrows; ++r) {
+                const double *ar = ad + 2 * (r * m + i);
+                const double *br =
+                    reinterpret_cast<const double *>(bc[r * ncols]) + 2 * i;
+                s0 = _mm256_add_pd(s0, cplxMul(_mm256_loadu_pd(ar),
+                                               _mm256_loadu_pd(br)));
+                s1 = _mm256_add_pd(s1, cplxMul(_mm256_loadu_pd(ar + 4),
+                                               _mm256_loadu_pd(br + 4)));
+            }
+            storePair(col, rev[i], rev[i + 1], s0);
+            storePair(col, rev[i + 2], rev[i + 3], s1);
+        }
+        // m = 2, the smallest plan, fills one register.
+        for (; i + 2 <= m; i += 2) {
+            __m256d s = _mm256_setzero_pd();
+            for (size_t r = 0; r < nrows; ++r) {
+                const double *ar = ad + 2 * (r * m + i);
+                const double *br =
+                    reinterpret_cast<const double *>(bc[r * ncols]) + 2 * i;
+                s = _mm256_add_pd(s, cplxMul(_mm256_loadu_pd(ar),
+                                             _mm256_loadu_pd(br)));
+            }
+            storePair(col, rev[i], rev[i + 1], s);
+        }
+    }
+}
+
+/**
+ * Keyswitch row step, eight lanes per vpmulld/vpsubd pair. Integer
+ * arithmetic mod 2^32, so the result is exact at any width.
+ */
+void
+subScaledRowAvx2(uint32_t *out, const uint32_t *row, uint32_t digit,
+                 size_t len)
+{
+    const __m256i d = _mm256_set1_epi32(static_cast<int32_t>(digit));
+    size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        __m256i *o = reinterpret_cast<__m256i *>(out + i);
+        const __m256i r =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(row + i));
+        _mm256_storeu_si256(
+            o, _mm256_sub_epi32(_mm256_loadu_si256(o),
+                                _mm256_mullo_epi32(r, d)));
+    }
+    for (; i < len; ++i)
+        out[i] -= digit * row[i];
+}
+
 const PolyKernels kAvx2Kernels = {
-    "avx2",         fftForwardAvx2, fftForwardBatchAvx2,
-    fftInverseAvx2, twistAvx2,      twistBatchAvx2,
-    untwistAvx2,    mulAccumulateAvx2,
+    "avx2",
+    fftForwardAvx2,
+    fftForwardBatchAvx2,
+    fftInverseAvx2,
+    twistAvx2,
+    twistBatchAvx2,
+    untwistAvx2,
+    mulAccumulateAvx2,
+    mulAccumulateColumnsAvx2,
+    subScaledRowAvx2,
 };
 
 } // namespace

@@ -8,62 +8,33 @@
  */
 
 #include <cmath>
-#include <utility>
 
 #include "poly/simd.h"
 
 namespace strix {
 namespace {
 
-// Deliberately file-local (not a shared header inline): see the
-// backend-author note in simd.h.
+/**
+ * Butterfly stages over @p total contiguous elements: one transform
+ * when total == t.m, a stage-major batch sweep when it is a multiple.
+ * Every member start is a multiple of t.m, which is a multiple of
+ * every stage length, so sweeping base over the whole buffer runs the
+ * per-member stage loops in one pass; each element sees exactly the
+ * ops a single transform applies, so the result is bit-identical per
+ * member. Conj selects forward (v*w) vs inverse (v*conj(w)).
+ */
+template <bool Conj>
 void
-bitReversePermute(const FftTables &t, Cplx *data)
+butterflyStages(const FftTables &t, Cplx *data, size_t total)
 {
-    for (size_t i = 0; i < t.m; ++i) {
-        size_t j = t.bit_reverse[i];
-        if (i < j)
-            std::swap(data[i], data[j]);
-    }
-}
-
-void
-fftForwardScalar(const FftTables &t, Cplx *data)
-{
-    bitReversePermute(t, data);
-    const Cplx *tw = t.stage_twiddles;
-    for (size_t len = 2; len <= t.m; len <<= 1) {
-        const size_t half = len >> 1;
-        for (size_t base = 0; base < t.m; base += len) {
-            for (size_t j = 0; j < half; ++j) {
-                Cplx u = data[base + j];
-                Cplx v = data[base + j + half] * tw[j];
-                data[base + j] = u + v;
-                data[base + j + half] = u - v;
-            }
-        }
-        tw += half;
-    }
-}
-
-void
-fftForwardBatchScalar(const FftTables &t, Cplx *data, size_t batch)
-{
-    for (size_t b = 0; b < batch; ++b)
-        bitReversePermute(t, data + b * t.m);
-    // Stage-major over the batch: every member start is a multiple of
-    // t.m, which is a multiple of every stage length, so sweeping base
-    // over the whole batch*m buffer runs the per-member stage loops in
-    // one pass. Each element sees exactly the ops fftForwardScalar
-    // would apply, so the result is bit-identical per member.
-    const size_t total = t.m * batch;
     const Cplx *tw = t.stage_twiddles;
     for (size_t len = 2; len <= t.m; len <<= 1) {
         const size_t half = len >> 1;
         for (size_t base = 0; base < total; base += len) {
             for (size_t j = 0; j < half; ++j) {
                 Cplx u = data[base + j];
-                Cplx v = data[base + j + half] * tw[j];
+                Cplx v = data[base + j + half] *
+                         (Conj ? std::conj(tw[j]) : tw[j]);
                 data[base + j] = u + v;
                 data[base + j + half] = u - v;
             }
@@ -73,25 +44,21 @@ fftForwardBatchScalar(const FftTables &t, Cplx *data, size_t batch)
 }
 
 void
+fftForwardScalar(const FftTables &t, Cplx *data)
+{
+    butterflyStages<false>(t, data, t.m);
+}
+
+void
+fftForwardBatchScalar(const FftTables &t, Cplx *data, size_t batch)
+{
+    butterflyStages<false>(t, data, t.m * batch);
+}
+
+void
 fftInverseScalar(const FftTables &t, Cplx *data)
 {
-    bitReversePermute(t, data);
-    const Cplx *tw = t.stage_twiddles;
-    for (size_t len = 2; len <= t.m; len <<= 1) {
-        const size_t half = len >> 1;
-        for (size_t base = 0; base < t.m; base += len) {
-            for (size_t j = 0; j < half; ++j) {
-                Cplx u = data[base + j];
-                Cplx v = data[base + j + half] * std::conj(tw[j]);
-                data[base + j] = u + v;
-                data[base + j + half] = u - v;
-            }
-        }
-        tw += half;
-    }
-    const double inv = 1.0 / static_cast<double>(t.m);
-    for (size_t i = 0; i < t.m; ++i)
-        data[i] *= inv;
+    butterflyStages<true>(t, data, t.m);
 }
 
 void
@@ -105,12 +72,19 @@ twistScalar(Cplx *out, const int32_t *lo, const int32_t *hi,
 }
 
 void
-twistBatchScalar(Cplx *out, const int32_t *coeffs, const Cplx *tw,
-                 size_t m, size_t batch)
+twistBatchScalar(const FftTables &t, Cplx *out, const int32_t *coeffs,
+                 const Cplx *tw, size_t batch)
 {
-    for (size_t b = 0; b < batch; ++b)
-        twistScalar(out + b * m, coeffs + b * 2 * m,
-                    coeffs + b * 2 * m + m, tw, m);
+    const size_t m = t.m;
+    for (size_t b = 0; b < batch; ++b) {
+        const int32_t *lo = coeffs + b * 2 * m;
+        const int32_t *hi = lo + m;
+        Cplx *row = out + b * m;
+        for (size_t j = 0; j < m; ++j) {
+            Cplx u(static_cast<double>(lo[j]), static_cast<double>(hi[j]));
+            row[t.bit_reverse[j]] = u * tw[j];
+        }
+    }
 }
 
 void
@@ -120,9 +94,8 @@ untwistScalar(uint32_t *lo, uint32_t *hi, const Cplx *freq,
     for (size_t j = 0; j < m; ++j) {
         Cplx u = freq[j] * std::conj(tw[j]);
         // Round to the integer grid and wrap mod 2^32. The kernel
-        // contract (simd.h) bounds |u| < 2^51 -- TFHE gadget
-        // decomposition keeps real inputs below ~2^50 -- so llround
-        // never overflows int64 and the vector backends' magic-number
+        // contract (simd.h) bounds |u| < 2^51, so llround never
+        // overflows int64 and the vector backends' magic-number
         // rounding agrees with this reference.
         lo[j] = static_cast<uint32_t>(
             static_cast<int64_t>(std::llround(u.real())));
@@ -138,10 +111,42 @@ mulAccumulateScalar(Cplx *out, const Cplx *a, const Cplx *b, size_t m)
         out[i] += a[i] * b[i];
 }
 
+void
+mulAccumulateColumnsScalar(const FftTables &t, Cplx *acc, const Cplx *a,
+                           const Cplx *const *b, size_t nrows,
+                           size_t ncols)
+{
+    const size_t m = t.m;
+    for (size_t c = 0; c < ncols; ++c) {
+        Cplx *col = acc + c * m;
+        for (size_t i = 0; i < m; ++i) {
+            Cplx sum(0.0, 0.0);
+            for (size_t r = 0; r < nrows; ++r)
+                sum += a[r * m + i] * b[r * ncols + c][i];
+            col[t.bit_reverse[i]] = sum;
+        }
+    }
+}
+
+void
+subScaledRowScalar(uint32_t *out, const uint32_t *row, uint32_t digit,
+                   size_t len)
+{
+    for (size_t i = 0; i < len; ++i)
+        out[i] -= digit * row[i];
+}
+
 const PolyKernels kScalarKernels = {
-    "scalar",         fftForwardScalar, fftForwardBatchScalar,
-    fftInverseScalar, twistScalar,      twistBatchScalar,
-    untwistScalar,    mulAccumulateScalar,
+    "scalar",
+    fftForwardScalar,
+    fftForwardBatchScalar,
+    fftInverseScalar,
+    twistScalar,
+    twistBatchScalar,
+    untwistScalar,
+    mulAccumulateScalar,
+    mulAccumulateColumnsScalar,
+    subScaledRowScalar,
 };
 
 } // namespace

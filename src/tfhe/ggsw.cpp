@@ -141,36 +141,35 @@ GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
     // digit matrix, transform all (k+1)*l digits in a single batched
     // FFT sweep (FFT unit -- Strix streams the whole decomposition of
     // a batch through the transform as one schedule, not digit by
-    // digit), multiply-accumulate against bsk rows (VMA unit),
-    // inverse-transform each output column (IFFT unit).
-    const size_t nrows = (size_t(k_) + 1) * g_.levels;
+    // digit), multiply-accumulate against bsk rows in one fused pass
+    // (VMA unit), inverse-transform each output column in place (IFFT
+    // unit).
+    const size_t ncols = size_t(k_) + 1;
+    const size_t nrows = ncols * g_.levels;
     const size_t m = size_t(big_n_) / 2;
     std::vector<int32_t> &coeffs = scratch.digit_coeffs;
     std::vector<Cplx> &fdigits = scratch.fdigits;
-    std::vector<FreqPolynomial> &acc = scratch.acc;
+    std::vector<Cplx> &facc = scratch.facc;
+    std::vector<const Cplx *> &bsk_rows = scratch.bsk_rows;
     coeffs.resize(nrows * big_n_);
     fdigits.resize(nrows * m);
-    if (acc.size() != size_t(k_) + 1)
-        acc.resize(size_t(k_) + 1);
-    for (auto &col : acc)
-        col.assign(m, Cplx(0, 0));
+    facc.resize(ncols * m);
+    bsk_rows.resize(rows_.size());
+    for (size_t i = 0; i < rows_.size(); ++i)
+        bsk_rows[i] = rows_[i].data();
 
     for (uint32_t comp = 0; comp <= k_; ++comp)
         gadgetDecomposePolyInto(
             coeffs.data() + size_t(comp) * g_.levels * big_n_,
             glwe.poly(comp), g_);
     eng.forwardBatch(fdigits.data(), coeffs.data(), nrows, kernels);
-    for (size_t r = 0; r < nrows; ++r) {
-        const Cplx *fdigit = fdigits.data() + r * m;
-        for (uint32_t c = 0; c <= k_; ++c)
-            kernels.mulAccumulate(acc[c].data(), fdigit,
-                                  row(r, c).data(), m);
-    }
+    eng.mulAccumulateColumns(facc.data(), fdigits.data(), bsk_rows.data(),
+                             nrows, ncols, kernels);
 
     if (out.k() != k_ || out.ringDim() != big_n_)
         out = GlweCiphertext(k_, big_n_);
     for (uint32_t c = 0; c <= k_; ++c)
-        eng.inverse(out.poly(c), acc[c], kernels);
+        eng.inverseBitReversed(out.poly(c), facc.data() + c * m, kernels);
 }
 
 void

@@ -6,6 +6,7 @@
 #include "tfhe/keyswitch.h"
 
 #include "common/logging.h"
+#include "poly/simd.h"
 
 namespace strix {
 
@@ -63,20 +64,22 @@ keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk)
 {
     panicIfNot(ct.dim() == ksk.inDim(), "keySwitch: dim mismatch");
     const GadgetParams &g = ksk.gadget();
+    const PolyKernels &kernels = activeKernels();
 
-    // o[m] = c[n] (Algorithm 2, line 2), then subtract the decomposed
-    // mask against the key rows.
+    // o[m] = c[n] (Algorithm 2, line 2), then subtract digit * row for
+    // every nonzero digit of the decomposed mask, in one pass per row
+    // over all n+1 scalars (mask and body).
     LweCiphertext out = LweCiphertext::trivial(ksk.outDim(), ct.b());
+    Torus32 *o = out.raw().data();
+    const size_t len = size_t(ksk.outDim()) + 1;
     std::vector<int32_t> digits(g.levels);
-    LweCiphertext scaled(ksk.outDim());
     for (uint32_t i = 0; i < ksk.inDim(); ++i) {
         gadgetDecompose(digits.data(), ct.a(i), g);
         for (uint32_t j = 0; j < g.levels; ++j) {
             if (digits[j] == 0)
                 continue;
-            scaled = ksk.row(i, j);
-            scaled.scalarMulAssign(digits[j]);
-            out.subAssign(scaled);
+            kernels.subScaledRow(o, ksk.row(i, j).raw().data(),
+                                 static_cast<uint32_t>(digits[j]), len);
         }
     }
     return out;

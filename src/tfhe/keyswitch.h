@@ -71,7 +71,13 @@ class KeySwitchKey
     std::vector<LweCiphertext> rows_;
 };
 
-/** Switch @p ct (dimension ksk.inDim()) to dimension ksk.outDim(). */
+/**
+ * Switch @p ct (dimension ksk.inDim()) to dimension ksk.outDim().
+ * Each nonzero digit subtracts digit * row from the output in one
+ * pass through the dispatched kernel table (PolyKernels::subScaledRow,
+ * AVX2 where available). The arithmetic is mod 2^32, so the result is
+ * exact on every table and at every vector width.
+ */
 LweCiphertext keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk);
 
 } // namespace strix

@@ -299,6 +299,32 @@ TEST_P(KernelCrossCheck, MulAccumulateMatchesScalar)
     expectUlpClose(vec.data(), ref.data(), m, 1e-13);
 }
 
+TEST_P(KernelCrossCheck, MulAccumulateColumnsMatchesScalar)
+{
+    // The fused MAC of the external product at the set-I shape (4
+    // digit rows, 2 columns): FMA rounding only, at the MAC tolerance.
+    const size_t m = GetParam();
+    const size_t nrows = 4, ncols = 2;
+    const FftTables t = FftPlan::get(m).tables();
+    Rng rng(m + 37);
+    std::vector<Cplx> a(nrows * m);
+    for (auto &c : a)
+        c = Cplx(rng.uniformDouble() - 0.5, rng.uniformDouble() - 0.5);
+    std::vector<FreqPolynomial> rows(nrows * ncols, FreqPolynomial(m));
+    std::vector<const Cplx *> ptrs;
+    for (auto &row : rows) {
+        for (auto &c : row)
+            c = Cplx(rng.uniformDouble() - 0.5, rng.uniformDouble() - 0.5);
+        ptrs.push_back(row.data());
+    }
+    std::vector<Cplx> ref(ncols * m), vec(ncols * m);
+    scalarKernels().mulAccumulateColumns(t, ref.data(), a.data(),
+                                         ptrs.data(), nrows, ncols);
+    avx2Kernels()->mulAccumulateColumns(t, vec.data(), a.data(),
+                                        ptrs.data(), nrows, ncols);
+    expectUlpClose(vec.data(), ref.data(), ncols * m, 1e-13);
+}
+
 INSTANTIATE_TEST_SUITE_P(PlanSizes, KernelCrossCheck,
                          ::testing::ValuesIn(kPlanSizes));
 
@@ -526,6 +552,125 @@ TEST_P(NegacyclicFftBatch, DispatchedForwardBatchMatchesPerPoly)
 }
 
 INSTANTIATE_TEST_SUITE_P(RingDims, NegacyclicFftBatch,
+                         ::testing::ValuesIn(kRingDims));
+
+// ---------------------------------------------------------------------------
+// The streaming external product: the fused MAC and the in-place
+// inverse must reproduce, bit for bit on every table, the sequence
+// they replace (zero-filled accumulators, one mulAccumulate per row,
+// then a permuted, scaled inverse FFT and an untwist).
+
+class NegacyclicFftFusedMac : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(NegacyclicFftFusedMac, ColumnsEqualPerRowMacInRowOrderThenBitReversed)
+{
+    const size_t m = GetParam();
+    const FftTables t = FftPlan::get(m).tables();
+    for (const auto &[tag, kernels] : allKernelTables()) {
+        for (size_t nrows : {size_t{2}, size_t{4}, size_t{6}}) {
+            for (size_t ncols : {size_t{2}, size_t{3}}) {
+                // Wide, signed magnitudes so that a reordered sum
+                // rounds differently.
+                Rng rng(m + 7 * nrows + ncols);
+                auto draw = [&rng] {
+                    return Cplx((rng.uniformDouble() - 0.5) * 1e9,
+                                (rng.uniformDouble() - 0.5) * 1e3);
+                };
+                std::vector<Cplx> a(nrows * m);
+                for (auto &c : a)
+                    c = draw();
+                std::vector<FreqPolynomial> rows(nrows * ncols,
+                                                 FreqPolynomial(m));
+                std::vector<const Cplx *> ptrs;
+                for (auto &row : rows) {
+                    for (auto &c : row)
+                        c = draw();
+                    ptrs.push_back(row.data());
+                }
+                // NaN poison: a slot the kernel fails to store fails
+                // the comparison.
+                std::vector<Cplx> fused(ncols * m,
+                                        Cplx(std::nan(""), std::nan("")));
+                kernels->mulAccumulateColumns(t, fused.data(), a.data(),
+                                              ptrs.data(), nrows, ncols);
+                for (size_t c = 0; c < ncols; ++c) {
+                    std::vector<Cplx> ref(m, Cplx(0, 0));
+                    for (size_t r = 0; r < nrows; ++r)
+                        kernels->mulAccumulate(ref.data(), a.data() + r * m,
+                                               ptrs[r * ncols + c], m);
+                    for (size_t i = 0; i < m; ++i) {
+                        const Cplx got = fused[c * m + t.bit_reverse[i]];
+                        ASSERT_EQ(got.real(), ref[i].real())
+                            << tag << " m=" << m << " rows=" << nrows
+                            << " c=" << c << " i=" << i;
+                        ASSERT_EQ(got.imag(), ref[i].imag())
+                            << tag << " m=" << m << " rows=" << nrows
+                            << " c=" << c << " i=" << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(PlanSizes, NegacyclicFftFusedMac,
+                         ::testing::ValuesIn(kPlanSizes));
+
+class NegacyclicFftInverseExactness : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(NegacyclicFftInverseExactness, EqualsScaledPlanInverseThenUntwist)
+{
+    // The previous NegacyclicFft::inverse, rebuilt here: a copy
+    // through FftPlan::inverse (permute, stages, 1/m), then the
+    // table's untwist with the unscaled twist table. Outputs near
+    // 2^48 leave a 1/16 grid below the rounding point, so a scale
+    // factor that is not a power of two shows up as flipped roundings.
+    const size_t n = GetParam();
+    const size_t m = n / 2;
+    const auto &eng = NegacyclicFft::get(n);
+    const FftPlan &plan = FftPlan::get(m);
+    std::vector<Cplx> twist(m);
+    for (size_t j = 0; j < m; ++j) {
+        double ang = M_PI * static_cast<double>(j) / static_cast<double>(n);
+        twist[j] = Cplx(std::cos(ang), std::sin(ang));
+    }
+    const double amp =
+        std::ldexp(std::sqrt(3.0 * static_cast<double>(m)), 48);
+    for (const auto &[tag, kernels] : allKernelTables()) {
+        Rng rng(n + 41);
+        FreqPolynomial freq(m);
+        for (auto &c : freq)
+            c = Cplx((rng.uniformDouble() - 0.5) * 2 * amp,
+                     (rng.uniformDouble() - 0.5) * 2 * amp);
+
+        std::vector<Cplx> work = freq;
+        plan.inverse(work.data(), *kernels);
+        TorusPolynomial want(n);
+        kernels->untwist(want.data(), want.data() + m, work.data(),
+                         twist.data(), m);
+
+        TorusPolynomial got(n);
+        eng.inverse(got, freq, *kernels);
+        // The external product's entry: the same spectrum already in
+        // bit-reversed order, transformed in place.
+        std::vector<Cplx> rev(m);
+        for (size_t i = 0; i < m; ++i)
+            rev[plan.tables().bit_reverse[i]] = freq[i];
+        TorusPolynomial got_rev(n);
+        eng.inverseBitReversed(got_rev, rev.data(), *kernels);
+        for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got[i], want[i]) << tag << " n=" << n << " i=" << i;
+            ASSERT_EQ(got_rev[i], want[i])
+                << tag << " n=" << n << " i=" << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RingDims, NegacyclicFftInverseExactness,
                          ::testing::ValuesIn(kRingDims));
 
 TEST(NegacyclicFft, MulAccumulatePanicsOnAccumulatorShapeMismatch)

@@ -1,11 +1,17 @@
 /**
  * @file
- * Keyswitching tests: dimension conversion, message preservation, and
- * composition with sample extraction.
+ * Keyswitching tests: dimension conversion, message preservation,
+ * composition with sample extraction, and exactness of the row kernel
+ * (PolyKernels::subScaledRow) the keyswitch runs on every table.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "poly/simd.h"
 #include "tfhe/glwe.h"
 #include "tfhe/keyswitch.h"
 #include "tfhe/params.h"
@@ -125,6 +131,85 @@ TEST(KeySwitch, RowLayout)
     EXPECT_EQ(ksk.inDim(), 8u);
     EXPECT_EQ(ksk.outDim(), 16u);
     EXPECT_EQ(ksk.row(0, 0).dim(), 16u);
+}
+
+/** out[i] - digit * row[i] mod 2^32, one scalar at a time. */
+std::vector<uint32_t>
+naiveSubScaled(std::vector<uint32_t> out, const std::vector<uint32_t> &row,
+               int32_t digit)
+{
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = static_cast<uint32_t>(
+            out[i] - static_cast<uint32_t>(digit) * row[i]);
+    return out;
+}
+
+TEST(KeySwitchRowKernel, EveryTableExactAcrossVectorTails)
+{
+    // Lengths 1-17 cover every tail of an 8-lane loop; 501 is set I's
+    // n+1. Digits hit both balanced-gadget extremes -B/2 and B/2-1
+    // for the set I (B = 4) and set II (B = 16) keyswitch bases, and
+    // all-ones rows make every product wrap.
+    std::vector<size_t> lengths;
+    for (size_t len = 1; len <= 17; ++len)
+        lengths.push_back(len);
+    lengths.push_back(501);
+    std::vector<std::pair<std::string, const PolyKernels *>> tables{
+        {"scalar", &scalarKernels()}, {"active", &activeKernels()}};
+    if (const PolyKernels *avx2 = avx2Kernels())
+        tables.emplace_back("avx2", avx2);
+    Rng rng(11);
+    for (size_t len : lengths) {
+        for (bool ones : {false, true}) {
+            std::vector<uint32_t> row(len), start(len);
+            for (size_t i = 0; i < len; ++i) {
+                row[i] = ones ? 0xFFFFFFFFu : rng.uniformTorus32();
+                start[i] = rng.uniformTorus32();
+            }
+            for (int32_t digit : {-2, 1, -8, 7, -1, 0}) {
+                const std::vector<uint32_t> want =
+                    naiveSubScaled(start, row, digit);
+                for (const auto &[tag, kernels] : tables) {
+                    std::vector<uint32_t> got = start;
+                    kernels->subScaledRow(got.data(), row.data(),
+                                          static_cast<uint32_t>(digit),
+                                          len);
+                    EXPECT_EQ(got, want) << tag << " len=" << len
+                                         << " digit=" << digit
+                                         << " ones=" << ones;
+                }
+            }
+        }
+    }
+}
+
+TEST(KeySwitch, MatchesNaivePerRowLoopAtSetIShape)
+{
+    // Set I: k*N = 1024 inputs, n = 500 outputs, 8 levels of base 4.
+    const TfheParams &p = paramsSetI();
+    Rng rng(12);
+    LweKey from(p.k * p.N, rng);
+    LweKey to(p.n, rng);
+    KeySwitchKey ksk =
+        KeySwitchKey::generateSeeded(from, to, p, rng.next64(), rng);
+
+    LweCiphertext ct(p.k * p.N);
+    for (uint32_t i = 0; i <= ct.dim(); ++i)
+        ct.raw()[i] = rng.uniformTorus32();
+
+    // Algorithm 2 written out: copy the body, then subtract
+    // digit * row element by element for every digit of every mask
+    // scalar (zero digits included).
+    const GadgetParams &g = ksk.gadget();
+    std::vector<uint32_t> want(p.n + 1, 0);
+    want[p.n] = ct.b();
+    std::vector<int32_t> digits(g.levels);
+    for (uint32_t i = 0; i < ksk.inDim(); ++i) {
+        gadgetDecompose(digits.data(), ct.a(i), g);
+        for (uint32_t j = 0; j < g.levels; ++j)
+            want = naiveSubScaled(want, ksk.row(i, j).raw(), digits[j]);
+    }
+    EXPECT_EQ(keySwitch(ct, ksk).raw(), want);
 }
 
 } // namespace
