@@ -40,11 +40,8 @@ NegacyclicFft::forwardImpl(FreqPolynomial &out, const int32_t *coeffs,
                            size_t size, const PolyKernels &kernels) const
 {
     panicIfNot(size == n_, "forward: polynomial size mismatch");
-    const size_t m = n_ / 2;
-    out.resize(m);
-    // Fold: u_j = a_j + i * a_{j+N/2}, then twist by w^j.
-    kernels.twist(out.data(), coeffs, coeffs + m, twist_.data(), m);
-    plan_.forward(out.data(), kernels);
+    out.resize(n_ / 2);
+    forwardBatch(out.data(), coeffs, 1, kernels);
 }
 
 void
@@ -89,8 +86,9 @@ void
 NegacyclicFft::forwardBatch(Cplx *out, const int32_t *coeffs, size_t batch,
                             const PolyKernels &kernels) const
 {
-    // Fold+twist lands bit-reversed, so the stage-only sweep needs no
-    // permutation pass and leaves natural-order spectra.
+    // Fold u_j = a_j + i * a_{j+N/2} and twist by w^j, landing
+    // bit-reversed, so the stage-only sweep leaves natural-order
+    // spectra.
     const FftTables t = plan_.tables();
     kernels.twistBatch(t, out, coeffs, twist_.data(), batch);
     kernels.fftForwardBatch(t, out, batch);

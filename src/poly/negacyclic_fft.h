@@ -61,11 +61,11 @@ class NegacyclicFft
      * coefficient rows: row b of @p coeffs is the N signed
      * (centered-lift) coefficients of one polynomial, row b of @p out
      * its N/2 frequency points. Bit-identical to calling forward() on
-     * each row; the fold+twist stores straight into bit-reversed
-     * slots and every FFT stage sweeps the batch as one planned pass
-     * (Strix's streaming-FFT batch schedule), with no permutation
-     * pass. This is the path the external product feeds its (k+1)*l
-     * decomposition digits through.
+     * each row (forward() is a batch of one); the fold+twist stores
+     * straight into bit-reversed slots and every FFT stage sweeps the
+     * batch as one planned pass (Strix's streaming-FFT batch
+     * schedule). This is the path the external product feeds its
+     * (k+1)*l decomposition digits through.
      */
     void forwardBatch(Cplx *out, const int32_t *coeffs, size_t batch) const;
 

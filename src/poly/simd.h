@@ -14,10 +14,11 @@
  * An external product streams through the table once, with no pass
  * that only permutes, clears, copies or scales: twistBatch and
  * mulAccumulateColumns store bit-reversed for the stage-only FFT
- * entries, and the untwist table carries the inverse's 1/m. Every
- * element still sees the same floating-point operations in the same
- * order, so each table's results are bit-identical to the
- * permute/zero-fill/scale sequence this replaces.
+ * entries, and the untwist table carries the inverse's 1/m. On each
+ * table, mulAccumulateColumns equals (==) zero-filled accumulators
+ * fed by per-row mulAccumulate calls and then bit-reversed, and the
+ * stage-only inverse plus the 1/m untwist table equals FftPlan::inverse
+ * plus an untwist by the unscaled table; tests/test_fft.cpp pins both.
  *
  * Dispatch contract:
  *  - scalarKernels() is always available and is the semantic
@@ -111,20 +112,12 @@ struct PolyKernels
     void (*fftInverse)(const FftTables &t, Cplx *data);
 
     /**
-     * Fold+twist entering the negacyclic transform:
-     * out[j] = (lo[j] + i*hi[j]) * tw[j] for j in [0, m). lo/hi are
-     * the low/high halves of the length-2m coefficient array (signed
-     * centered lift for torus inputs).
-     */
-    void (*twist)(Cplx *out, const int32_t *lo, const int32_t *hi,
-                  const Cplx *tw, size_t m);
-
-    /**
-     * Batched fold+twist over a contiguous digit matrix, stored
-     * bit-reversed for fftForwardBatch: row b of @p coeffs is the
-     * length-2m coefficient array of one polynomial (lo = coeffs +
-     * b*2m, hi = lo + m), and its point j -- the same value twist
-     * computes -- lands at out[b*m + t.bit_reverse[j]].
+     * Fold+twist entering the negacyclic transform, over @p batch
+     * contiguous polynomials and stored bit-reversed for the stage-only
+     * forward entries: row b of @p coeffs is the length-2m coefficient
+     * array of one polynomial (signed centered lift for torus inputs),
+     * with lo = coeffs + b*2m and hi = lo + m, and its point
+     * (lo[j] + i*hi[j]) * tw[j] lands at out[b*m + t.bit_reverse[j]].
      */
     void (*twistBatch)(const FftTables &t, Cplx *out,
                        const int32_t *coeffs, const Cplx *tw,

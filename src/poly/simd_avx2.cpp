@@ -260,35 +260,6 @@ fftInverseAvx2(const FftTables &t, Cplx *data)
     butterflyStages<true>(t, data);
 }
 
-/**
- * Fold+twist of points j..j+3: [c_j, c_j+1] and [c_j+2, c_j+3] with
- * c = (lo + i*hi) * tw.
- */
-inline void
-twistFour(const int32_t *lo, const int32_t *hi, const double *twd,
-          size_t j, __m256d &c01, __m256d &c23)
-{
-    __m256d re = _mm256_cvtepi32_pd(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo + j)));
-    __m256d im = _mm256_cvtepi32_pd(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(hi + j)));
-    // Interleave [r0..r3]/[i0..i3] into packed complex pairs.
-    __m256d t0 = _mm256_unpacklo_pd(re, im); // [r0 i0 r2 i2]
-    __m256d t1 = _mm256_unpackhi_pd(re, im); // [r1 i1 r3 i3]
-    c01 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x20),
-                  _mm256_loadu_pd(twd + 2 * j));
-    c23 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x31),
-                  _mm256_loadu_pd(twd + 2 * j + 4));
-}
-
-/** Fold+twist of one point: the scalar tail of both twist kernels. */
-inline Cplx
-twistPoint(const int32_t *lo, const int32_t *hi, const Cplx *tw, size_t j)
-{
-    return Cplx(static_cast<double>(lo[j]), static_cast<double>(hi[j])) *
-           tw[j];
-}
-
 /** Store the two complex values of @p v at slots @p i0 and @p i1. */
 inline void
 storePair(double *d, size_t i0, size_t i1, __m256d v)
@@ -297,27 +268,10 @@ storePair(double *d, size_t i0, size_t i1, __m256d v)
     _mm_storeu_pd(d + 2 * i1, _mm256_extractf128_pd(v, 1));
 }
 
-void
-twistAvx2(Cplx *out, const int32_t *lo, const int32_t *hi, const Cplx *tw,
-          size_t m)
-{
-    double *o = reinterpret_cast<double *>(out);
-    const double *twd = reinterpret_cast<const double *>(tw);
-    size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-        __m256d c01, c23;
-        twistFour(lo, hi, twd, j, c01, c23);
-        _mm256_storeu_pd(o + 2 * j, c01);
-        _mm256_storeu_pd(o + 2 * j + 4, c23);
-    }
-    for (; j < m; ++j)
-        out[j] = twistPoint(lo, hi, tw, j);
-}
-
 /**
- * Batched fold+twist, each point stored straight into its
- * bit-reversed slot: the same values twistAvx2 computes, without the
- * separate permutation pass the FFT would otherwise open with.
+ * Batched fold+twist: point j of row b, (lo[j] + i*hi[j]) * tw[j], is
+ * stored at its bit-reversed slot out[b*m + rev[j]], one 128-bit half
+ * of a register per point.
  */
 void
 twistBatchAvx2(const FftTables &t, Cplx *out, const int32_t *coeffs,
@@ -333,13 +287,24 @@ twistBatchAvx2(const FftTables &t, Cplx *out, const int32_t *coeffs,
         double *o = reinterpret_cast<double *>(row);
         size_t j = 0;
         for (; j + 4 <= m; j += 4) {
-            __m256d c01, c23;
-            twistFour(lo, hi, twd, j, c01, c23);
+            __m256d re = _mm256_cvtepi32_pd(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo + j)));
+            __m256d im = _mm256_cvtepi32_pd(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(hi + j)));
+            // Interleave [r0..r3]/[i0..i3] into packed complex pairs.
+            __m256d t0 = _mm256_unpacklo_pd(re, im); // [r0 i0 r2 i2]
+            __m256d t1 = _mm256_unpackhi_pd(re, im); // [r1 i1 r3 i3]
+            __m256d c01 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x20),
+                                  _mm256_loadu_pd(twd + 2 * j));
+            __m256d c23 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x31),
+                                  _mm256_loadu_pd(twd + 2 * j + 4));
             storePair(o, rev[j], rev[j + 1], c01);
             storePair(o, rev[j + 2], rev[j + 3], c23);
         }
         for (; j < m; ++j)
-            row[rev[j]] = twistPoint(lo, hi, tw, j);
+            row[rev[j]] = Cplx(static_cast<double>(lo[j]),
+                               static_cast<double>(hi[j])) *
+                          tw[j];
     }
 }
 
@@ -350,11 +315,12 @@ untwistAvx2(uint32_t *lo, uint32_t *hi, const Cplx *freq, const Cplx *tw,
     const double *f = reinterpret_cast<const double *>(freq);
     const double *twd = reinterpret_cast<const double *>(tw);
     // 2^52 + 2^51: adding it forces round-to-nearest onto the integer
-    // grid and leaves value mod 2^32 in the low mantissa dword; valid
-    // exactly on the kernel contract's |u| < 2^51 domain (simd.h),
-    // comfortably above the ~2^50 worst case of any shipped parameter
-    // set. Ties round to even where the scalar reference rounds away
-    // from zero -- a <=1 ulp difference the tests allow.
+    // grid and leaves value mod 2^32 in the low mantissa dword; exact
+    // on the kernel contract's |u| < 2^51 domain (simd.h). External-
+    // product sums typically sit near 2^45 but can reach 2^52 at set
+    // I in the worst case, so that domain is a statistical margin,
+    // not a guarantee. Ties round to even where the scalar reference
+    // rounds away from zero -- a <=1 ulp difference the tests allow.
     const __m256d magic = _mm256_set1_pd(6755399441055744.0);
     const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
     size_t j = 0;
@@ -494,7 +460,6 @@ const PolyKernels kAvx2Kernels = {
     fftForwardAvx2,
     fftForwardBatchAvx2,
     fftInverseAvx2,
-    twistAvx2,
     twistBatchAvx2,
     untwistAvx2,
     mulAccumulateAvx2,

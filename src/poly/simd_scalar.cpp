@@ -62,16 +62,6 @@ fftInverseScalar(const FftTables &t, Cplx *data)
 }
 
 void
-twistScalar(Cplx *out, const int32_t *lo, const int32_t *hi,
-            const Cplx *tw, size_t m)
-{
-    for (size_t j = 0; j < m; ++j) {
-        Cplx u(static_cast<double>(lo[j]), static_cast<double>(hi[j]));
-        out[j] = u * tw[j];
-    }
-}
-
-void
 twistBatchScalar(const FftTables &t, Cplx *out, const int32_t *coeffs,
                  const Cplx *tw, size_t batch)
 {
@@ -141,7 +131,6 @@ const PolyKernels kScalarKernels = {
     fftForwardScalar,
     fftForwardBatchScalar,
     fftInverseScalar,
-    twistScalar,
     twistBatchScalar,
     untwistScalar,
     mulAccumulateScalar,

@@ -105,8 +105,8 @@ struct PbsScratch
     /**
      * The k+1 output columns of the MAC, N/2 points each, in
      * bit-reversed order: NegacyclicFft::mulAccumulateColumns writes
-     * every point once, and inverseBitReversed transforms each column
-     * in place, so the buffer needs no zero-fill and no copy.
+     * every point, and inverseBitReversed transforms each column in
+     * place.
      */
     std::vector<Cplx> facc;
     /** Row pointers of the GGSW being applied, entry r*(k+1) + c. */
@@ -156,15 +156,14 @@ class GgswFft
      * VMA -> IFFT -> Accumulator). All working storage comes from
      * @p scratch (one instance per thread).
      *
-     * The iteration streams through each unit once, with no pass
-     * between them: all (k+1)*l decomposition digits land in one
-     * contiguous scratch matrix and go through a single
-     * NegacyclicFft::forwardBatch sweep (Strix's streaming-FFT batch
-     * schedule); one fused MAC sums every digit row per output column
-     * in registers and stores the sum bit-reversed; and each column's
-     * inverse runs in place on that sum. Results are bit-identical to
-     * transforming one digit at a time into zero-filled accumulators
-     * and inverting copies; the tests' per-transform oracle pins this.
+     * The iteration streams through each unit once: all (k+1)*l
+     * decomposition digits land in one contiguous scratch matrix and
+     * go through a single NegacyclicFft::forwardBatch sweep (Strix's
+     * streaming-FFT batch schedule); one fused MAC sums every digit
+     * row per output column in registers and stores the sum
+     * bit-reversed; and each column's inverse runs in place on that
+     * sum. Results are bit-identical to the tests' per-polynomial
+     * oracle (forward, per-row mulAccumulate, inverse).
      */
     void externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
                          PbsScratch &scratch) const;

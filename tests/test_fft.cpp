@@ -238,10 +238,11 @@ TEST(SimdDispatch, ScalarTableIsAlwaysAvailable)
     EXPECT_NE(s.fftForward, nullptr);
     EXPECT_NE(s.fftForwardBatch, nullptr);
     EXPECT_NE(s.fftInverse, nullptr);
-    EXPECT_NE(s.twist, nullptr);
     EXPECT_NE(s.twistBatch, nullptr);
     EXPECT_NE(s.untwist, nullptr);
     EXPECT_NE(s.mulAccumulate, nullptr);
+    EXPECT_NE(s.mulAccumulateColumns, nullptr);
+    EXPECT_NE(s.subScaledRow, nullptr);
 }
 
 class KernelCrossCheck : public ::testing::TestWithParam<size_t>
@@ -555,10 +556,50 @@ INSTANTIATE_TEST_SUITE_P(RingDims, NegacyclicFftBatch,
                          ::testing::ValuesIn(kRingDims));
 
 // ---------------------------------------------------------------------------
-// The streaming external product: the fused MAC and the in-place
-// inverse must reproduce, bit for bit on every table, the sequence
-// they replace (zero-filled accumulators, one mulAccumulate per row,
-// then a permuted, scaled inverse FFT and an untwist).
+// The streaming external product: the bit-reversed fold+twist, the
+// fused MAC and the in-place inverse must equal, bit for bit, the
+// natural-order sequence (fold+twist then a permuted FFT; zero-filled
+// accumulators, one mulAccumulate per row; a permuted, scaled inverse
+// FFT and an untwist).
+
+class NegacyclicFftForwardExactness : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(NegacyclicFftForwardExactness, ScalarEqualsNaturalTwistThenPlanForward)
+{
+    // Fold+twist into natural order here, then FftPlan::forward
+    // (permute, stages). The scalar table's twistBatch computes the
+    // same products and stores them bit-reversed, so forward() must
+    // match exactly; the vector tables are held to the scalar one by
+    // the cross-checks above.
+    const size_t n = GetParam();
+    const size_t m = n / 2;
+    const PolyKernels &scalar = scalarKernels();
+    Rng rng(n + 43);
+    TorusPolynomial a(n);
+    for (size_t i = 0; i < n; ++i)
+        a[i] = rng.uniformTorus32();
+    std::vector<Cplx> want(m);
+    for (size_t j = 0; j < m; ++j) {
+        double ang = M_PI * static_cast<double>(j) / static_cast<double>(n);
+        const auto lo = static_cast<int32_t>(a[j]);
+        const auto hi = static_cast<int32_t>(a[j + m]);
+        want[j] = Cplx(static_cast<double>(lo), static_cast<double>(hi)) *
+                  Cplx(std::cos(ang), std::sin(ang));
+    }
+    FftPlan::get(m).forward(want.data(), scalar);
+    FreqPolynomial got;
+    NegacyclicFft::get(n).forward(got, a, scalar);
+    ASSERT_EQ(got.size(), m);
+    for (size_t j = 0; j < m; ++j) {
+        ASSERT_EQ(got[j].real(), want[j].real()) << "n=" << n << " j=" << j;
+        ASSERT_EQ(got[j].imag(), want[j].imag()) << "n=" << n << " j=" << j;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RingDims, NegacyclicFftForwardExactness,
+                         ::testing::ValuesIn(kRingDims));
 
 class NegacyclicFftFusedMac : public ::testing::TestWithParam<size_t>
 {
@@ -624,9 +665,9 @@ class NegacyclicFftInverseExactness : public ::testing::TestWithParam<size_t>
 
 TEST_P(NegacyclicFftInverseExactness, EqualsScaledPlanInverseThenUntwist)
 {
-    // The previous NegacyclicFft::inverse, rebuilt here: a copy
-    // through FftPlan::inverse (permute, stages, 1/m), then the
-    // table's untwist with the unscaled twist table. Outputs near
+    // The natural-order inverse, rebuilt here: a copy through
+    // FftPlan::inverse (permute, stages, 1/m), then the table's
+    // untwist with the unscaled twist table. Outputs near
     // 2^48 leave a 1/16 grid below the rounding point, so a scale
     // factor that is not a power of two shows up as flipped roundings.
     const size_t n = GetParam();
