@@ -7,38 +7,13 @@
  * sets I and IV. Shows where each configuration flips from memory-
  * to compute-bound and how much throughput core-level batching buys
  * at a fixed core count.
- *
- * Flags:
- *   --measured       additionally run the measured software section:
- *                    a synthetic multi-session load through the real
- *                    BatchExecutor vs a per-call single-consumer
- *                    baseline (saturated throughput), plus an
- *                    open-loop sweep of the flush delay reporting
- *                    occupancy and p50/p99 request latency.
- *   --smoke          trim the measured workload (used by ctest).
- *   --json <file>    write the measured rows as JSON; CI's bench job
- *                    uploads this in the `bench-results` artifact.
  */
 
-#include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <cstring>
-#include <deque>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "bench_flags.h"
 #include "common/table.h"
 #include "strix/accelerator.h"
-#include "tfhe/batch_executor.h"
-#include "tfhe/client_keyset.h"
-#include "tfhe/server_context.h"
 
 using namespace strix;
 
@@ -110,371 +85,9 @@ sweepLowBandwidth(const TfheParams &p)
     std::printf("\n");
 }
 
-// ---------------------------------------------------------------------
-// Measured section: the real BatchExecutor under synthetic
-// multi-session load, against the per-call baseline it replaces.
-// ---------------------------------------------------------------------
-
-namespace measured {
-
-constexpr uint64_t kSpace = 8;
-constexpr int kSessions = 4; //!< the acceptance bar is >= 4 sessions
-
-using Clock = std::chrono::steady_clock;
-
-uint64_t
-microsSince(Clock::time_point t0)
-{
-    return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                        Clock::now() - t0)
-                        .count());
-}
-
-/** One row of the measured report (printed and emitted as JSON). */
-struct Row
-{
-    std::string name;     //!< BM_PerCallBaseline/... or BM_BatchExecutor/...
-    double pbs_per_s = 0; //!< completed requests / wall time
-    double p50_us = 0;    //!< median submit->complete latency
-    double p99_us = 0;
-    double occupancy = 0; //!< mean sweep width / target width (0: n/a)
-    double speedup = 1;   //!< throughput vs the per-call baseline
-};
-
-double
-percentile(std::vector<uint64_t> lat_us, double p)
-{
-    if (lat_us.empty())
-        return 0.0;
-    std::sort(lat_us.begin(), lat_us.end());
-    size_t idx = size_t(p * double(lat_us.size() - 1) + 0.5);
-    return double(lat_us[std::min(idx, lat_us.size() - 1)]);
-}
-
-/**
- * The architecture the executor replaces: a FIFO request queue with
- * one consumer thread calling bootstrap() per request -- every
- * request pays a full, unbatched PBS on one core no matter how many
- * sessions are waiting behind it.
- */
-class PerCallServer
-{
-  public:
-    explicit PerCallServer(ServerContext &server)
-        : server_(server), consumer_([this] { consumeLoop(); })
-    {
-    }
-
-    ~PerCallServer() { shutdown(); }
-
-    std::future<LweCiphertext> submit(LweCiphertext ct,
-                                      const TorusPolynomial *tv)
-    {
-        std::future<LweCiphertext> fut;
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            queue_.push_back(Item{std::move(ct), tv, {}});
-            fut = queue_.back().result.get_future();
-        }
-        cv_.notify_one();
-        return fut;
-    }
-
-    void shutdown()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            stopping_ = true;
-        }
-        cv_.notify_one();
-        if (consumer_.joinable())
-            consumer_.join();
-    }
-
-  private:
-    struct Item
-    {
-        LweCiphertext ct;
-        const TorusPolynomial *tv;
-        std::promise<LweCiphertext> result;
-    };
-
-    void consumeLoop()
-    {
-        for (;;) {
-            Item item;
-            {
-                std::unique_lock<std::mutex> lock(m_);
-                cv_.wait(lock,
-                         [&] { return stopping_ || !queue_.empty(); });
-                if (queue_.empty())
-                    return; // stopping and drained
-                item = std::move(queue_.front());
-                queue_.pop_front();
-            }
-            item.result.set_value(server_.bootstrap(item.ct, *item.tv));
-        }
-    }
-
-    ServerContext &server_;
-    std::mutex m_;
-    std::condition_variable cv_;
-    std::deque<Item> queue_;
-    bool stopping_ = false;
-    std::thread consumer_;
-};
-
-/**
- * Drive @p submit from kSessions concurrent session threads, each
- * keeping a small window of requests outstanding (@p gap_us == 0), or
- * pacing submissions open-loop at one request per @p gap_us per
- * session. Returns wall-clock seconds and fills @p lat_us with every
- * request's submit->complete latency.
- */
-template <typename SubmitFn>
-double
-driveSessions(const ClientKeyset &client, int per_session,
-              uint64_t gap_us, SubmitFn submit,
-              std::vector<uint64_t> &lat_us)
-{
-    constexpr int kWindow = 4;
-    std::vector<std::vector<uint64_t>> per_thread(kSessions);
-    // Pre-encrypt outside the timed region: the load generator should
-    // cost arrivals, not client-side encryptions.
-    std::vector<std::vector<LweCiphertext>> inputs(kSessions);
-    for (int s = 0; s < kSessions; ++s)
-        for (int i = 0; i < per_session; ++i)
-            inputs[size_t(s)].push_back(client.encryptInt(
-                int64_t(i) % int64_t(kSpace), kSpace));
-
-    auto t0 = Clock::now();
-    std::vector<std::thread> sessions;
-    for (int s = 0; s < kSessions; ++s) {
-        sessions.emplace_back([&, s] {
-            auto &lats = per_thread[size_t(s)];
-            std::deque<std::pair<uint64_t, std::future<LweCiphertext>>>
-                window;
-            auto record_front = [&] {
-                window.front().second.get();
-                lats.push_back(microsSince(t0) - window.front().first);
-                window.pop_front();
-            };
-            auto harvest_ready = [&] {
-                while (!window.empty() &&
-                       window.front().second.wait_for(
-                           std::chrono::seconds(0)) ==
-                           std::future_status::ready)
-                    record_front();
-            };
-            for (int i = 0; i < per_session; ++i) {
-                if (gap_us != 0) {
-                    // Open loop: arrival times are scheduled, never a
-                    // reaction to completions -- but completions are
-                    // harvested as they happen so each latency sample
-                    // is taken close to when its future became ready.
-                    const uint64_t due = uint64_t(s) * (gap_us / 4) +
-                                         uint64_t(i) * gap_us;
-                    while (microsSince(t0) < due) {
-                        harvest_ready();
-                        std::this_thread::sleep_for(
-                            std::chrono::microseconds(50));
-                    }
-                }
-                window.emplace_back(microsSince(t0),
-                                    submit(s, inputs[size_t(s)][size_t(i)]));
-                if (gap_us != 0)
-                    harvest_ready();
-                else // closed loop: block at the pipelining window
-                    while (window.size() > size_t(kWindow))
-                        record_front();
-            }
-            while (!window.empty())
-                record_front();
-        });
-    }
-    for (auto &t : sessions)
-        t.join();
-    double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    for (auto &lats : per_thread)
-        lat_us.insert(lat_us.end(), lats.begin(), lats.end());
-    return seconds;
-}
-
-/** Saturated + open-loop measurements; returns the report rows. */
-std::vector<Row>
-run(bool smoke)
-{
-    // Toy-but-real PBS parameters (same set the multi-session example
-    // serves): small enough that a sweep finishes in milliseconds,
-    // real enough that blind rotation + keyswitch dominate.
-    const TfheParams params = testParams(48, 512);
-    ClientKeyset client(params, 424242);
-    ServerContext server(client.evalKeys());
-    const TorusPolynomial tv = makeIntTestVector(
-        params.N, kSpace,
-        [](int64_t v) { return (v + 1) % int64_t(kSpace); });
-
-    const int per_session = smoke ? 8 : 48;
-    std::vector<Row> rows;
-
-    // Single-PBS latency anchors the open-loop arrival rate.
-    auto w0 = Clock::now();
-    server.bootstrap(client.encryptInt(1, kSpace), tv);
-    const double pbs_us = double(microsSince(w0));
-
-    // -- Per-call baseline, saturated ---------------------------------
-    {
-        std::vector<uint64_t> lat;
-        PerCallServer percall(server);
-        double secs = driveSessions(
-            client, per_session, 0,
-            [&](int, const LweCiphertext &ct) {
-                return percall.submit(ct, &tv);
-            },
-            lat);
-        Row r;
-        r.name = "BM_PerCallBaseline/saturated";
-        r.pbs_per_s = double(kSessions) * per_session / secs;
-        r.p50_us = percentile(lat, 0.50);
-        r.p99_us = percentile(lat, 0.99);
-        rows.push_back(r);
-    }
-    const double baseline_tp = rows[0].pbs_per_s;
-
-    // -- BatchExecutor, saturated -------------------------------------
-    {
-        BatchExecutor::Options opts;
-        opts.target_batch = size_t(kSessions) * 4;
-        opts.flush_delay_us = 500;
-        BatchExecutor exec(opts);
-        std::vector<uint64_t> lat;
-        double secs = driveSessions(
-            client, per_session, 0,
-            [&](int, const LweCiphertext &ct) {
-                return exec.submit(client.evalKeys(), ct, tv);
-            },
-            lat);
-        exec.drain();
-        Row r;
-        r.name = "BM_BatchExecutor/saturated";
-        r.pbs_per_s = double(kSessions) * per_session / secs;
-        r.p50_us = percentile(lat, 0.50);
-        r.p99_us = percentile(lat, 0.99);
-        r.occupancy = exec.stats().occupancy(opts.target_batch);
-        r.speedup = r.pbs_per_s / baseline_tp;
-        rows.push_back(r);
-    }
-
-    // -- BatchExecutor, open loop: latency vs flush delay -------------
-    // Arrivals paced so the aggregate rate across sessions is ~60% of
-    // the per-call baseline's capacity (1/pbs_us): both small and
-    // large flush delays face the same offered load, and what moves
-    // is how long a request waits for its sweep.
-    const uint64_t gap_us = std::max<uint64_t>(
-        1, uint64_t(double(kSessions) * pbs_us / 0.6));
-    std::vector<uint64_t> delays =
-        smoke ? std::vector<uint64_t>{500}
-              : std::vector<uint64_t>{100, 500, 2000};
-    for (uint64_t delay : delays) {
-        BatchExecutor::Options opts;
-        opts.target_batch = size_t(kSessions) * 2;
-        opts.flush_delay_us = delay;
-        BatchExecutor exec(opts);
-        std::vector<uint64_t> lat;
-        double secs = driveSessions(
-            client, per_session, gap_us,
-            [&](int, const LweCiphertext &ct) {
-                return exec.submit(client.evalKeys(), ct, tv);
-            },
-            lat);
-        exec.drain();
-        Row r;
-        r.name = "BM_BatchExecutor/flush_" + std::to_string(delay) + "us";
-        r.pbs_per_s = double(kSessions) * per_session / secs;
-        r.p50_us = percentile(lat, 0.50);
-        r.p99_us = percentile(lat, 0.99);
-        r.occupancy = exec.stats().occupancy(opts.target_batch);
-        r.speedup = r.pbs_per_s / baseline_tp;
-        rows.push_back(r);
-    }
-    return rows;
-}
-
-void
-print(const std::vector<Row> &rows)
-{
-    std::printf("-- measured: %d concurrent sessions, software PBS "
-                "(toy set n=48 N=512) --\n",
-                kSessions);
-    TextTable t;
-    t.header({"load", "PBS/s", "p50 us", "p99 us", "occupancy",
-              "vs per-call"});
-    for (const Row &r : rows)
-        t.row({r.name, TextTable::num(r.pbs_per_s, 0),
-               TextTable::num(r.p50_us, 0), TextTable::num(r.p99_us, 0),
-               r.occupancy > 0 ? TextTable::num(r.occupancy, 2) : "-",
-               TextTable::num(r.speedup, 2) + "x"});
-    t.print();
-    std::printf("\nReading: the saturated rows are the dynamic-"
-                "batching claim -- coalescing %d sessions' requests "
-                "into full sweeps vs bootstrapping them one call at a "
-                "time (gain tracks the machine's core count). The "
-                "flush_* rows show the latency/occupancy trade the "
-                "flush delay buys under open-loop load.\n\n",
-                kSessions);
-}
-
-bool
-writeJson(const std::string &path, const std::vector<Row> &rows,
-          bool smoke)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return false;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"binary\": \"ablation_batching\",\n"
-                 "  \"mode\": \"measured\",\n"
-                 "  \"smoke\": %s,\n"
-                 "  \"sessions\": %d,\n"
-                 "  \"rows\": [",
-                 smoke ? "true" : "false", kSessions);
-    for (size_t i = 0; i < rows.size(); ++i)
-        std::fprintf(f,
-                     "%s\n    {\"name\": \"%s\", \"pbs_per_s\": %.2f, "
-                     "\"p50_us\": %.1f, \"p99_us\": %.1f, "
-                     "\"occupancy\": %.3f, \"speedup\": %.3f}",
-                     i ? "," : "", rows[i].name.c_str(),
-                     rows[i].pbs_per_s, rows[i].p50_us, rows[i].p99_us,
-                     rows[i].occupancy, rows[i].speedup);
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
-} // namespace measured
-
 int
-main(int argc, char **argv)
+main()
 {
-    bool measured_mode = false;
-    bool smoke = false;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--measured")) {
-            measured_mode = true;
-        } else if (!std::strcmp(argv[i], "--smoke")) {
-            smoke = true;
-        } else if (!matchJsonFlag(argc, argv, i, json_path)) {
-            std::fprintf(stderr, "usage: ablation_batching [--measured] "
-                                 "[--smoke] [--json <file>]\n");
-            return 2;
-        }
-    }
-
     std::printf("=== Ablation: core-level batch size (two-level "
                 "batching vs device-level only) ===\n\n");
     sweepSet(paramsSetI());
@@ -487,15 +100,5 @@ main(int argc, char **argv)
                 "pipelined core amortizes each key fetch until the "
                 "cores are compute-bound -- the motivation for the "
                 "HSC (Sec. III).\n");
-
-    if (measured_mode) {
-        std::printf("\n=== Measured: cross-session dynamic batching "
-                    "(BatchExecutor) ===\n\n");
-        std::vector<measured::Row> rows = measured::run(smoke);
-        measured::print(rows);
-        if (!json_path.empty() &&
-            !measured::writeJson(json_path, rows, smoke))
-            return 1;
-    }
     return 0;
 }

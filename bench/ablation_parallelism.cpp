@@ -8,32 +8,21 @@
  * by (k+1)*lb. CoLP replicates the output-column datapaths; bounded
  * by (k+1). The sweep shows both the throughput effect and the area
  * cost, quantifying the paper's choice PLP=2, CoLP=2.
- *
- * A final measured section runs the software substrate's own
- * ciphertext-level parallelism -- ServerContext::bootstrapBatch across
- * worker counts -- so the hardware ablation sits next to what a CPU
- * actually achieves by batching whole ciphertexts.
  */
 
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "common/table.h"
-#include "pbs_sweep.h"
 #include "strix/accelerator.h"
 #include "strix/area_model.h"
 #include "strix/noc.h"
-#include "tfhe/client_keyset.h"
-#include "tfhe/server_context.h"
 
 using namespace strix;
 
 int
-main(int argc, char **argv)
+main()
 {
-    // --smoke: trim the measured software sweep for the ctest smoke
-    // run (the analytic sections are already fast).
-    const bool smoke = argc > 1 && !std::strcmp(argv[1], "--smoke");
     std::printf("=== Ablation: PLP / CoLP sweep (set II: k=1, lb=3 "
                 "=> PLP avail = 6, CoLP avail = 2) ===\n\n");
 
@@ -84,15 +73,5 @@ main(int argc, char **argv)
                 "for CLP=4; doubling CLP would overrun it -- the "
                 "on-chip counterpart of Table VII's off-chip "
                 "bandwidth wall.\n\n");
-
-    std::printf("=== Measured software ciphertext-level parallelism "
-                "(bootstrapBatch, set I) ===\n\n");
-    ClientKeyset client(paramsSetI(), 777);
-    ServerContext server(client.evalKeys());
-    bool ok = runBatchPbsSweep(client, server, smoke);
-    std::printf("\nSoftware CLP parallelizes across whole ciphertexts "
-                "only -- the per-PBS critical path is untouched, which "
-                "is exactly the limitation Strix's PLP/CoLP attack "
-                "inside one bootstrap.\n");
-    return ok ? 0 : 1;
+    return 0;
 }

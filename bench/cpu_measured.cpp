@@ -16,18 +16,94 @@
  *                  capture in the `bench-results` artifact.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_flags.h"
-#include "pbs_sweep.h"
+#include "common/table.h"
 #include "poly/simd.h"
 #include "tfhe/client_keyset.h"
 #include "tfhe/server_context.h"
 
 using namespace strix;
+
+namespace {
+
+/** One row of the measured batch-PBS scaling sweep. */
+struct PbsSweepRow
+{
+    unsigned threads;
+    size_t batch;
+    double pbs_per_s;
+    double scaling;
+};
+
+/**
+ * Print the threads/batch/PBS-per-second/scaling table for the
+ * @p client / @p server pair (the server must stand on the client's
+ * EvalKeys bundle): one bootstrapBatch call per pool size with
+ * per_worker ciphertexts per worker (so every row is fully supplied),
+ * identity LUT so every output self-checks, thread counts
+ * deduplicated (max(4, hw) repeats 4 on a 4-core machine).
+ * @param rows receives one PbsSweepRow per printed row.
+ * @return false if any decrypted batch output mismatches (the caller
+ *         should exit nonzero).
+ */
+bool
+runBatchPbsSweep(const ClientKeyset &client, ServerContext &server,
+                 bool smoke, std::vector<PbsSweepRow> &rows)
+{
+    const uint64_t space = 4;
+    TorusPolynomial tv = makeIntTestVector(
+        server.params().N, space, [](int64_t x) { return x; });
+
+    unsigned hw = std::thread::hardware_concurrency();
+    std::vector<unsigned> counts{1u, 2u, 4u, std::max(4u, hw)};
+    if (smoke)
+        counts = {1u, 2u};
+    counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+
+    // Encrypt once for the widest row (client-side work; the sweep
+    // below is pure server evaluation).
+    const size_t per_worker = smoke ? 2 : 4;
+    std::vector<LweCiphertext> inputs;
+    for (size_t i = 0; i < per_worker * counts.back(); ++i)
+        inputs.push_back(client.encryptInt(int64_t(i % space), space));
+
+    using Clock = std::chrono::steady_clock;
+    TextTable t;
+    t.header({"threads", "batch", "PBS/s", "scaling"});
+    double tp1 = 0.0;
+    bool ok = true;
+    for (unsigned n : counts) {
+        server.setBatchThreads(n);
+        const size_t batch = per_worker * n;
+        auto t0 = Clock::now();
+        std::vector<LweCiphertext> outs =
+            server.bootstrapBatch(inputs.data(), batch, tv);
+        double secs =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        for (size_t i = 0; i < outs.size(); ++i)
+            ok &= client.decryptInt(outs[i], space) == int64_t(i % space);
+        double tp = double(outs.size()) / secs;
+        if (n == 1)
+            tp1 = tp;
+        rows.push_back({n, batch, tp, tp / tp1});
+        t.row({std::to_string(n), std::to_string(batch),
+               TextTable::num(tp, 1), TextTable::num(tp / tp1, 2) + "x"});
+    }
+    t.print();
+    std::printf("\nbatch outputs %s the identity LUT\n",
+                ok ? "match" : "MISMATCH");
+    return ok;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -76,7 +152,7 @@ main(int argc, char **argv)
     // with workers, never within a bootstrap, the 'no ciphertext
     // packing' property that motivates Strix's batching architecture.
     std::vector<PbsSweepRow> rows;
-    bool ok = runBatchPbsSweep(client, server, smoke, &rows);
+    bool ok = runBatchPbsSweep(client, server, smoke, rows);
 
     if (!json_path.empty()) {
         std::FILE *f = std::fopen(json_path.c_str(), "w");

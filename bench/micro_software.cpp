@@ -6,9 +6,8 @@
  * CPU baseline's cost model.
  *
  * `--json <file>` (or `--json=<file>`) writes the results as Google
- * Benchmark's JSON to <file>; CI's bench job uploads that file as the
- * `bench-results` artifact, and BENCH_baseline.json in the repo root
- * is the first recorded capture. The BM_FftForward/<kernel> rows run
+ * Benchmark's JSON to <file>; CI's bench job uploads that file in the
+ * `bench-results` artifact. The BM_FftForward/<kernel> rows run
  * the scalar and AVX2 kernel tables explicitly, so one run records
  * the dispatch speedup; every other row uses whatever activeKernels()
  * selected (see the `fft_kernel` context key, and STRIX_FORCE_SCALAR

@@ -1,19 +1,20 @@
 /**
  * @file
  * Cross-session dynamic batching: many concurrent serving sessions,
- * one BatchExecutor, full-width PBS sweeps.
+ * one BatchExecutor.
  *
  * The scenario behind Strix's two-level batching (Sec. III): a server
  * hosts many low-rate sessions, and no single session ever has enough
  * ciphertexts in hand to fill the PBS pipeline by itself. Per-call
  * batching (`bootstrapBatch`) cannot help -- each call sees one
  * session's one or two requests. The BatchExecutor closes the gap:
- * sessions submit individual requests through the async API
- * (`ServerContext::submitApplyLut`) and requests that share a key
- * bundle -- tenants resolved through the ContextCache, so identity is
- * the EvalKeys pointer -- coalesce into full sweeps. A second tenant
- * runs alongside to show the isolation property: its requests land in
- * their own shard and are never mixed into the first tenant's sweeps.
+ * sessions submit individual requests (`BatchExecutor::submit`), and
+ * requests that share a key bundle -- tenants resolved through the
+ * ContextCache, so identity is the EvalKeys pointer -- coalesce into
+ * one batch on the executor's shared lanes. A second tenant runs
+ * alongside to show the isolation property: its requests land in
+ * their own shard and are never mixed into the first tenant's
+ * batches.
  *
  * Every result is self-checked by decryption; the demo exits nonzero
  * on any mismatch.
@@ -26,7 +27,6 @@
 
 #include "tfhe/batch_executor.h"
 #include "tfhe/context_cache.h"
-#include "tfhe/server_context.h"
 
 using namespace strix;
 
@@ -39,27 +39,25 @@ constexpr uint64_t kTenantSeedA = 7001;
 constexpr uint64_t kTenantSeedB = 7002;
 
 /**
- * One serving session: fetch the tenant's cached keys, open a
- * ServerContext on the shared executor, submit a stream of LUT
- * requests, and self-check every decrypted answer. Returns the number
- * of mismatches.
+ * One serving session: fetch the tenant's cached keys, submit a
+ * stream of LUT requests to the shared executor, and self-check every
+ * decrypted answer. Returns the number of mismatches.
  */
 int
-runSession(int session, std::shared_ptr<BatchExecutor> exec)
+runSession(int session, BatchExecutor &exec)
 {
     const uint64_t seed = session % 2 == 0 ? kTenantSeedA : kTenantSeedB;
     auto keyset = ContextCache::global().getOrCreateKeyset(
         testParams(48, 512), seed);
-
-    ServerContext server(keyset->evalKeys());
-    server.attachExecutor(std::move(exec));
 
     auto triple = [](int64_t v) { return (3 * v) % int64_t(kSpace); };
     std::vector<std::future<LweCiphertext>> futs;
     for (int i = 0; i < kRequestsPerSession; ++i) {
         LweCiphertext ct =
             keyset->encryptInt(int64_t(i) % int64_t(kSpace), kSpace);
-        futs.push_back(server.submitApplyLut(ct, kSpace, triple));
+        futs.push_back(exec.submit(
+            keyset->evalKeys(), ct,
+            makeIntTestVector(keyset->params().N, kSpace, triple)));
     }
 
     int mismatches = 0;
@@ -89,7 +87,7 @@ main()
     BatchExecutor::Options opts;
     opts.target_batch = 8;     // sweep width the paper's TvLP plays
     opts.flush_delay_us = 500; // latency bound for a trickling session
-    auto exec = std::make_shared<BatchExecutor>(opts);
+    BatchExecutor exec(opts);
 
     std::vector<std::thread> sessions;
     std::vector<int> mismatches(kSessions, 0);
@@ -98,13 +96,13 @@ main()
             [&, s] { mismatches[size_t(s)] = runSession(s, exec); });
     for (auto &t : sessions)
         t.join();
-    exec->drain();
+    exec.drain();
 
     int bad = 0;
     for (int m : mismatches)
         bad += m;
 
-    BatchExecutor::Stats st = exec->stats();
+    BatchExecutor::Stats st = exec.stats();
     std::printf("requests submitted:   %llu\n",
                 (unsigned long long)st.submitted);
     std::printf("sweeps issued:        %llu  (size %llu / deadline "

@@ -4,7 +4,7 @@
  *
  * The client lives in net/, below the TFHE layer, so it moves opaque
  * payload bytes: callers (examples/remote_session, tools/serverd
- * self-tests, the serving bench) build request payloads with the
+ * self-tests, tests/test_server) build request payloads with the
  * serialize.h writers and decode reply payloads with the validating
  * readers themselves. Two usage shapes:
  *

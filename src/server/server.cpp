@@ -27,6 +27,26 @@ futureReady(const std::future<LweCiphertext> &f)
            std::future_status::ready;
 }
 
+/**
+ * Whether two bundles are the same tenant keys: equal parameters and
+ * equal mask seeds. The key bodies are not compared: honest keysets
+ * drawn from different seeds have different mask seeds, so this tells
+ * a re-upload apart from a key rotation without reading the key
+ * material.
+ */
+bool
+sameKeys(const EvalKeys &a, const EvalKeys &b)
+{
+    const TfheParams &p = a.params(), &q = b.params();
+    return p.name == q.name && p.n == q.n && p.N == q.N && p.k == q.k &&
+           p.l_bsk == q.l_bsk && p.bg_bits == q.bg_bits &&
+           p.l_ksk == q.l_ksk && p.ks_base_bits == q.ks_base_bits &&
+           p.lwe_noise == q.lwe_noise && p.glwe_noise == q.glwe_noise &&
+           p.lambda == q.lambda &&
+           a.seeds().bsk_mask == b.seeds().bsk_mask &&
+           a.seeds().ksk_mask == b.seeds().ksk_mask;
+}
+
 } // namespace
 
 StrixServer::CircuitJob::CircuitJob(std::shared_ptr<const EvalKeys> keys,
@@ -138,7 +158,16 @@ StrixServer::handleRegister(ConnState &c, const WireMessage &m,
     // has served, which would otherwise make every previously-served
     // tenant unevictable and defeat the budget.
     executor_->releaseIdleShards();
-    cache_.getOrInsert(tenantKey(m.tenant), std::move(keys));
+    std::shared_ptr<const EvalKeys> resident =
+        cache_.getOrInsert(tenantKey(m.tenant), keys);
+    // The cache keeps a resident bundle and drops the new one, so a
+    // tenant id already bound to other keys must be refused: answering
+    // Ok would run the client's later requests under the old keys.
+    if (resident != keys && !sameKeys(*resident, *keys)) {
+        sendErr(c, m.tenant, m.request_id, WireError::BadPayload,
+                "tenant already registered with other keys", now_us);
+        return;
+    }
     sendOk(c, m, {}, now_us);
 }
 

@@ -20,10 +20,13 @@
  * Tenants register by uploading an EVK2 EvalKeys bundle; any other
  * upload (another frame tag, key shapes at odds with the params
  * frame, a gadget the decomposer cannot run) is answered BadPayload
- * before anything is cached. A valid bundle lands in a
- * bytes-budgeted EvalKeyCache: under key-memory pressure the
- * least-recently-used idle tenant is evicted and must re-register
- * (requests answer UnknownTenant, a structured error, never a crash).
+ * before anything is cached. Re-uploading a registered tenant's keys
+ * is answered Ok; uploading other keys under a registered tenant id
+ * is answered BadPayload and leaves the resident bundle in place. A
+ * valid bundle lands in a bytes-budgeted EvalKeyCache: under
+ * key-memory pressure the least-recently-used idle tenant is evicted
+ * and must re-register (requests answer UnknownTenant, a structured
+ * error, never a crash).
  * The server never holds a strong bundle reference outside the cache,
  * the executor's shards (released when idle before each eviction
  * attempt), and in-flight work -- so eviction of idle tenants is

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "poly/negacyclic_fft.h"
-#include "tfhe/batch_executor.h"
 
 namespace strix {
 
@@ -116,42 +115,6 @@ ServerContext::bootstrapBatch(const LweCiphertext *cts,
                                     scratch[worker]);
     });
     return out;
-}
-
-void
-ServerContext::attachExecutor(std::shared_ptr<BatchExecutor> executor)
-{
-    MutexLock lock(pool_mutex_);
-    executor_ = std::move(executor);
-}
-
-std::shared_ptr<BatchExecutor>
-ServerContext::executor() const
-{
-    MutexLock lock(pool_mutex_);
-    return executor_;
-}
-
-std::future<LweCiphertext>
-ServerContext::submitBootstrap(const LweCiphertext &ct,
-                               const TorusPolynomial &test_vector) const
-{
-    if (std::shared_ptr<BatchExecutor> exec = executor())
-        return exec->submit(keys_, ct, test_vector);
-    // No executor attached: evaluate inline and hand back a ready
-    // future, so call sites written against the async API keep
-    // working (and stay bit-identical) in single-session setups.
-    std::promise<LweCiphertext> result;
-    result.set_value(bootstrap(ct, test_vector));
-    return result.get_future();
-}
-
-std::future<LweCiphertext>
-ServerContext::submitApplyLut(const LweCiphertext &ct, uint64_t msg_space,
-                              const std::function<int64_t(int64_t)> &f) const
-{
-    return submitBootstrap(ct,
-                           makeIntTestVector(params().N, msg_space, f));
 }
 
 std::vector<LweCiphertext>

@@ -10,13 +10,9 @@
  * compiles against ServerContext alone provably cannot decrypt.
  *
  * Many ServerContexts may share one EvalKeys with zero key
- * duplication (each adds only its pool), which is the seam the
- * multi-session serving and sharding work builds on. On top of the
- * synchronous calls there is an async seam: submitBootstrap /
- * submitApplyLut return futures and, when a BatchExecutor is
- * attached, coalesce with requests from every other session on the
- * same EvalKeys bundle and run on the executor's shared lanes (see
- * tfhe/batch_executor.h).
+ * duplication (each adds only its pool). Asynchronous, cross-session
+ * PBS goes through BatchExecutor::submit (tfhe/batch_executor.h),
+ * which runs bootstrapKeySwitch on its own lanes.
  *
  * Thread-safety contract
  * ----------------------
@@ -33,7 +29,6 @@
 #define STRIX_TFHE_SERVER_CONTEXT_H
 
 #include <functional>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -42,8 +37,6 @@
 #include "tfhe/eval_keys.h"
 
 namespace strix {
-
-class BatchExecutor;
 
 /**
  * One PBS+KS of @p ct against @p test_vector under @p keys, with
@@ -131,37 +124,6 @@ class ServerContext
                   const std::function<int64_t(int64_t)> &f) const;
 
     /**
-     * Attach (or detach, with nullptr) a cross-session batching
-     * executor: submitBootstrap/submitApplyLut route through it, so
-     * this context's requests coalesce with every other context
-     * sharing the same EvalKeys bundle and executor. Safe to call
-     * concurrently with submits: in-flight requests stay with the
-     * executor they were submitted to.
-     */
-    void attachExecutor(std::shared_ptr<BatchExecutor> executor)
-        STRIX_EXCLUDES(pool_mutex_);
-
-    /** The attached executor, or nullptr. */
-    std::shared_ptr<BatchExecutor> executor() const
-        STRIX_EXCLUDES(pool_mutex_);
-
-    /**
-     * Async PBS+KS: returns a future for bootstrap(ct, test_vector).
-     * With an executor attached the request is queued for a coalesced
-     * batch (latency bounded by the executor's flush policy); without
-     * one it runs inline and the future is already ready. Results are
-     * bit-identical either way.
-     */
-    std::future<LweCiphertext>
-    submitBootstrap(const LweCiphertext &ct,
-                    const TorusPolynomial &test_vector) const;
-
-    /** Async applyLut, same routing rules as submitBootstrap. */
-    std::future<LweCiphertext>
-    submitApplyLut(const LweCiphertext &ct, uint64_t msg_space,
-                   const std::function<int64_t(int64_t)> &f) const;
-
-    /**
      * Resize the batch worker pool to @p threads workers (0 restores
      * the default). Safe to call concurrently with batch calls:
      * in-flight batches complete on the pool they snapshotted; the
@@ -198,8 +160,6 @@ class ServerContext
         STRIX_GUARDED_BY(pool_mutex_);
     unsigned batch_threads_ STRIX_GUARDED_BY(pool_mutex_) =
         0; //!< requested size; 0 = default
-    std::shared_ptr<BatchExecutor> executor_
-        STRIX_GUARDED_BY(pool_mutex_); //!< null = inline submits
 };
 
 } // namespace strix

@@ -331,53 +331,6 @@ TEST_F(BatchExecutorTest, DrainOnIdleExecutorReturnsImmediately)
     EXPECT_EQ(exec.stats().submitted, 0u);
 }
 
-TEST_F(BatchExecutorTest, SubmitBootstrapRoutesThroughExecutor)
-{
-    auto exec = std::make_shared<BatchExecutor>([] {
-        BatchExecutor::Options o;
-        o.target_batch = 2;
-        o.flush_delay_us = kNeverUs;
-        return o;
-    }());
-
-    // Two sessions over the same bundle share the executor's shard.
-    ServerContext session_a(keys_.client.evalKeys());
-    ServerContext session_b(keys_.client.evalKeys());
-    session_a.attachExecutor(exec);
-    session_b.attachExecutor(exec);
-    ASSERT_EQ(session_a.executor().get(), exec.get());
-
-    TorusPolynomial tv = shiftLut(1);
-    // One submit per session: only coalescing can reach width 2.
-    std::future<LweCiphertext> fa = session_a.submitBootstrap(encrypt(3), tv);
-    std::future<LweCiphertext> fb =
-        session_b.submitApplyLut(encrypt(4), kSpace, [](int64_t v) {
-            return (v + 1) % int64_t(kSpace);
-        });
-    EXPECT_EQ(keys_.client.decryptInt(fa.get(), kSpace), 4);
-    EXPECT_EQ(keys_.client.decryptInt(fb.get(), kSpace), 5);
-
-    exec->drain();
-    BatchExecutor::Stats st = exec->stats();
-    EXPECT_EQ(st.sweeps, 1u); // both sessions' requests in one sweep
-    EXPECT_EQ(st.size_flushes, 1u);
-    EXPECT_EQ(st.shards, 1u);
-}
-
-TEST_F(BatchExecutorTest, SubmitWithoutExecutorRunsInline)
-{
-    TorusPolynomial tv = shiftLut(2);
-    LweCiphertext ct = encrypt(1);
-    ASSERT_EQ(keys_.server.executor(), nullptr);
-    std::future<LweCiphertext> fut =
-        keys_.server.submitBootstrap(ct, tv);
-    // No executor: the future is ready on return, and bit-identical
-    // to the synchronous call.
-    ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    expectSameCiphertext(fut.get(), keys_.server.bootstrap(ct, tv), 0);
-}
-
 /**
  * The TSan stress: several client threads with mixed tenants hammer
  * one executor, then everything is drained and decrypted. This is the

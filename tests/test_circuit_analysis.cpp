@@ -3,9 +3,9 @@
  * CircuitAnalyzer tests: elision accounting on the paper's parameter
  * sets, decode-identity of planned vs naive evaluation (exhaustive on
  * the fast exact context), bit-identity of no-elision plans, the
- * PlanRun stepper driven through submitBootstrap futures (inline and
- * through a BatchExecutor), levelization unification, and the
- * infeasible-budget diagnostics contract.
+ * PlanRun stepper driven through BatchExecutor::submit futures,
+ * levelization unification, and the infeasible-budget diagnostics
+ * contract.
  */
 
 #include <algorithm>
@@ -54,20 +54,21 @@ fromBits(const std::vector<bool> &bits)
 
 /**
  * Step a PlanRun the way the serving daemon does: each level's linear
- * forms go out as submitBootstrap futures, and the run advances once
- * they all resolve.
+ * forms go out as BatchExecutor::submit futures under @p keys, and
+ * the run advances once they all resolve.
  */
 std::vector<LweCiphertext>
-evalThroughFutures(const ServerContext &session, const Circuit &c,
-                   const CircuitPlan &plan,
+evalThroughFutures(BatchExecutor &exec,
+                   const std::shared_ptr<const EvalKeys> &keys,
+                   const Circuit &c, const CircuitPlan &plan,
                    const std::vector<LweCiphertext> &inputs)
 {
-    const TorusPolynomial tv = signTestVector(session.params().N);
-    PlanRun run(c, plan, session.params().n, inputs);
+    const TorusPolynomial tv = signTestVector(keys->params().N);
+    PlanRun run(c, plan, keys->params().n, inputs);
     while (!run.done()) {
         std::vector<std::future<LweCiphertext>> futs;
         for (const LweCiphertext &lin : run.pending())
-            futs.push_back(session.submitBootstrap(lin, tv));
+            futs.push_back(exec.submit(keys, lin, tv));
         std::vector<LweCiphertext> outs;
         for (std::future<LweCiphertext> &f : futs)
             outs.push_back(f.get());
@@ -265,15 +266,17 @@ TEST(CircuitAnalysis, PlannedComparatorAndMuxDecodeIdentically)
 
 TEST(CircuitAnalysis, AsyncPathMatchesSyncBitForBit)
 {
-    // submitBootstrap without an executor runs inline and is
-    // documented bit-identical; stepping the plan through its futures
-    // must therefore reproduce the sync planned ciphertexts exactly.
+    // The executor's lanes run the same bootstrapKeySwitch as the
+    // synchronous calls; stepping the plan through its futures must
+    // therefore reproduce the sync planned ciphertexts exactly.
     const uint32_t bits = 2;
     Circuit c = buildAdder(bits);
     CircuitPlan plan = analyzeCircuit(c, exactKeys().server.params());
     auto in = encryptBits(toBits(0b0111, 2 * bits));
     auto sync_out = c.evalEncrypted(exactKeys().server, in, plan);
-    auto async_out = evalThroughFutures(exactKeys().server, c, plan, in);
+    BatchExecutor exec;
+    auto async_out = evalThroughFutures(
+        exec, exactKeys().client.evalKeys(), c, plan, in);
     ASSERT_EQ(async_out.size(), sync_out.size());
     for (size_t i = 0; i < sync_out.size(); ++i)
         EXPECT_EQ(async_out[i].raw(), sync_out[i].raw());
@@ -284,21 +287,16 @@ TEST(CircuitAnalysis, AsyncPathCoalescesThroughBatchExecutor)
     const uint32_t bits = 2;
     Circuit c = buildAdder(bits);
     CircuitPlan plan = analyzeCircuit(c, exactKeys().server.params());
-    auto exec = std::make_shared<BatchExecutor>([] {
-        BatchExecutor::Options o;
-        o.target_batch = 4;
-        o.flush_delay_us = 0; // flush on the dispatcher's next pass
-        return o;
-    }());
-    ServerContext session(exactKeys().client.evalKeys());
-    session.attachExecutor(exec);
+    BatchExecutor::Options o;
+    o.target_batch = 4;
+    o.flush_delay_us = 0; // flush on the dispatcher's next pass
+    BatchExecutor exec(o);
     auto in = encryptBits(toBits(0b1001, 2 * bits));
     auto naive = decryptBits(c.evalEncrypted(exactKeys().server, in));
-    auto coalesced =
-        decryptBits(evalThroughFutures(session, c, plan, in));
+    auto coalesced = decryptBits(evalThroughFutures(
+        exec, exactKeys().client.evalKeys(), c, plan, in));
     EXPECT_EQ(coalesced, naive);
-    EXPECT_GT(exec->stats().submitted, 0u);
-    session.attachExecutor(nullptr);
+    EXPECT_GT(exec.stats().submitted, 0u);
 }
 
 TEST(CircuitAnalysis, InfeasibleBudgetRejectsWithWireChain)

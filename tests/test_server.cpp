@@ -3,12 +3,13 @@
  * StrixServer integration tests over live loopback sockets: the
  * tenant lifecycle (register / compute / re-register), admission
  * control, deadlines, budget-driven key eviction, drain semantics,
- * circuits of two tenants stepped at once by the event loop, and a
- * hostile-wire-input suite (truncated, length-lying, type-confused,
- * bit-flipped frames, oversized payloads, LUTs wider than the ring
- * or with extreme entries) -- every hostile case must produce a
- * structured error frame or a clean close, never a crash. Runs under
- * the unit label so the ASan+UBSan CI leg executes all of it.
+ * circuits of two tenants stepped at once by the event loop,
+ * pipelined connections of two tenants, and a hostile-wire-input
+ * suite (truncated, length-lying, type-confused, bit-flipped frames,
+ * oversized payloads, LUTs wider than the ring or with extreme
+ * entries) -- every hostile case must produce a structured error
+ * frame or a clean close, never a crash. Runs under the unit label
+ * so the ASan+UBSan CI leg executes all of it.
  */
 
 #include <sys/socket.h>
@@ -17,6 +18,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -272,6 +274,30 @@ TEST(Server, ReRegisterIsIdempotent)
     const CacheStats cs = h.server.cacheStats();
     EXPECT_EQ(cs.inserts, 1u) << "second upload adopted no new bundle";
     EXPECT_EQ(cs.entries, 1u);
+}
+
+TEST(Server, ReRegisterWithOtherKeysRejected)
+{
+    // A tenant id stays bound to the keys it registered: other keys
+    // under that id are refused, and the resident bundle keeps
+    // serving the tenant.
+    Harness h;
+    auto keyset_a = keysetFor(501);
+    auto keyset_b = keysetFor(502);
+    registerTenant(h.client, 1, *keyset_a);
+
+    StrixClient::Reply r = h.client.call(MsgType::RegisterTenant, 1,
+                                         keysPayload(*keyset_b));
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.error, WireError::BadPayload);
+    EXPECT_EQ(h.server.cacheStats().inserts, 1u);
+
+    r = h.client.call(MsgType::Bootstrap, 1,
+                      bootstrapPayload(*keyset_a, 5));
+    ASSERT_TRUE(r.ok) << r.error_text;
+    EXPECT_EQ(keyset_a->decryptInt(decodeCiphertexts(r.payload).at(0),
+                                   kSpace),
+              triple(5));
 }
 
 TEST(Server, UnknownMessageTypeAnswered)
@@ -750,13 +776,21 @@ TEST(Server, RequestsDuringDrainAnswerShuttingDown)
 
 TEST(Server, StressManyConnectionsTwoTenants)
 {
+    // Four connections over two tenants, each keeping a window of 2 or
+    // 3 requests in flight. Replies come back in completion order, so
+    // each is matched by request id; Bootstrap and ApplyLut alternate,
+    // and every reply is decoded.
     StrixServer::Options opts;
     opts.exec.target_batch = 8;
     opts.exec.flush_delay_us = 300;
     Harness h(opts);
     auto keyset_a = keysetFor(501);
     auto keyset_b = keysetFor(502);
+    std::vector<int64_t> table;
+    for (uint64_t v = 0; v < kSpace; ++v)
+        table.push_back(triple(int64_t(v)));
 
+    constexpr int kRequests = 8;
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
@@ -764,6 +798,7 @@ TEST(Server, StressManyConnectionsTwoTenants)
             const uint64_t tenant = t % 2 == 0 ? 1 : 2;
             const ClientKeyset &ks =
                 tenant == 1 ? *keyset_a : *keyset_b;
+            const size_t window = t < 2 ? 2 : 3;
             StrixClient c;
             if (!c.connectLoopback(h.server.port())) {
                 ++failures;
@@ -775,14 +810,39 @@ TEST(Server, StressManyConnectionsTwoTenants)
                 ++failures;
                 return;
             }
-            for (int i = 0; i < 4; ++i) {
-                StrixClient::Reply r =
-                    c.call(MsgType::Bootstrap, tenant,
-                           bootstrapPayload(ks, i));
-                if (!r.ok ||
-                    ks.decryptInt(decodeCiphertexts(r.payload).at(0),
-                                  kSpace) != triple(i))
+            std::map<uint64_t, int64_t> in_flight; // request id -> m
+            int sent = 0;
+            for (int answered = 0; answered < kRequests; ++answered) {
+                while (sent < kRequests && in_flight.size() < window) {
+                    const int64_t m = sent % int64_t(kSpace);
+                    const bool lut = sent % 2 == 1;
+                    const uint64_t id =
+                        lut ? c.send(MsgType::ApplyLut, tenant,
+                                     encodeApplyLutPayload(
+                                         ks.encryptInt(m, kSpace), kSpace,
+                                         table))
+                            : c.send(MsgType::Bootstrap, tenant,
+                                     bootstrapPayload(ks, m));
+                    if (id == 0) {
+                        ++failures;
+                        return;
+                    }
+                    in_flight[id] = m;
+                    ++sent;
+                }
+                StrixClient::Reply r;
+                if (!c.recvReply(r)) {
                     ++failures;
+                    return;
+                }
+                auto it = in_flight.find(r.request_id);
+                if (!r.ok || it == in_flight.end() ||
+                    ks.decryptInt(decodeCiphertexts(r.payload).at(0),
+                                  kSpace) != triple(it->second)) {
+                    ++failures;
+                    return;
+                }
+                in_flight.erase(it);
             }
         });
     }
