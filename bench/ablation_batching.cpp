@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_flags.h"
 #include "common/table.h"
 #include "strix/accelerator.h"
 
@@ -86,8 +87,10 @@ sweepLowBandwidth(const TfheParams &p)
 }
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "ablation_batching"))
+        return 2;
     std::printf("=== Ablation: core-level batch size (two-level "
                 "batching vs device-level only) ===\n\n");
     sweepSet(paramsSetI());

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_flags.h"
 #include "common/table.h"
 #include "strix/accelerator.h"
 #include "strix/area_model.h"
@@ -21,8 +22,10 @@
 using namespace strix;
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "ablation_parallelism"))
+        return 2;
     std::printf("=== Ablation: PLP / CoLP sweep (set II: k=1, lb=3 "
                 "=> PLP avail = 6, CoLP avail = 2) ===\n\n");
 

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "bench_flags.h"
 #include "common/table.h"
 #include "strix/accelerator.h"
 #include "strix/area_model.h"
@@ -19,8 +20,10 @@
 using namespace strix;
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "ablation_unrolling"))
+        return 2;
     std::printf("=== Ablation: 2x bootstrapping-key unrolling "
                 "(set I) ===\n\n");
 

@@ -1,18 +1,35 @@
 /**
  * @file
- * Shared flag parsing for the measured bench binaries: both
- * micro_software and cpu_measured expose the same `--json <file>` /
- * `--json=<file>` spelling, kept in one place so the syntax cannot
- * drift between them.
+ * Shared flag parsing for the bench binaries: micro_software and
+ * cpu_measured expose the same `--json <file>` / `--json=<file>`
+ * spelling, kept in one place so the syntax cannot drift between
+ * them, and the binaries that take no flags reject every argument
+ * the same way.
  */
 
 #ifndef STRIX_BENCH_FLAGS_H
 #define STRIX_BENCH_FLAGS_H
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 
 namespace strix {
+
+/**
+ * For a binary that takes no arguments: if any was given, print
+ * "usage: <name>" to stderr and return true (the caller exits 2, as
+ * strixsim does on a bad flag), so a caller still passing a removed
+ * flag gets an error instead of a silent run.
+ */
+inline bool
+rejectArgs(int argc, const char *name)
+{
+    if (argc <= 1)
+        return false;
+    std::fprintf(stderr, "usage: %s\n", name);
+    return true;
+}
 
 /**
  * If argv[i] is the --json flag (either spelling) with a usable path

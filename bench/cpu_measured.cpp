@@ -44,23 +44,24 @@ struct PbsSweepRow
 };
 
 /**
- * Print the threads/batch/PBS-per-second/scaling table for the
- * @p client / @p server pair (the server must stand on the client's
- * EvalKeys bundle): one bootstrapBatch call per pool size with
- * per_worker ciphertexts per worker (so every row is fully supplied),
- * identity LUT so every output self-checks, thread counts
- * deduplicated (max(4, hw) repeats 4 on a 4-core machine).
+ * Print the threads/batch/PBS-per-second/scaling table for
+ * @p client's EvalKeys bundle: one bootstrapBatch call per pool size,
+ * each on a fresh ServerContext of that many threads, with per_worker
+ * ciphertexts per worker (so every row is fully supplied), identity
+ * LUT so every output self-checks, thread counts deduplicated
+ * (max(4, hw) repeats 4 on a 4-core machine).
  * @param rows receives one PbsSweepRow per printed row.
  * @return false if any decrypted batch output mismatches (the caller
  *         should exit nonzero).
  */
 bool
-runBatchPbsSweep(const ClientKeyset &client, ServerContext &server,
-                 bool smoke, std::vector<PbsSweepRow> &rows)
+runBatchPbsSweep(const ClientKeyset &client, bool smoke,
+                 std::vector<PbsSweepRow> &rows)
 {
     const uint64_t space = 4;
-    TorusPolynomial tv = makeIntTestVector(
-        server.params().N, space, [](int64_t x) { return x; });
+    TorusPolynomial tv =
+        makeIntTestVector(client.evalKeys()->params().N, space,
+                          [](int64_t x) { return x; });
 
     unsigned hw = std::thread::hardware_concurrency();
     std::vector<unsigned> counts{1u, 2u, 4u, std::max(4u, hw)};
@@ -81,7 +82,7 @@ runBatchPbsSweep(const ClientKeyset &client, ServerContext &server,
     double tp1 = 0.0;
     bool ok = true;
     for (unsigned n : counts) {
-        server.setBatchThreads(n);
+        ServerContext server(client.evalKeys(), n);
         const size_t batch = per_worker * n;
         auto t0 = Clock::now();
         std::vector<LweCiphertext> outs =
@@ -147,12 +148,13 @@ main(int argc, char **argv)
                 "(Concrete on Xeon: 14 ms)\n\n",
                 lat_ms);
 
-    // Thread scaling through ServerContext::bootstrapBatch. Each worker
-    // still bootstraps one message at a time -- throughput scales
-    // with workers, never within a bootstrap, the 'no ciphertext
-    // packing' property that motivates Strix's batching architecture.
+    // Thread scaling through ServerContext::bootstrapBatch, one
+    // context per thread count. Each worker still bootstraps one
+    // message at a time -- throughput scales with workers, never
+    // within a bootstrap, the 'no ciphertext packing' property that
+    // motivates Strix's batching architecture.
     std::vector<PbsSweepRow> rows;
-    bool ok = runBatchPbsSweep(client, server, smoke, rows);
+    bool ok = runBatchPbsSweep(client, smoke, rows);
 
     if (!json_path.empty()) {
         std::FILE *f = std::fopen(json_path.c_str(), "w");

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_flags.h"
 #include "common/table.h"
 #include "poly/simd.h"
 #include "tfhe/client_keyset.h"
@@ -213,8 +214,10 @@ pct(double part, double whole)
 } // namespace
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "fig1_breakdown"))
+        return 2;
     std::printf("=== Fig. 1: TFHE gate workload breakdown on CPU "
                 "(measured on our software TFHE, parameter set I) ===\n\n");
 

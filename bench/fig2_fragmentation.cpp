@@ -12,14 +12,17 @@
 
 #include <cstdio>
 
+#include "bench_flags.h"
 #include "baselines/gpu_model.h"
 #include "common/table.h"
 
 using namespace strix;
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "fig2_fragmentation"))
+        return 2;
     std::printf("=== Fig. 2: GPU blind-rotation fragmentation "
                 "(NuFHE model, Titan RTX 72 SMs, parameter set I) "
                 "===\n\n");

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "bench_flags.h"
 #include "baselines/cpu_model.h"
 #include "baselines/gpu_model.h"
 #include "common/table.h"
@@ -15,8 +16,10 @@
 using namespace strix;
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "fig7_deepnn"))
+        return 2;
     std::printf("=== Fig. 7: Zama Deep-NN execution time (ms), "
                 "CPU vs GPU vs Strix ===\n\n");
 

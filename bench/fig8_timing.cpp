@@ -7,14 +7,17 @@
 
 #include <cstdio>
 
+#include "bench_flags.h"
 #include "common/table.h"
 #include "strix/accelerator.h"
 
 using namespace strix;
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "fig8_timing"))
+        return 2;
     std::printf("=== Fig. 8: functional-unit timing, first two BR "
                 "iterations, 3 LWE/core (set I) ===\n\n");
 

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "bench_flags.h"
 #include "common/table.h"
 #include "strix/area_model.h"
 
@@ -25,8 +26,10 @@ row(TextTable &t, const char *name, const AreaPower &ap,
 } // namespace
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "table3_area"))
+        return 2;
     std::printf("=== Table III: area and power breakdown of Strix "
                 "(model vs paper, TSMC 28nm, 1.2 GHz) ===\n\n");
 

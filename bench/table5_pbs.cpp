@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "bench_flags.h"
 #include "baselines/cpu_model.h"
 #include "baselines/gpu_model.h"
 #include "baselines/reference_platforms.h"
@@ -30,8 +31,10 @@ opt(const std::optional<double> &v, int digits)
 } // namespace
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "table5_pbs"))
+        return 2;
     std::printf("=== Table V: PBS latency and throughput across "
                 "platforms ===\n\n");
 

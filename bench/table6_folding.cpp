@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "bench_flags.h"
 #include "common/table.h"
 #include "strix/accelerator.h"
 #include "strix/area_model.h"
@@ -14,8 +15,10 @@
 using namespace strix;
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "table6_folding"))
+        return 2;
     std::printf("=== Table VI: FFT folding optimization effects "
                 "(parameter set I) ===\n\n");
 

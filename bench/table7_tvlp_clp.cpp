@@ -9,14 +9,17 @@
 
 #include <cstdio>
 
+#include "bench_flags.h"
 #include "common/table.h"
 #include "strix/accelerator.h"
 
 using namespace strix;
 
 int
-main()
+main(int argc, char **)
 {
+    if (rejectArgs(argc, "table7_tvlp_clp"))
+        return 2;
     std::printf("=== Table VII: TvLP and CLP effects on throughput, "
                 "latency, and required bandwidth (set IV, "
                 "TvLP*CLP = 32) ===\n\n");

@@ -17,9 +17,9 @@
  *
  * Setup cost is the point of the session loop: key generation at set
  * I dominates everything else a short session does, so each session
- * asks ContextCache::global() for its keys instead of regenerating --
- * the first touch pays keygen once, every later session gets the
- * cached bundle back in ~microseconds.
+ * asks one ContextCache, built in main, for its keys instead of
+ * regenerating -- the first touch pays keygen once, every later
+ * session gets the cached bundle back in ~microseconds.
  */
 
 #include <chrono>
@@ -43,19 +43,18 @@ risk(int64_t x)
 }
 
 /**
- * One serving session: fetch keys from the cache, classify a few
+ * One serving session: fetch keys from @p cache, classify a few
  * readings, self-check. Returns the number of mismatches.
  */
 int
-runSession(int session, int64_t x0)
+runSession(ContextCache &cache, int session, int64_t x0)
 {
     using Clock = std::chrono::steady_clock;
     const uint64_t space = 16;
     const uint64_t seed = 1001; // one tenant: all sessions share keys
 
     auto t0 = Clock::now();
-    auto keyset =
-        ContextCache::global().getOrCreateKeyset(paramsSetI(), seed);
+    auto keyset = cache.getOrCreateKeyset(paramsSetI(), seed);
     // keyset->evalKeys() is the same pointer getOrCreate() returns:
     // one lookup serves both roles.
     ServerContext server(keyset->evalKeys());
@@ -65,8 +64,7 @@ runSession(int session, int64_t x0)
                 "far)\n",
                 session, setup_ms,
                 session == 0 ? "cold keygen" : "cache hit",
-                static_cast<unsigned long long>(
-                    ContextCache::global().keygenCount()));
+                static_cast<unsigned long long>(cache.keygenCount()));
 
     int failures = 0;
     std::printf("%6s %12s %12s %18s\n", "x", "risk(x)", "clamp(x)",
@@ -119,9 +117,10 @@ main()
 {
     std::printf("Encrypted threshold classifier, 3 sessions through "
                 "the ContextCache\n\n");
+    ContextCache cache;
     int failures = 0;
     for (int session = 0; session < 3; ++session) {
-        failures += runSession(session, session);
+        failures += runSession(cache, session, session);
         std::printf("\n");
     }
     std::printf("%s\n", failures == 0

@@ -9,7 +9,7 @@
  * batching (`bootstrapBatch`) cannot help -- each call sees one
  * session's one or two requests. The BatchExecutor closes the gap:
  * sessions submit individual requests (`BatchExecutor::submit`), and
- * requests that share a key bundle -- tenants resolved through the
+ * requests that share a key bundle -- tenants resolved through one
  * ContextCache, so identity is the EvalKeys pointer -- coalesce into
  * one batch on the executor's shared lanes. A second tenant runs
  * alongside to show the isolation property: its requests land in
@@ -39,16 +39,15 @@ constexpr uint64_t kTenantSeedA = 7001;
 constexpr uint64_t kTenantSeedB = 7002;
 
 /**
- * One serving session: fetch the tenant's cached keys, submit a
- * stream of LUT requests to the shared executor, and self-check every
- * decrypted answer. Returns the number of mismatches.
+ * One serving session: fetch the tenant's keys from @p cache, submit
+ * a stream of LUT requests to the shared executor, and self-check
+ * every decrypted answer. Returns the number of mismatches.
  */
 int
-runSession(int session, BatchExecutor &exec)
+runSession(int session, ContextCache &cache, BatchExecutor &exec)
 {
     const uint64_t seed = session % 2 == 0 ? kTenantSeedA : kTenantSeedB;
-    auto keyset = ContextCache::global().getOrCreateKeyset(
-        testParams(48, 512), seed);
+    auto keyset = cache.getOrCreateKeyset(testParams(48, 512), seed);
 
     auto triple = [](int64_t v) { return (3 * v) % int64_t(kSpace); };
     std::vector<std::future<LweCiphertext>> futs;
@@ -88,12 +87,14 @@ main()
     opts.target_batch = 8;     // sweep width the paper's TvLP plays
     opts.flush_delay_us = 500; // latency bound for a trickling session
     BatchExecutor exec(opts);
+    ContextCache cache;
 
     std::vector<std::thread> sessions;
     std::vector<int> mismatches(kSessions, 0);
     for (int s = 0; s < kSessions; ++s)
-        sessions.emplace_back(
-            [&, s] { mismatches[size_t(s)] = runSession(s, exec); });
+        sessions.emplace_back([&, s] {
+            mismatches[size_t(s)] = runSession(s, cache, exec);
+        });
     for (auto &t : sessions)
         t.join();
     exec.drain();

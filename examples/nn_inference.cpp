@@ -109,7 +109,7 @@ main()
     // All three hidden neurons share the ReLU LUT, so the layer is one
     // bootstrapBatch call: the linear parts are computed first, then
     // every PBS in the layer runs as a single batch on the context's
-    // worker pool -- the software shape of Strix's ciphertext batching.
+    // lanes -- the software shape of Strix's ciphertext batching.
     std::vector<LweCiphertext> hidden_lin;
     for (int j = 0; j < 3; ++j)
         hidden_lin.push_back(

@@ -72,17 +72,16 @@ evalKeysBytes(const EvalKeys &keys)
 }
 
 /**
- * One client thread: register, then drive the three request types.
- * Returns the number of failures (0 = clean).
+ * One client thread: take its tenant's keys from @p cache, register,
+ * then drive the three request types. Returns the number of failures
+ * (0 = clean).
  */
 int
-runClient(int id, uint16_t port)
+runClient(int id, uint16_t port, ContextCache &cache)
 {
     const uint64_t tenant = id % 2 == 0 ? 1 : 2;
     const uint64_t seed = tenant == 1 ? kSeedA : kSeedB;
-    auto keyset =
-        ContextCache::global().getOrCreateKeyset(testParams(48, 512),
-                                                 seed);
+    auto keyset = cache.getOrCreateKeyset(testParams(48, 512), seed);
     const TfheParams &p = keyset->evalKeys()->params();
     ServerContext local(keyset->evalKeys());
 
@@ -225,11 +224,12 @@ main()
         return 1;
     }
 
+    ContextCache cache; // the client side's keys, one keyset per tenant
     std::vector<std::thread> threads;
     std::vector<int> failures(kThreads, 0);
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
-            failures[size_t(t)] = runClient(t, server.port());
+            failures[size_t(t)] = runClient(t, server.port(), cache);
         });
     for (auto &t : threads)
         t.join();

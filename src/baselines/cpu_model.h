@@ -1,13 +1,10 @@
 /**
  * @file
- * Concrete-like CPU baseline model.
- *
- * Two modes:
- *  - analytic: per-PBS latency anchored at the published Concrete
- *    numbers (Table V) and scaled with n (blind-rotation iterations)
- *    and N*log2(N) (FFT cost) for unlisted parameter sets;
- *  - measured: runs our own software TFHE and reports real wall time
- *    (used by the Fig. 1 workload-breakdown bench).
+ * Concrete-like CPU baseline model: per-PBS latency anchored at the
+ * published Concrete numbers (Table V) and scaled with n
+ * (blind-rotation iterations) and N*log2(N) (FFT cost) for unlisted
+ * parameter sets. It is analytic only; measured software-TFHE times
+ * come from bench/cpu_measured, bench/fig1_breakdown and perfbench.
  *
  * Workload runs model a multi-socket Xeon with `threads` independent
  * workers, each bootstrapping one LWE at a time (no packing -- the

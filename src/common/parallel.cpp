@@ -5,20 +5,89 @@
 
 #include "common/parallel.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdlib>
+#include <exception>
+#include <memory>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace strix {
 
-ThreadPool::ThreadPool(unsigned threads)
+namespace {
+
+/**
+ * One parallelFor call's shared state. Helpers hold it by shared_ptr,
+ * so a helper that a lane pops after the caller has returned still
+ * finds it alive, and finds `closed`, which sends it away before it
+ * can touch the (by then dangling) fn.
+ */
+struct Loop
 {
-    if (threads == 0)
-        threads = defaultThreadCount();
-    workers_.reserve(threads - 1);
-    for (unsigned w = 1; w < threads; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
+    Loop(const std::function<void(size_t, unsigned)> &f, size_t n)
+        : fn(&f), count(n)
+    {
+    }
+
+    /** Take indices until they run out or a call has thrown. */
+    void run(unsigned worker)
+    {
+        size_t i;
+        while (!abort.load(std::memory_order_relaxed) &&
+               (i = next.fetch_add(1, std::memory_order_relaxed)) <
+                   count) {
+            try {
+                (*fn)(i, worker);
+            } catch (...) {
+                abort.store(true, std::memory_order_relaxed);
+                MutexLock lock(m);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        }
+    }
+
+    /** A posted helper's body: join the loop unless it is closed. */
+    void help(unsigned worker)
+    {
+        {
+            MutexLock lock(m);
+            if (closed)
+                return;
+            ++helpers;
+        }
+        run(worker);
+        MutexLock lock(m);
+        if (--helpers == 0 && closed)
+            idle_cv.notify_one();
+    }
+
+    const std::function<void(size_t, unsigned)> *const fn;
+    const size_t count;
+    // Lock-free mid-loop fast path every worker hammers (relaxed order
+    // suffices: indices carry no payload, and results are published
+    // to the caller through m).
+    std::atomic<size_t> next{0};     //!< next index to hand out
+    std::atomic<bool> abort{false};  //!< set on the first exception
+    Mutex m;
+    CondVar idle_cv; //!< wakes the closed caller at helpers == 0
+    unsigned helpers STRIX_GUARDED_BY(m) = 0; //!< helpers inside run()
+    bool closed STRIX_GUARDED_BY(m) = false;  //!< caller left run()
+    std::exception_ptr first_error STRIX_GUARDED_BY(m);
+};
+
+} // namespace
+
+ThreadPool::ThreadPool(unsigned lanes)
+{
+    if (lanes == 0)
+        lanes = defaultThreadCount();
+    lanes_.reserve(lanes);
+    for (unsigned lane = 0; lane < lanes; ++lane)
+        lanes_.emplace_back([this, lane] { laneLoop(lane); });
 }
 
 ThreadPool::~ThreadPool()
@@ -28,7 +97,7 @@ ThreadPool::~ThreadPool()
         stop_ = true;
     }
     cv_.notify_all();
-    for (auto &t : workers_)
+    for (auto &t : lanes_)
         t.join();
 }
 
@@ -58,49 +127,33 @@ ThreadPool::defaultThreadCount()
 }
 
 void
-ThreadPool::runShare(const std::function<void(size_t, unsigned)> &fn,
-                     size_t count, unsigned worker)
+ThreadPool::laneLoop(unsigned lane)
 {
-    size_t i;
-    while (!abort_.load(std::memory_order_relaxed) &&
-           (i = next_.fetch_add(1, std::memory_order_relaxed)) < count) {
-        try {
-            fn(i, worker);
-        } catch (...) {
-            abort_.store(true, std::memory_order_relaxed);
-            MutexLock lock(m_);
-            if (!first_error_)
-                first_error_ = std::current_exception();
-        }
-    }
-}
-
-void
-ThreadPool::workerLoop(unsigned worker)
-{
-    uint64_t seen = 0;
     for (;;) {
-        const std::function<void(size_t, unsigned)> *fn = nullptr;
-        size_t count = 0;
+        std::function<void(unsigned)> job;
         {
             MutexLock lock(m_);
             cv_.wait(lock, [&] {
                 m_.assertHeld(); // the wait runs its predicate locked
-                return stop_ || generation_ != seen;
+                return stop_ || !jobs_.empty();
             });
-            if (stop_)
-                return;
-            seen = generation_;
-            fn = fn_;
-            count = count_;
+            if (jobs_.empty())
+                return; // stopping, and every queued job has run
+            job = std::move(jobs_.front());
+            jobs_.pop_front();
         }
-        runShare(*fn, count, worker);
-        {
-            MutexLock lock(m_);
-            if (--busy_ == 0)
-                done_cv_.notify_one();
-        }
+        job(lane);
     }
+}
+
+void
+ThreadPool::post(std::function<void(unsigned lane)> job)
+{
+    {
+        MutexLock lock(m_);
+        jobs_.push_back(std::move(job));
+    }
+    cv_.notify_one();
 }
 
 void
@@ -109,42 +162,22 @@ ThreadPool::parallelFor(size_t count,
 {
     if (count == 0)
         return;
-    MutexLock submit(submit_mutex_);
-    const bool serial = workers_.empty() || count == 1;
-    if (serial) {
-        // The inline fallback runs through the same runShare machinery
-        // as the parallel path so the error contract cannot diverge: a
-        // throwing fn stops the index handout, the first exception is
-        // recorded, and it is rethrown below -- byte-for-byte what a
-        // caller observes at N workers.
-        next_.store(0, std::memory_order_relaxed);
-        abort_.store(false, std::memory_order_relaxed);
-        runShare(fn, count, 0);
-    } else {
-        {
-            MutexLock lock(m_);
-            fn_ = &fn;
-            count_ = count;
-            next_.store(0, std::memory_order_relaxed);
-            abort_.store(false, std::memory_order_relaxed);
-            busy_ = static_cast<unsigned>(workers_.size());
-            ++generation_;
-        }
-        cv_.notify_all();
-        runShare(fn, count, 0);
-    }
+    auto shared = std::make_shared<Loop>(fn, count);
+    const size_t helpers = std::min<size_t>(count, lanes()) - 1;
+    for (size_t h = 0; h < helpers; ++h)
+        post([shared](unsigned lane) { shared->help(lane + 1); });
+    Loop &loop = *shared;
+    loop.run(0);
 
-    MutexLock lock(m_);
-    if (!serial) {
-        done_cv_.wait(lock, [&] {
-            m_.assertHeld(); // the wait runs its predicate locked
-            return busy_ == 0;
-        });
-        fn_ = nullptr;
-    }
-    if (first_error_) {
-        std::exception_ptr e = first_error_;
-        first_error_ = nullptr;
+    MutexLock lock(loop.m);
+    loop.closed = true;
+    loop.idle_cv.wait(lock, [&] {
+        loop.m.assertHeld(); // the wait runs its predicate locked
+        return loop.helpers == 0;
+    });
+    // Take the error out of the shared state: a late helper may free
+    // that state on its lane, and the exception must stay the caller's.
+    if (std::exception_ptr e = std::exchange(loop.first_error, nullptr)) {
         lock.unlock();
         std::rethrow_exception(e);
     }

@@ -1,21 +1,19 @@
 /**
  * @file
- * Small persistent worker pool for data-parallel loops.
+ * ThreadPool: the lanes every PBS runs on.
  *
- * The pool backs the batched PBS path: one ServerContext owns one pool
- * and fans blind rotations of a ciphertext batch out across it. It is
- * deliberately minimal -- a single parallel-for primitive -- rather
- * than a general task system; everything the batching seam needs is
- * "run f(i) for i in [0, count) on K threads with per-thread scratch".
+ * A fixed set of lane threads pops one FIFO of jobs. The serving path
+ * posts one job per PBS request (BatchExecutor's flush); the batched
+ * path runs a blocking parallelFor in which the caller takes part
+ * (ServerContext::bootstrapBatch). Both schedule through this one
+ * type, so a change to how lanes take PBS work is made here once.
  */
 
 #ifndef STRIX_COMMON_PARALLEL_H
 #define STRIX_COMMON_PARALLEL_H
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
+#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -25,54 +23,62 @@
 namespace strix {
 
 /**
- * Fixed-size pool of persistent worker threads driving parallelFor.
+ * Fixed lanes over one FIFO of jobs.
+ *
+ * post(job) queues job(lane); lanes run jobs in FIFO order, one at a
+ * time each.
  *
  * parallelFor(count, fn) invokes fn(index, worker) exactly once for
- * every index in [0, count). The calling thread participates as
- * worker 0; pool threads are workers 1..threads()-1, so `worker` can
- * index per-thread scratch storage of size threads(). Indices are
- * handed out dynamically (one shared atomic counter) for load
- * balance; callers that need deterministic output write results by
- * index, which makes the result independent of the schedule.
+ * every index in [0, count). The calling thread takes part as worker
+ * 0 and posts at most min(count, lanes()) - 1 helper jobs; a helper
+ * running on lane L joins as worker L + 1. So `worker` lies in
+ * [0, lanes()] and can index per-worker scratch of size lanes() + 1,
+ * and at most lanes() calls of fn run at once. Indices are handed out
+ * dynamically (one shared atomic counter) for load balance; callers
+ * that need deterministic output write results by index, which makes
+ * the result independent of the schedule. The caller never waits for
+ * a helper to start: it can finish the loop alone, so a parallelFor
+ * called from inside a job cannot deadlock, and a helper that a lane
+ * pops after the caller has finished returns without touching fn.
  *
- * Thread safety: concurrent parallelFor calls from different threads
- * are safe -- submission is internally serialized, so they simply run
- * one after another.
+ * Thread safety: post and parallelFor are safe to call concurrently
+ * from any thread; concurrent parallelFor calls share the lanes.
  *
  * Error contract: if fn throws, the loop stops handing out new
  * indices, in-flight indices on other workers still complete, and the
  * *first* exception (in completion order) is rethrown on the calling
  * thread once the loop has quiesced; later exceptions are dropped.
  * Indices never handed out are never attempted, and the pool remains
- * fully usable afterwards. This contract is identical whether the
- * loop runs inline (a 1-thread pool, or count == 1) or across N
- * workers -- the inline fallback goes through the same abort/record/
- * deferred-rethrow machinery, asserted by tests/test_parallel.cpp.
+ * fully usable afterwards. The contract is identical whether the loop
+ * runs inline (a 1-lane pool, or count == 1) or across helpers, since
+ * both go through the same abort/record/deferred-rethrow machinery,
+ * asserted by tests/test_parallel.cpp. A posted job must not throw.
  */
 class ThreadPool
 {
   public:
     /**
-     * @param threads total worker count including the caller;
-     *                0 means defaultThreadCount(). 1 runs inline with
-     *                no extra threads.
+     * Start @p lanes lane threads; 0 means defaultThreadCount(). A
+     * 1-lane pool runs every parallelFor inline on its caller.
      */
-    explicit ThreadPool(unsigned threads = 0);
+    explicit ThreadPool(unsigned lanes = 0);
+
+    /** Run every job still queued, then join the lanes. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Total workers including the calling thread: >= 1. */
-    unsigned threads() const
-    {
-        return static_cast<unsigned>(workers_.size()) + 1;
-    }
+    /** Lane threads: >= 1. */
+    unsigned lanes() const { return static_cast<unsigned>(lanes_.size()); }
+
+    /** Queue job(lane); jobs start in the order they were posted. */
+    void post(std::function<void(unsigned lane)> job) STRIX_EXCLUDES(m_);
 
     /** Run fn(index, worker) for every index in [0, count). */
     void parallelFor(size_t count,
                      const std::function<void(size_t, unsigned)> &fn)
-        STRIX_EXCLUDES(submit_mutex_, m_);
+        STRIX_EXCLUDES(m_);
 
     /**
      * Pool size used when the constructor gets 0: the STRIX_THREADS
@@ -85,31 +91,13 @@ class ThreadPool
     static unsigned defaultThreadCount();
 
   private:
-    void workerLoop(unsigned worker);
-    void runShare(const std::function<void(size_t, unsigned)> &fn,
-                  size_t count, unsigned worker);
+    void laneLoop(unsigned lane) STRIX_EXCLUDES(m_);
 
-    std::vector<std::thread> workers_; //!< immutable after construction
-
-    Mutex submit_mutex_; //!< serializes parallelFor callers
-
-    // Job state, guarded by m_ except the two atomics: next_ and
-    // abort_ are the lock-free mid-job fast path every worker hammers
-    // (relaxed order suffices -- each job resets them under the
-    // submission serialization before any worker observes the new
-    // generation, and indices carry no payload).
     Mutex m_;
-    CondVar cv_;      //!< wakes workers on a new job
-    CondVar done_cv_; //!< wakes the submitting caller
-    const std::function<void(size_t, unsigned)> *fn_
-        STRIX_GUARDED_BY(m_) = nullptr;
-    size_t count_ STRIX_GUARDED_BY(m_) = 0;
-    std::atomic<size_t> next_{0};    //!< next index to hand out
-    std::atomic<bool> abort_{false}; //!< set on first exception
-    unsigned busy_ STRIX_GUARDED_BY(m_) = 0; //!< workers still on job
-    uint64_t generation_ STRIX_GUARDED_BY(m_) = 0; //!< bumped per job
+    CondVar cv_; //!< wakes lanes: job queued or stopping
+    std::deque<std::function<void(unsigned)>> jobs_ STRIX_GUARDED_BY(m_);
     bool stop_ STRIX_GUARDED_BY(m_) = false;
-    std::exception_ptr first_error_ STRIX_GUARDED_BY(m_);
+    std::vector<std::thread> lanes_; //!< immutable after construction
 };
 
 } // namespace strix

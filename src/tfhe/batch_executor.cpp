@@ -3,13 +3,13 @@
  * BatchExecutor implementation.
  *
  * One dispatcher thread owns the flush decisions: it scans the shards
- * for a due fill queue (size, deadline, or drain trigger) and moves
- * up to target_batch requests onto the shared ready queue. It never
- * runs a PBS, so a flush costs microseconds and the next scan follows
- * at once. The lanes pop the ready queue and run each request through
- * bootstrapKeySwitch -- the same function ServerContext's bootstrap
- * and bootstrapBatch call, so results stay bit-identical to them by
- * construction.
+ * for a due fill queue (size, deadline, or drain trigger), moves up
+ * to target_batch requests onto the shared ready queue and posts one
+ * lane job per request. It never runs a PBS, so a flush costs
+ * microseconds and the next scan follows at once. Each lane job pops
+ * the oldest ready request and runs it through bootstrapKeySwitch --
+ * the same function ServerContext's bootstrap and bootstrapBatch
+ * call, so results stay bit-identical to them by construction.
  */
 
 #include "tfhe/batch_executor.h"
@@ -18,7 +18,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "poly/negacyclic_fft.h"
 
 namespace strix {
@@ -75,9 +74,10 @@ BatchExecutor::submit(std::shared_ptr<const EvalKeys> keys,
         // key bundles into a fresh arena instead of reusing freed
         // ones (serve_set1 peak RSS rose ~10% in half the runs on a
         // 4-vCPU host).
-        if (lanes_.empty())
-            for (unsigned i = 0; i < ThreadPool::defaultThreadCount(); ++i)
-                lanes_.emplace_back([this] { laneLoop(); });
+        if (!pool_) {
+            pool_ = std::make_unique<ThreadPool>();
+            scratch_.resize(pool_->lanes());
+        }
         std::unique_ptr<Shard> &slot = shards_[keys.get()];
         if (!slot)
             slot = std::make_unique<Shard>(std::move(keys));
@@ -137,30 +137,24 @@ BatchExecutor::dispatchLoop()
             // Move up to one batch's width onto the ready queue;
             // anything beyond target_batch stays and is picked up by
             // the next pass (likely as a size flush).
+            // One job per request, capturing only `this`, so the
+            // post fits std::function's inline buffer.
             const size_t take =
                 std::min(due->fill.size(), opts_.target_batch);
             for (size_t i = 0; i < take; ++i) {
                 ready_.push_back({due, std::move(due->fill.front())});
                 due->fill.pop_front();
+                pool_->post([this](unsigned lane) { runReady(lane); });
             }
             due->on_lanes += take;
             ++stats_.sweeps;
             stats_.swept_lwes += take;
             ++*reason;
-            if (take == 1)
-                ready_cv_.notify_one();
-            else
-                ready_cv_.notify_all();
             continue;
         }
 
-        if (stopping_) {
-            // Every fill is empty and none can refill: the lanes may
-            // exit once the ready queue runs dry.
-            dispatch_done_ = true;
-            ready_cv_.notify_all();
-            return;
-        }
+        if (stopping_)
+            return; // every fill is empty and none can refill
         flush_now_ = false; // queues momentarily empty: latch satisfied
         lock.unlock();
         if (next_deadline == kNoDeadline)
@@ -172,33 +166,26 @@ BatchExecutor::dispatchLoop()
 }
 
 void
-BatchExecutor::laneLoop()
+BatchExecutor::runReady(unsigned lane)
 {
-    PbsScratch scratch; // this lane's working buffers, reused per PBS
     MutexLock lock(m_);
-    for (;;) {
-        ready_cv_.wait(lock, [&] {
-            m_.assertHeld(); // the wait runs its predicate locked
-            return !ready_.empty() || dispatch_done_;
-        });
-        if (ready_.empty())
-            return; // dispatch done and nothing left to run
-        Ready job = std::move(ready_.front());
-        ready_.pop_front();
-        lock.unlock();
-        try {
-            job.req.result.set_value(bootstrapKeySwitch(
-                *job.shard->keys, job.req.ct, job.req.tv, scratch));
-        } catch (...) {
-            // A failed PBS fails only its own request.
-            job.req.result.set_exception(std::current_exception());
-        }
-        lock.lock();
-        --job.shard->on_lanes;
-        ++stats_.completed;
-        if (--in_flight_ == 0)
-            drained_cv_.notify_all();
+    // Each ready request was posted with its own job, so the queue
+    // holds at least this job's request.
+    Ready job = std::move(ready_.front());
+    ready_.pop_front();
+    lock.unlock();
+    try {
+        job.req.result.set_value(bootstrapKeySwitch(
+            *job.shard->keys, job.req.ct, job.req.tv, scratch_[lane]));
+    } catch (...) {
+        // A failed PBS fails only its own request.
+        job.req.result.set_exception(std::current_exception());
     }
+    lock.lock();
+    --job.shard->on_lanes;
+    ++stats_.completed;
+    if (--in_flight_ == 0)
+        drained_cv_.notify_all();
 }
 
 size_t
@@ -250,15 +237,14 @@ BatchExecutor::shutdown()
     MutexLock join_lock(join_mutex_);
     if (dispatcher_.joinable())
         dispatcher_.join();
-    // stopping_ bars new lanes, and with the dispatcher done the
-    // running ones exit once the ready queue is empty.
-    std::vector<std::thread> lanes;
+    // With the dispatcher done nothing posts any more: destroying the
+    // pool, outside m_ since its jobs take it, runs every posted
+    // request, then joins the lanes.
+    std::unique_ptr<ThreadPool> pool;
     {
         MutexLock lock(m_);
-        lanes.swap(lanes_);
+        pool.swap(pool_);
     }
-    for (std::thread &lane : lanes)
-        lane.join();
 }
 
 BatchExecutor::Stats

@@ -9,24 +9,25 @@
  * by coalescing *across* callers: independent sessions submit single
  * PBS requests and get futures back, and requests that share a
  * params-shard -- the same `EvalKeys` bundle by pointer identity,
- * which is what `ContextCache` hands out -- are flushed together as
- * one batch. Requests from different shards never share a batch
- * (cross-tenant isolation by construction: every request runs under
- * exactly its own shard's key bundle).
+ * which is what the daemon's `EvalKeyCache` hands out per tenant --
+ * are flushed together as one batch. Requests from different shards
+ * never share a batch (cross-tenant isolation by construction: every
+ * request runs under exactly its own shard's key bundle).
  *
  * Flush policy is the buffered-sender shape: a shard flushes when its
  * fill reaches `target_batch` requests (size trigger) or when its
  * oldest request has waited `flush_delay_us` (deadline trigger), so a
  * saturated stream flushes at full width while a trickle still meets
  * a microsecond-scale latency bound. A flush moves the batch onto one
- * FIFO ready queue shared by every shard; a fixed set of lane threads
- * (one per core, `ThreadPool::defaultThreadCount()`, started by the
- * first submit) pops requests off it and runs each PBS+KS under its
- * own shard's bundle. Due batches of different tenants therefore run
- * at the same time, and a batch narrower than the lane count leaves
- * the other lanes to the next flush instead of idling them -- the
- * blind-rotation fragmentation of the paper's Fig. 2 does not arise
- * between batches.
+ * FIFO ready queue shared by every shard and posts one job per
+ * request to the executor's ThreadPool (one lane per core,
+ * `ThreadPool::defaultThreadCount()`, started by the first submit);
+ * each job pops the oldest ready request and runs its PBS+KS under
+ * its own shard's bundle. Due batches of different tenants therefore
+ * run at the same time, and a batch narrower than the lane count
+ * leaves the other lanes to the next flush instead of idling them --
+ * the blind-rotation fragmentation of the paper's Fig. 2 does not
+ * arise between batches.
  *
  * Time comes from a WaitableClock, so the deadline path is testable
  * with a ManualWaitableClock and no real sleeps.
@@ -48,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/sync.h"
 #include "common/waitclock.h"
 #include "tfhe/server_context.h"
@@ -148,10 +150,10 @@ class BatchExecutor
 
     /**
      * Stop accepting submissions, flush everything still queued
-     * (futures are fulfilled, not dropped), and join the dispatcher
-     * and the lanes once the ready queue is empty. Idempotent and
-     * safe to call concurrently; the destructor calls it. Submitting
-     * afterwards panics.
+     * (futures are fulfilled, not dropped), join the dispatcher, then
+     * destroy the lane pool, which runs every posted request and
+     * joins the lanes. Idempotent and safe to call concurrently; the
+     * destructor calls it. Submitting afterwards panics.
      */
     void shutdown() STRIX_EXCLUDES(m_, join_mutex_);
 
@@ -185,8 +187,8 @@ class BatchExecutor
      * Per-params-shard state: the key bundle and the fill queue the
      * dispatcher flushes batches out of. Shards are created on first
      * submit and live until shutdown or releaseIdleShards(). A flush
-     * adds its width to `on_lanes` and each lane subtracts its one
-     * request once fulfilled; release skips a shard while the count
+     * adds its width to `on_lanes` and each lane job subtracts its
+     * one request once fulfilled; release skips a shard while the count
      * is nonzero, so the raw Shard pointers on the ready queue and on
      * running lanes stay valid and no bundle is freed under a PBS.
      */
@@ -200,7 +202,7 @@ class BatchExecutor
         // this contract is manual: every access sits in a
         // BatchExecutor member that provably holds m_ (submit,
         // releaseIdleShards, and the locked sections of dispatchLoop
-        // and laneLoop).
+        // and runReady).
         std::deque<Request> fill;
         size_t on_lanes = 0; //!< flushed, not yet fulfilled
     };
@@ -213,7 +215,8 @@ class BatchExecutor
     };
 
     void dispatchLoop() STRIX_EXCLUDES(m_);
-    void laneLoop() STRIX_EXCLUDES(m_);
+    /** One posted lane job: run the oldest ready request. */
+    void runReady(unsigned lane) STRIX_EXCLUDES(m_);
 
     const Options opts_;
     const std::shared_ptr<WaitableClock> clock_;
@@ -230,11 +233,12 @@ class BatchExecutor
     uint64_t in_flight_ STRIX_GUARDED_BY(m_) = 0; //!< submitted - completed
     bool stopping_ STRIX_GUARDED_BY(m_) = false;
     bool flush_now_ STRIX_GUARDED_BY(m_) = false; //!< force-flush latch
-    bool dispatch_done_ STRIX_GUARDED_BY(m_) = false; //!< no more flushes
     CondVar drained_cv_; //!< signaled at in_flight_ == 0
-    CondVar ready_cv_;   //!< wakes lanes: work queued or dispatch done
 
-    std::vector<std::thread> lanes_ STRIX_GUARDED_BY(m_); //!< first submit
+    // One per lane, sized with pool_ before any job is posted; lane L
+    // alone touches scratch_[L], so it needs no lock.
+    std::vector<PbsScratch> scratch_;
+    std::unique_ptr<ThreadPool> pool_ STRIX_GUARDED_BY(m_); //!< first submit
 
     Mutex join_mutex_;       //!< serializes concurrent shutdown()s
     std::thread dispatcher_; //!< started last: sees a complete object

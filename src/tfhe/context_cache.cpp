@@ -41,13 +41,6 @@ cacheKey(const TfheParams &p, uint64_t seed)
 
 } // namespace
 
-ContextCache &
-ContextCache::global()
-{
-    static ContextCache cache;
-    return cache;
-}
-
 std::shared_ptr<const ClientKeyset>
 ContextCache::getOrCreateKeyset(const TfheParams &params, uint64_t seed)
 {

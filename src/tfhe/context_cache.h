@@ -42,7 +42,10 @@
 
 namespace strix {
 
-/** Process-wide cache of deterministic (params, seed) keysets. */
+/**
+ * Cache of deterministic (params, seed) keysets. Its owner builds one
+ * and hands it to every session that should share keys.
+ */
 class ContextCache
 {
   public:
@@ -50,9 +53,6 @@ class ContextCache
 
     ContextCache(const ContextCache &) = delete;
     ContextCache &operator=(const ContextCache &) = delete;
-
-    /** The process-wide instance the examples and benches share. */
-    static ContextCache &global();
 
     /**
      * The cached evaluation-key bundle for (params, seed), generating

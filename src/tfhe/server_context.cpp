@@ -35,35 +35,11 @@ ServerContext::FftPrewarm::FftPrewarm(const TfheParams &p)
     NegacyclicFft::prewarm(p.N);
 }
 
-ServerContext::ServerContext(std::shared_ptr<const EvalKeys> keys)
-    : keys_(std::move(keys)), fft_prewarm_(checkedParams(keys_))
+ServerContext::ServerContext(std::shared_ptr<const EvalKeys> keys,
+                             unsigned threads)
+    : keys_(std::move(keys)), fft_prewarm_(checkedParams(keys_)),
+      threads_(threads)
 {
-}
-
-std::shared_ptr<ThreadPool>
-ServerContext::pool() const
-{
-    MutexLock lock(pool_mutex_);
-    if (!pool_)
-        pool_ = std::make_shared<ThreadPool>(batch_threads_);
-    return pool_;
-}
-
-void
-ServerContext::setBatchThreads(unsigned threads)
-{
-    MutexLock lock(pool_mutex_);
-    batch_threads_ = threads;
-    if (pool_) // already spun up: publish a replacement at the new size
-        pool_ = std::make_shared<ThreadPool>(threads);
-}
-
-unsigned
-ServerContext::batchThreads() const
-{
-    MutexLock lock(pool_mutex_);
-    return batch_threads_ != 0 ? batch_threads_
-                               : ThreadPool::defaultThreadCount();
 }
 
 LweCiphertext
@@ -105,12 +81,15 @@ ServerContext::bootstrapBatch(const LweCiphertext *cts,
     for (size_t i = 0; i < count; ++i)
         panicIfNot(tvs[i] != nullptr,
                    "bootstrapBatch: null test-vector pointer");
-    std::shared_ptr<ThreadPool> pool = this->pool();
+    std::call_once(pool_once_,
+                   [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
     std::vector<LweCiphertext> out(count);
-    // One scratch per worker: blind rotation allocates nothing and
-    // shares nothing, so workers never touch common mutable state.
-    std::vector<PbsScratch> scratch(pool->threads());
-    pool->parallelFor(count, [&](size_t i, unsigned worker) {
+    // One scratch per worker (the caller, then one per lane): blind
+    // rotation allocates nothing and shares nothing, so workers never
+    // touch common mutable state. Scratch a worker never uses stays
+    // unallocated.
+    std::vector<PbsScratch> scratch(pool_->lanes() + 1);
+    pool_->parallelFor(count, [&](size_t i, unsigned worker) {
         out[i] = bootstrapKeySwitch(*keys_, cts[i], *tvs[i],
                                     scratch[worker]);
     });

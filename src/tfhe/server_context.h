@@ -5,24 +5,22 @@
  * Constructed from a `shared_ptr<const EvalKeys>` -- the public
  * BSK/KSK bundle a ClientKeyset exports (or a deserialized bundle
  * from a remote client) -- and owns everything evaluation needs on
- * top of it: the bootstrap entry points, the batch worker pool, and
+ * top of it: the bootstrap entry points, the batch lane pool, and
  * the FFT plan prewarm. It holds no secret key and no RNG: code that
  * compiles against ServerContext alone provably cannot decrypt.
  *
  * Many ServerContexts may share one EvalKeys with zero key
  * duplication (each adds only its pool). Asynchronous, cross-session
  * PBS goes through BatchExecutor::submit (tfhe/batch_executor.h),
- * which runs bootstrapKeySwitch on its own lanes.
+ * which runs bootstrapKeySwitch on its own ThreadPool.
  *
  * Thread-safety contract
  * ----------------------
  * Every member is safe to call concurrently on one shared context.
  * Key material is immutable, the FFT plan caches are prewarmed at
  * construction and lock-free to read, and every bootstrap carries its
- * own scratch buffers. setBatchThreads() publishes a replacement pool
- * under the same lock the batch calls use to snapshot it: batches
- * already in flight finish undisturbed on the pool they started with
- * (the snapshot keeps it alive), and later calls use the new size.
+ * own scratch buffers. Concurrent batch calls share the context's
+ * lanes.
  */
 
 #ifndef STRIX_TFHE_SERVER_CONTEXT_H
@@ -30,10 +28,10 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/sync.h"
 #include "tfhe/eval_keys.h"
 
 namespace strix {
@@ -55,12 +53,14 @@ class ServerContext
   public:
     /**
      * Wrap @p keys (panics on null) and prewarm the FFT plan caches
-     * for its ring dimension. The batch worker pool spins up lazily
-     * on the first batch call (size: ThreadPool's default,
-     * overridable via STRIX_THREADS or setBatchThreads), so
-     * sequential users never pay for idle threads.
+     * for its ring dimension. The batch calls run on a ThreadPool of
+     * @p threads lanes (0: ThreadPool::defaultThreadCount(), so
+     * STRIX_THREADS), built by the first batch call, so sequential
+     * users never pay for idle threads. A batch runs on at most
+     * @p threads workers, its caller included; 1 runs it inline.
      */
-    explicit ServerContext(std::shared_ptr<const EvalKeys> keys);
+    explicit ServerContext(std::shared_ptr<const EvalKeys> keys,
+                           unsigned threads = 0);
 
     const TfheParams &params() const { return keys_->params(); }
     const BootstrappingKey &bsk() const { return keys_->bsk(); }
@@ -90,7 +90,7 @@ class ServerContext
     /**
      * Batched PBS+KS: bootstrap @p count ciphertexts against one
      * shared test vector, parallelized across ciphertexts on the
-     * context's worker pool with one scratch buffer per worker.
+     * context's lanes with one scratch buffer per worker.
      * out[i] always corresponds to cts[i] and is bit-identical to
      * bootstrap(cts[i], test_vector) at any thread count -- the
      * software seam for Strix-style ciphertext batching.
@@ -123,29 +123,7 @@ class ServerContext
     applyLutBatch(const std::vector<LweCiphertext> &cts, uint64_t msg_space,
                   const std::function<int64_t(int64_t)> &f) const;
 
-    /**
-     * Resize the batch worker pool to @p threads workers (0 restores
-     * the default). Safe to call concurrently with batch calls:
-     * in-flight batches complete on the pool they snapshotted; the
-     * replacement serves later calls.
-     */
-    void setBatchThreads(unsigned threads) STRIX_EXCLUDES(pool_mutex_);
-
-    /**
-     * Batch worker count the next batch call will use (>= 1,
-     * including the caller). Pure query: does not spin up the pool.
-     */
-    unsigned batchThreads() const STRIX_EXCLUDES(pool_mutex_);
-
   private:
-    /**
-     * Snapshot the current pool (building it on first use). Returning
-     * the shared_ptr by value is what makes setBatchThreads safe
-     * concurrently with batches: a replacement cannot destroy a pool
-     * a running batch still references.
-     */
-    std::shared_ptr<ThreadPool> pool() const STRIX_EXCLUDES(pool_mutex_);
-
     std::shared_ptr<const EvalKeys> keys_;
 
     /** Prewarms the FFT plan caches before any evaluation runs. */
@@ -155,11 +133,9 @@ class ServerContext
     };
     FftPrewarm fft_prewarm_;
 
-    mutable Mutex pool_mutex_;
-    mutable std::shared_ptr<ThreadPool> pool_
-        STRIX_GUARDED_BY(pool_mutex_);
-    unsigned batch_threads_ STRIX_GUARDED_BY(pool_mutex_) =
-        0; //!< requested size; 0 = default
+    const unsigned threads_; //!< lanes of pool_; 0 = default
+    mutable std::once_flag pool_once_;
+    mutable std::unique_ptr<ThreadPool> pool_; //!< first batch call
 };
 
 } // namespace strix

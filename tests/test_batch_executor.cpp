@@ -4,20 +4,24 @@
  * (size and deadline, the latter driven by a ManualWaitableClock with
  * no real sleeps), bit-identity against the direct bootstrapBatch
  * path with two tenants' batches on the lanes at once, cross-tenant
- * shard isolation, shutdown/drain semantics, and concurrent
+ * shard isolation, shutdown/drain semantics, when the executor's and
+ * a ServerContext's lanes start and stop, and concurrent
  * mixed-tenant submit stresses (one racing releaseIdleShards) for the
  * TSan CI leg.
  */
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/waitclock.h"
 #include "support/test_util.h"
 #include "tfhe/batch_executor.h"
@@ -39,6 +43,27 @@ expectSameCiphertext(const LweCiphertext &a, const LweCiphertext &b,
 {
     EXPECT_EQ(a.raw(), b.raw())
         << "ciphertext " << index << " differs from the direct path";
+}
+
+/** Threads of this process: the entries of /proc/self/task. */
+size_t
+threadCount()
+{
+    using std::filesystem::directory_iterator;
+    return size_t(std::distance(directory_iterator("/proc/self/task"),
+                                directory_iterator()));
+}
+
+/**
+ * threadCount() once it reaches @p want, or after ~2 s: a joined
+ * thread's task entry can outlive its join by a moment.
+ */
+size_t
+settledThreadCount(size_t want)
+{
+    for (int i = 0; i < 2000 && threadCount() != want; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return threadCount();
 }
 
 } // namespace
@@ -232,9 +257,9 @@ TEST_F(BatchExecutorTest, PerRequestLutBatchMatchesSingleBootstrap)
     for (size_t i = 0; i < kCount; ++i)
         tv_ptrs.push_back(&tvs[i]);
 
-    keys_.server.setBatchThreads(3);
-    std::vector<LweCiphertext> batch = keys_.server.bootstrapBatch(
-        cts.data(), tv_ptrs.data(), kCount);
+    ServerContext three(keys_.client.evalKeys(), 3);
+    std::vector<LweCiphertext> batch =
+        three.bootstrapBatch(cts.data(), tv_ptrs.data(), kCount);
     ASSERT_EQ(batch.size(), kCount);
     for (size_t i = 0; i < kCount; ++i) {
         expectSameCiphertext(batch[i],
@@ -286,6 +311,35 @@ TEST_F(BatchExecutorTest, CrossTenantShardsNeverCoBatch)
     EXPECT_EQ(st.shards, 2u);
     EXPECT_EQ(st.completed, 12u);
     EXPECT_GE(st.sweeps, 4u); // 2 tenants x ceil(6/3) -- never merged
+}
+
+TEST_F(BatchExecutorTest, LanesStartAtFirstSubmitAndJoinAtShutdown)
+{
+    const size_t base = threadCount();
+
+    // A ServerContext starts its lanes at its first batch call: a
+    // single bootstrap runs on the caller and starts none.
+    {
+        ServerContext ctx(keys_.client.evalKeys(), 2);
+        const LweCiphertext ct = encrypt(1);
+        const TorusPolynomial tv = shiftLut(0);
+        (void)ctx.bootstrap(ct, tv);
+        EXPECT_EQ(threadCount(), base);
+        (void)ctx.bootstrapBatch(&ct, 1, tv);
+        EXPECT_EQ(threadCount(), base + 2);
+    }
+    ASSERT_EQ(settledThreadCount(base), base);
+
+    // The executor starts only its dispatcher, its lanes come with the
+    // first submit, and shutdown() joins all of them.
+    BatchExecutor exec;
+    EXPECT_EQ(threadCount(), base + 1);
+    std::future<LweCiphertext> fut =
+        exec.submit(keys_.client.evalKeys(), encrypt(2), shiftLut(1));
+    EXPECT_EQ(threadCount(), base + 1 + ThreadPool::defaultThreadCount());
+    EXPECT_EQ(keys_.client.decryptInt(fut.get(), kSpace), 3);
+    exec.shutdown();
+    EXPECT_EQ(settledThreadCount(base), base);
 }
 
 TEST_F(BatchExecutorTest, ShutdownDrainsInFlightFutures)

@@ -80,11 +80,6 @@ TEST(ContextCache, ClearKeepsOutstandingBundlesValid)
     EXPECT_EQ(cache.keygenCount(), 2u);
 }
 
-TEST(ContextCache, GlobalIsOneInstance)
-{
-    EXPECT_EQ(&ContextCache::global(), &ContextCache::global());
-}
-
 /**
  * The ISSUE's first-touch stress: many threads race getOrCreate on
  * the same previously-unseen key. Exactly one keygen may run, and
@@ -123,11 +118,9 @@ TEST(ContextCache, ConcurrentFirstTouchRunsKeygenExactlyOnce)
 /** A cached bundle must actually evaluate: end-to-end PBS round. */
 TEST(ContextCache, CachedBundleEvaluatesEndToEnd)
 {
-    auto keyset = ContextCache::global().getOrCreateKeyset(
-        fastParams(), kSeedContextCache);
-    ServerContext server(
-        ContextCache::global().getOrCreate(fastParams(),
-                                           kSeedContextCache));
+    ContextCache cache;
+    auto keyset = cache.getOrCreateKeyset(fastParams(), kSeedContextCache);
+    ServerContext server(cache.getOrCreate(fastParams(), kSeedContextCache));
     const uint64_t space = 8;
     for (int64_t m = 0; m < 4; ++m) {
         auto ct = keyset->encryptInt(m, space);
@@ -311,15 +304,17 @@ TEST(ContextCacheLru, ConcurrentChurnUnderBudgetPressure)
 
 /**
  * A bundle with no owner but the adopting cache and whoever holds the
- * returned pointer -- the wire shape: serialize a generated bundle and
- * re-expand it into a fresh allocation.
+ * returned pointer -- the wire shape: serialize a freshly generated
+ * bundle and re-expand it into a fresh allocation. Keygen is
+ * deterministic in (params, seed), so the bundle matches any other
+ * keyset made from @p seed.
  */
 std::shared_ptr<const EvalKeys>
 externalBundle(uint64_t seed)
 {
-    auto keys = ContextCache::global().getOrCreate(fastParams(), seed);
+    const ClientKeyset keyset(fastParams(), seed);
     std::ostringstream os;
-    serialize(os, *keys, EvalKeysFormat::Seeded);
+    serialize(os, *keyset.evalKeys(), EvalKeysFormat::Seeded);
     std::istringstream is(os.str());
     return deserializeEvalKeys(is);
 }
@@ -373,14 +368,14 @@ TEST(ContextCacheInsert, LookupMissesThenHitsThenServes)
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found.get(), bundle.get());
 
-    // The adopted bundle must actually evaluate.
-    auto keyset =
-        ContextCache::global().getOrCreateKeyset(fastParams(), 72);
+    // The adopted bundle must actually evaluate under the secret key
+    // of a separately generated keyset with the same seed.
+    const ClientKeyset keyset(fastParams(), 72);
     ServerContext server(found);
-    auto ct = keyset->encryptInt(3, 8);
+    auto ct = keyset.encryptInt(3, 8);
     auto out = server.applyLut(ct, 8,
                                [](int64_t v) { return (v * 2) % 8; });
-    EXPECT_EQ(keyset->decryptInt(out, 8), 6);
+    EXPECT_EQ(keyset.decryptInt(out, 8), 6);
 }
 
 TEST(ContextCacheInsert, ExternalKeysAreNamespacedFromKeygen)

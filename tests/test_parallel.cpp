@@ -1,16 +1,19 @@
 /**
  * @file
- * Thread-parallel PBS: the ThreadPool primitive, the lock-free FFT
- * plan caches under concurrent first touch, and the batched bootstrap
- * path -- including the N-threads-x-M-bootstraps stress test that
- * asserts bit-exact agreement with the single-threaded path on one
- * shared context. Labeled `slow`; this suite is what the TSan CI job
- * exists to watch.
+ * Thread-parallel PBS: the ThreadPool primitive (posted jobs and
+ * parallelFor), the lock-free FFT plan caches under concurrent first
+ * touch, and the batched bootstrap path -- including the
+ * N-threads-x-M-bootstraps stress test that asserts bit-exact
+ * agreement with the single-threaded path on one shared context.
+ * Labeled `slow`; this suite is what the TSan CI job exists to watch.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,12 +45,12 @@ expectSameCiphertext(const LweCiphertext &a, const LweCiphertext &b,
 TEST(ThreadPool, CoversEveryIndexExactlyOnce)
 {
     ThreadPool pool(4);
-    EXPECT_EQ(pool.threads(), 4u);
+    EXPECT_EQ(pool.lanes(), 4u);
     constexpr size_t kCount = 1000;
     std::vector<std::atomic<int>> hits(kCount);
     std::atomic<bool> worker_in_range{true};
     pool.parallelFor(kCount, [&](size_t i, unsigned worker) {
-        if (worker >= pool.threads())
+        if (worker > pool.lanes()) // caller 0, lane L is worker L + 1
             worker_in_range = false;
         hits[i].fetch_add(1);
     });
@@ -59,7 +62,7 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce)
 TEST(ThreadPool, SingleThreadRunsInlineInOrder)
 {
     ThreadPool pool(1);
-    EXPECT_EQ(pool.threads(), 1u);
+    EXPECT_EQ(pool.lanes(), 1u);
     std::vector<size_t> order;
     pool.parallelFor(8, [&](size_t i, unsigned worker) {
         EXPECT_EQ(worker, 0u);
@@ -148,7 +151,7 @@ TEST(ThreadPool, ErrorContractIdenticalInlineAndParallel)
 
 TEST(ThreadPool, CountOneOnParallelPoolUsesErrorContract)
 {
-    // count == 1 takes the inline path even on a multi-worker pool.
+    // count == 1 takes the inline path even on a multi-lane pool.
     ThreadPool pool(4);
     EXPECT_THROW(pool.parallelFor(
                      1, [](size_t, unsigned) {
@@ -158,6 +161,94 @@ TEST(ThreadPool, CountOneOnParallelPoolUsesErrorContract)
     std::atomic<int> ran{0};
     pool.parallelFor(1, [&](size_t, unsigned) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(ThreadPool, PostRunsEveryJobOnce)
+{
+    // One lane runs jobs in the order they were posted. The first job
+    // holds the lane for 20 ms, long enough for the destructor to
+    // begin with the rest still queued: it must run them all.
+    std::vector<int> order;
+    std::promise<void> gate;
+    std::thread opener;
+    {
+        std::shared_future<void> open = gate.get_future().share();
+        ThreadPool pool(1);
+        pool.post([open](unsigned) { open.wait(); });
+        for (int i = 0; i < 8; ++i)
+            pool.post([&order, i](unsigned lane) {
+                EXPECT_EQ(lane, 0u);
+                order.push_back(i);
+            });
+        opener = std::thread([&gate] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            gate.set_value();
+        });
+    }
+    opener.join();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+    // Four lanes run every job exactly once, each on a lane in range.
+    constexpr int kJobs = 200;
+    std::vector<std::atomic<int>> runs(kJobs);
+    std::atomic<bool> lane_in_range{true};
+    {
+        ThreadPool pool(4);
+        EXPECT_EQ(pool.lanes(), 4u);
+        for (int i = 0; i < kJobs; ++i)
+            pool.post([&, i](unsigned lane) {
+                if (lane >= 4)
+                    lane_in_range = false;
+                runs[size_t(i)].fetch_add(1);
+            });
+    }
+    EXPECT_TRUE(lane_in_range.load());
+    for (int i = 0; i < kJobs; ++i)
+        EXPECT_EQ(runs[size_t(i)].load(), 1) << "job " << i;
+}
+
+TEST(ThreadPool, ParallelForInsideJobsCompletes)
+{
+    // Every lane runs a job that calls parallelFor while all lanes are
+    // taken, so no helper can start until some caller has finished
+    // alone; none of them may wait for one.
+    constexpr unsigned kLanes = 4;
+    std::atomic<unsigned> started{0};
+    std::vector<std::promise<unsigned>> done(kLanes);
+    ThreadPool pool(kLanes); // declared last: its jobs end first
+    for (unsigned j = 0; j < kLanes; ++j)
+        pool.post([&, j](unsigned lane) {
+            started.fetch_add(1);
+            while (started.load() < kLanes)
+                std::this_thread::yield();
+            std::atomic<int> hits{0};
+            pool.parallelFor(64, [&](size_t, unsigned) { hits.fetch_add(1); });
+            EXPECT_EQ(hits.load(), 64);
+            done[j].set_value(lane);
+        });
+    std::set<unsigned> seen;
+    for (auto &d : done)
+        seen.insert(d.get_future().get());
+    EXPECT_EQ(seen.size(), size_t(kLanes)) << "each lane ran one job";
+}
+
+TEST(ThreadPool, AtMostLanesWorkersAtOnce)
+{
+    for (unsigned lanes : {1u, 3u}) {
+        SCOPED_TRACE(lanes);
+        ThreadPool pool(lanes);
+        std::atomic<unsigned> running{0}, peak{0};
+        pool.parallelFor(48, [&](size_t, unsigned) {
+            const unsigned now = running.fetch_add(1) + 1;
+            unsigned seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            running.fetch_sub(1);
+        });
+        EXPECT_GE(peak.load(), 1u);
+        EXPECT_LE(peak.load(), pool.lanes());
+    }
 }
 
 /**
@@ -305,9 +396,8 @@ TEST_F(BatchPbs, BatchMatchesSequentialBitExact)
     for (const auto &ct : cts)
         seq.push_back(server().bootstrap(ct, tv));
 
-    server().setBatchThreads(4);
-    ASSERT_EQ(server().batchThreads(), 4u);
-    std::vector<LweCiphertext> batch = server().bootstrapBatch(cts, tv);
+    ServerContext four(client().evalKeys(), 4);
+    std::vector<LweCiphertext> batch = four.bootstrapBatch(cts, tv);
 
     ASSERT_EQ(batch.size(), seq.size());
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -322,9 +412,9 @@ TEST_F(BatchPbs, ApplyLutBatchMatchesApplyLut)
     auto cts = encryptRange(6);
     auto square = [](int64_t v) { return (v * v) % int64_t(kSpace); };
 
-    server().setBatchThreads(3);
+    ServerContext three(client().evalKeys(), 3);
     std::vector<LweCiphertext> batch =
-        server().applyLutBatch(cts, kSpace, square);
+        three.applyLutBatch(cts, kSpace, square);
 
     ASSERT_EQ(batch.size(), cts.size());
     for (size_t i = 0; i < cts.size(); ++i)
@@ -338,10 +428,10 @@ TEST_F(BatchPbs, DeterministicAcrossThreadCounts)
     TorusPolynomial tv = makeIntTestVector(
         server().params().N, kSpace, [](int64_t v) { return v; });
 
-    server().setBatchThreads(1);
-    std::vector<LweCiphertext> one = server().bootstrapBatch(cts, tv);
-    server().setBatchThreads(4);
-    std::vector<LweCiphertext> four = server().bootstrapBatch(cts, tv);
+    std::vector<LweCiphertext> one =
+        ServerContext(client().evalKeys(), 1).bootstrapBatch(cts, tv);
+    std::vector<LweCiphertext> four =
+        ServerContext(client().evalKeys(), 4).bootstrapBatch(cts, tv);
 
     ASSERT_EQ(one.size(), four.size());
     for (size_t i = 0; i < one.size(); ++i)
@@ -384,67 +474,22 @@ TEST_F(BatchPbs, SharedContextConcurrentBootstrapsMatchSequential)
         expectSameCiphertext(conc[i], seq[i], i);
 }
 
-/** Concurrent bootstrapBatch calls on one context must serialize safely. */
+/** Concurrent bootstrapBatch calls on one context share its lanes. */
 TEST_F(BatchPbs, ConcurrentBatchCallsAreSafe)
 {
     auto cts = encryptRange(4);
     TorusPolynomial tv = makeIntTestVector(
         server().params().N, kSpace, [](int64_t v) { return v; });
-    server().setBatchThreads(2);
+    ServerContext two(client().evalKeys(), 2);
 
     std::vector<LweCiphertext> a, b;
-    std::thread other(
-        [&] { a = server().bootstrapBatch(cts, tv); });
-    b = server().bootstrapBatch(cts, tv);
+    std::thread other([&] { a = two.bootstrapBatch(cts, tv); });
+    b = two.bootstrapBatch(cts, tv);
     other.join();
 
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         expectSameCiphertext(a[i], b[i], i);
-}
-
-/**
- * Regression for the setBatchThreads race (documented-but-unchecked
- * before the split API): resizing the pool while batches are in
- * flight must be safe and leave every result bit-identical -- each
- * batch snapshots its pool, so a replacement can never destroy a pool
- * a running batch still uses. TSan watches this under STRIX_TSAN.
- */
-TEST_F(BatchPbs, SetBatchThreadsDuringInFlightBatchesIsSafe)
-{
-    auto cts = encryptRange(8);
-    TorusPolynomial tv = makeIntTestVector(
-        server().params().N, kSpace, [](int64_t v) { return v; });
-
-    std::vector<LweCiphertext> expected =
-        server().bootstrapBatch(cts, tv);
-
-    constexpr int kRounds = 6;
-    std::vector<std::vector<LweCiphertext>> results(kRounds);
-    std::atomic<bool> stop{false};
-    std::thread resizer([&] {
-        unsigned next = 1;
-        while (!stop.load()) {
-            server().setBatchThreads(1 + next++ % 4);
-            std::this_thread::yield();
-        }
-    });
-    std::vector<std::thread> batchers;
-    for (int r = 0; r < kRounds; ++r) {
-        batchers.emplace_back([&, r] {
-            results[r] = server().bootstrapBatch(cts, tv);
-        });
-    }
-    for (auto &t : batchers)
-        t.join();
-    stop = true;
-    resizer.join();
-
-    for (int r = 0; r < kRounds; ++r) {
-        ASSERT_EQ(results[r].size(), expected.size()) << "round " << r;
-        for (size_t i = 0; i < expected.size(); ++i)
-            expectSameCiphertext(results[r][i], expected[i], i);
-    }
 }
 
 /**
@@ -464,18 +509,16 @@ TEST_F(BatchPbs, ManyServerContextsShareOneEvalKeysBundle)
     constexpr int kContexts = 3;
     std::vector<std::unique_ptr<ServerContext>> servers;
     for (int s = 0; s < kContexts; ++s)
-        servers.push_back(
-            std::make_unique<ServerContext>(client().evalKeys()));
+        servers.push_back(std::make_unique<ServerContext>(
+            client().evalKeys(), unsigned(s) + 1));
 
     std::vector<std::vector<LweCiphertext>> results(kContexts);
     std::vector<std::thread> threads;
     for (int s = 0; s < kContexts; ++s) {
         EXPECT_EQ(&servers[s]->bsk(), &server().bsk());
         EXPECT_EQ(&servers[s]->ksk(), &server().ksk());
-        threads.emplace_back([&, s] {
-            servers[s]->setBatchThreads(unsigned(s) + 1);
-            results[s] = servers[s]->bootstrapBatch(cts, tv);
-        });
+        threads.emplace_back(
+            [&, s] { results[s] = servers[s]->bootstrapBatch(cts, tv); });
     }
     for (auto &t : threads)
         t.join();

@@ -32,7 +32,7 @@
 #include "server/wire_codec.h"
 #include "support/test_util.h"
 #include "tfhe/bootstrap.h"
-#include "tfhe/context_cache.h"
+#include "tfhe/client_keyset.h"
 #include "tfhe/server_context.h"
 #include "workloads/circuit.h"
 #include "workloads/circuit_analysis.h"
@@ -46,8 +46,7 @@ constexpr uint64_t kSpace = 8;
 std::shared_ptr<const ClientKeyset>
 keysetFor(uint64_t seed)
 {
-    return ContextCache::global().getOrCreateKeyset(testParams(48, 512),
-                                                    seed);
+    return std::make_shared<const ClientKeyset>(testParams(48, 512), seed);
 }
 
 std::vector<uint8_t>
