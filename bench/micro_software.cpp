@@ -23,7 +23,7 @@
 
 #include "bench_flags.h"
 #include "poly/simd.h"
-#include "tfhe/context_cache.h"
+#include "tfhe/client_keyset.h"
 #include "tfhe/gates.h"
 #include "tfhe/serialize.h"
 #include "workloads/circuit.h"
@@ -264,47 +264,33 @@ BM_FftForwardBatchKernel(benchmark::State &state,
 }
 
 /**
- * Keygen-amortization A/B: BM_KeygenCold generates a full keyset from
- * scratch (a fresh seed each iteration so nothing ages into warmth),
- * BM_ContextCacheHit looks the same shape up in a primed
- * ContextCache. The recorded ratio is the claim the service layer
- * makes: repeated sessions pay a lookup, not a keygen (expected
- * >= 100x; typically far more). The paper sets would inflate the
- * ratio further but make the cold rows minutes long, so both rows use
- * the small-but-real PBS shape the unit tests bootstrap with
- * (n=48, N=512, k=1, l=3).
+ * The small-but-real PBS shape the unit tests bootstrap with
+ * (n=48, N=512, k=1, l=3), for rows whose cost at the paper sets
+ * would run for minutes.
  */
 const TfheParams &
-cacheBenchParams()
+smallBenchParams()
 {
     static const TfheParams p = testParams(48, 512, 1, 3, 8, 0.0);
     return p;
 }
 
+/**
+ * Full keygen from scratch, a fresh seed each iteration so nothing
+ * ages into warmth: the setup cost a session pays unless its owner
+ * builds the keyset once and shares it.
+ */
 void
 BM_KeygenCold(benchmark::State &state)
 {
     uint64_t seed = 0x5eed;
     for (auto _ : state) {
-        ClientKeyset keyset(cacheBenchParams(), seed++);
+        ClientKeyset keyset(smallBenchParams(), seed++);
         benchmark::DoNotOptimize(&keyset);
     }
     state.SetLabel("full keygen, n=48 N=512");
 }
 BENCHMARK(BM_KeygenCold)->Unit(benchmark::kMillisecond);
-
-void
-BM_ContextCacheHit(benchmark::State &state)
-{
-    static ContextCache cache;
-    cache.getOrCreate(cacheBenchParams(), 0x5eed); // prime: one miss
-    for (auto _ : state) {
-        auto keys = cache.getOrCreate(cacheBenchParams(), 0x5eed);
-        benchmark::DoNotOptimize(keys.get());
-    }
-    state.SetLabel("cached EvalKeys lookup");
-}
-BENCHMARK(BM_ContextCacheHit);
 
 /**
  * Naive-vs-planned circuit evaluation A/B on the 8-bit ripple-carry
@@ -313,15 +299,15 @@ BENCHMARK(BM_ContextCacheHit);
  * elision + per-level bootstrapBatch sweeps). Both rows carry their
  * PBS count as a counter so the CI summary can print the elision
  * ratio next to the wall-time speedup. Same small-but-real PBS shape
- * as the cache rows; the plan itself is parameter-checked at set I in
+ * as BM_KeygenCold; the plan itself is parameter-checked at set I in
  * test_circuit_analysis.
  */
 struct CircuitBench
 {
     CircuitBench()
-        : client(cacheBenchParams(), 0xC13C),
+        : client(smallBenchParams(), 0xC13C),
           server(client.evalKeys()), circuit(buildAdder(8)),
-          plan(analyzeCircuit(circuit, cacheBenchParams()))
+          plan(analyzeCircuit(circuit, smallBenchParams()))
     {
         for (uint32_t i = 0; i < circuit.numInputs(); ++i)
             inputs.push_back(client.encryptBit((i & 1) != 0));
@@ -438,32 +424,6 @@ BM_SeededExpand(benchmark::State &state)
     state.SetLabel("EVK2 -> EvalKeys, set I");
 }
 BENCHMARK(BM_SeededExpand)->Unit(benchmark::kMillisecond);
-
-/**
- * Budget-pressure churn: two keysets, a budget that fits one. Every
- * lookup misses, regenerates, and LRU-evicts the other bundle, so the
- * row records the full miss-under-pressure path (keygen + accounting
- * + eviction scan); the delta against BM_KeygenCold is the cache's
- * own overhead.
- */
-void
-BM_ContextCacheEvict(benchmark::State &state)
-{
-    static ContextCache cache;
-    static const uint64_t bundle_bytes =
-        cache.getOrCreate(cacheBenchParams(), 0)->residentBytes();
-    cache.setBudgetBytes(bundle_bytes);
-    uint64_t flip = 0;
-    for (auto _ : state) {
-        auto keys = cache.getOrCreate(cacheBenchParams(), 1 + flip % 2);
-        ++flip;
-        benchmark::DoNotOptimize(keys.get());
-    }
-    state.counters["evictions"] =
-        benchmark::Counter(double(cache.stats().evictions));
-    state.SetLabel("keygen + LRU evict, n=48 N=512");
-}
-BENCHMARK(BM_ContextCacheEvict)->Unit(benchmark::kMillisecond);
 
 void
 registerKernelBenchmarks()

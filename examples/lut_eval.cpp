@@ -1,7 +1,7 @@
 /**
  * @file
  * Homomorphic look-up tables: an encrypted threshold classifier,
- * served across repeated sessions through the ContextCache.
+ * served across repeated sessions under one keyset.
  *
  * Scenario (the kind of workload the paper's intro motivates): a
  * server scores sensor readings it must never see in the clear. Each
@@ -16,16 +16,15 @@
  * while refreshing noise, so chains of any depth stay decryptable.
  *
  * Setup cost is the point of the session loop: key generation at set
- * I dominates everything else a short session does, so each session
- * asks one ContextCache, built in main, for its keys instead of
- * regenerating -- the first touch pays keygen once, every later
- * session gets the cached bundle back in ~microseconds.
+ * I dominates everything else a short session does, so main generates
+ * the tenant's keyset once and every session evaluates under it
+ * instead of regenerating.
  */
 
 #include <chrono>
 #include <cstdio>
 
-#include "tfhe/context_cache.h"
+#include "tfhe/client_keyset.h"
 #include "tfhe/server_context.h"
 
 using namespace strix;
@@ -43,41 +42,28 @@ risk(int64_t x)
 }
 
 /**
- * One serving session: fetch keys from @p cache, classify a few
- * readings, self-check. Returns the number of mismatches.
+ * One serving session under @p keyset: classify a few readings,
+ * self-check. Returns the number of mismatches.
  */
 int
-runSession(ContextCache &cache, int session, int64_t x0)
+runSession(const ClientKeyset &keyset, int session, int64_t x0)
 {
-    using Clock = std::chrono::steady_clock;
     const uint64_t space = 16;
-    const uint64_t seed = 1001; // one tenant: all sessions share keys
-
-    auto t0 = Clock::now();
-    auto keyset = cache.getOrCreateKeyset(paramsSetI(), seed);
-    // keyset->evalKeys() is the same pointer getOrCreate() returns:
-    // one lookup serves both roles.
-    ServerContext server(keyset->evalKeys());
-    double setup_ms =
-        std::chrono::duration<double>(Clock::now() - t0).count() * 1e3;
-    std::printf("session %d: setup %.3f ms (%s; %llu keygen(s) so "
-                "far)\n",
-                session, setup_ms,
-                session == 0 ? "cold keygen" : "cache hit",
-                static_cast<unsigned long long>(cache.keygenCount()));
+    ServerContext server(keyset.evalKeys());
+    std::printf("session %d:\n", session);
 
     int failures = 0;
     std::printf("%6s %12s %12s %18s\n", "x", "risk(x)", "clamp(x)",
                 "risk(clamp(x)+2)");
     for (int64_t x = x0; x < 16; x += 6) {
-        auto ct = keyset->encryptInt(x, space);
+        auto ct = keyset.encryptInt(x, space);
 
         auto ct_risk = server.applyLut(ct, space, risk);
         auto ct_clamp = server.applyLut(
             ct, space, [](int64_t v) { return v < 9 ? v : 9; });
 
         // Chained PBS: add an encrypted bias, then classify again.
-        auto bias = keyset->encryptInt(2, space);
+        auto bias = keyset.encryptInt(2, space);
         auto shifted = ct_clamp;
         shifted.addAssign(bias);
         // Additions shift the centered encoding by the bias center;
@@ -88,9 +74,9 @@ runSession(ContextCache &cache, int session, int64_t x0)
         shifted.addAssign(recenter);
         auto ct_chain = server.applyLut(shifted, space, risk);
 
-        int64_t got_risk = keyset->decryptInt(ct_risk, space);
-        int64_t got_clamp = keyset->decryptInt(ct_clamp, space);
-        int64_t got_chain = keyset->decryptInt(ct_chain, space);
+        int64_t got_risk = keyset.decryptInt(ct_risk, space);
+        int64_t got_clamp = keyset.decryptInt(ct_clamp, space);
+        int64_t got_chain = keyset.decryptInt(ct_chain, space);
         int64_t want_clamp = x < 9 ? x : 9;
         int64_t want_chain = risk(want_clamp + 2);
 
@@ -115,12 +101,17 @@ runSession(ContextCache &cache, int session, int64_t x0)
 int
 main()
 {
-    std::printf("Encrypted threshold classifier, 3 sessions through "
-                "the ContextCache\n\n");
-    ContextCache cache;
+    std::printf("Encrypted threshold classifier, 3 sessions under one "
+                "keyset\n\n");
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    const ClientKeyset keyset(paramsSetI(), 1001); // one tenant
+    std::printf("keygen: %.1f ms (once, shared by every session)\n\n",
+                std::chrono::duration<double>(Clock::now() - t0).count() *
+                    1e3);
     int failures = 0;
     for (int session = 0; session < 3; ++session) {
-        failures += runSession(cache, session, session);
+        failures += runSession(keyset, session, session);
         std::printf("\n");
     }
     std::printf("%s\n", failures == 0

@@ -9,8 +9,8 @@
  * batching (`bootstrapBatch`) cannot help -- each call sees one
  * session's one or two requests. The BatchExecutor closes the gap:
  * sessions submit individual requests (`BatchExecutor::submit`), and
- * requests that share a key bundle -- tenants resolved through one
- * ContextCache, so identity is the EvalKeys pointer -- coalesce into
+ * requests that share a key bundle -- each tenant's keyset is built
+ * once in main, so identity is the EvalKeys pointer -- coalesce into
  * one batch on the executor's shared lanes. A second tenant runs
  * alongside to show the isolation property: its requests land in
  * their own shard and are never mixed into the first tenant's
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "tfhe/batch_executor.h"
-#include "tfhe/context_cache.h"
+#include "tfhe/client_keyset.h"
 
 using namespace strix;
 
@@ -39,29 +39,27 @@ constexpr uint64_t kTenantSeedA = 7001;
 constexpr uint64_t kTenantSeedB = 7002;
 
 /**
- * One serving session: fetch the tenant's keys from @p cache, submit
- * a stream of LUT requests to the shared executor, and self-check
- * every decrypted answer. Returns the number of mismatches.
+ * One serving session of the tenant owning @p keyset: submit a stream
+ * of LUT requests to the shared executor, and self-check every
+ * decrypted answer. Returns the number of mismatches.
  */
 int
-runSession(int session, ContextCache &cache, BatchExecutor &exec)
+runSession(int session, const ClientKeyset &keyset, BatchExecutor &exec)
 {
-    const uint64_t seed = session % 2 == 0 ? kTenantSeedA : kTenantSeedB;
-    auto keyset = cache.getOrCreateKeyset(testParams(48, 512), seed);
 
     auto triple = [](int64_t v) { return (3 * v) % int64_t(kSpace); };
     std::vector<std::future<LweCiphertext>> futs;
     for (int i = 0; i < kRequestsPerSession; ++i) {
         LweCiphertext ct =
-            keyset->encryptInt(int64_t(i) % int64_t(kSpace), kSpace);
+            keyset.encryptInt(int64_t(i) % int64_t(kSpace), kSpace);
         futs.push_back(exec.submit(
-            keyset->evalKeys(), ct,
-            makeIntTestVector(keyset->params().N, kSpace, triple)));
+            keyset.evalKeys(), ct,
+            makeIntTestVector(keyset.params().N, kSpace, triple)));
     }
 
     int mismatches = 0;
     for (int i = 0; i < kRequestsPerSession; ++i) {
-        int64_t got = keyset->decryptInt(futs[size_t(i)].get(), kSpace);
+        int64_t got = keyset.decryptInt(futs[size_t(i)].get(), kSpace);
         int64_t want = triple(int64_t(i) % int64_t(kSpace));
         if (got != want) {
             std::fprintf(stderr,
@@ -87,13 +85,15 @@ main()
     opts.target_batch = 8;     // sweep width the paper's TvLP plays
     opts.flush_delay_us = 500; // latency bound for a trickling session
     BatchExecutor exec(opts);
-    ContextCache cache;
+    const ClientKeyset tenant_a(testParams(48, 512), kTenantSeedA);
+    const ClientKeyset tenant_b(testParams(48, 512), kTenantSeedB);
 
     std::vector<std::thread> sessions;
     std::vector<int> mismatches(kSessions, 0);
     for (int s = 0; s < kSessions; ++s)
         sessions.emplace_back([&, s] {
-            mismatches[size_t(s)] = runSession(s, cache, exec);
+            mismatches[size_t(s)] =
+                runSession(s, s % 2 == 0 ? tenant_a : tenant_b, exec);
         });
     for (auto &t : sessions)
         t.join();

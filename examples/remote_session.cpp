@@ -27,7 +27,7 @@
 #include "server/server.h"
 #include "server/wire_codec.h"
 #include "tfhe/bootstrap.h"
-#include "tfhe/context_cache.h"
+#include "tfhe/client_keyset.h"
 #include "tfhe/server_context.h"
 #include "workloads/circuit.h"
 
@@ -72,18 +72,16 @@ evalKeysBytes(const EvalKeys &keys)
 }
 
 /**
- * One client thread: take its tenant's keys from @p cache, register,
+ * One client thread of @p tenant, whose keys are @p keyset: register,
  * then drive the three request types. Returns the number of failures
  * (0 = clean).
  */
 int
-runClient(int id, uint16_t port, ContextCache &cache)
+runClient(int id, uint16_t port, uint64_t tenant,
+          const ClientKeyset &keyset)
 {
-    const uint64_t tenant = id % 2 == 0 ? 1 : 2;
-    const uint64_t seed = tenant == 1 ? kSeedA : kSeedB;
-    auto keyset = cache.getOrCreateKeyset(testParams(48, 512), seed);
-    const TfheParams &p = keyset->evalKeys()->params();
-    ServerContext local(keyset->evalKeys());
+    const TfheParams &p = keyset.evalKeys()->params();
+    ServerContext local(keyset.evalKeys());
 
     StrixClient client;
     if (!client.connectLoopback(port)) {
@@ -95,7 +93,7 @@ runClient(int id, uint16_t port, ContextCache &cache)
     // coordination (only the first allocates key memory).
     StrixClient::Reply reg =
         client.call(MsgType::RegisterTenant, tenant,
-                    evalKeysBytes(*keyset->evalKeys()));
+                    evalKeysBytes(*keyset.evalKeys()));
     if (!reg.ok) {
         std::fprintf(stderr, "client %d: register failed: %s\n", id,
                      reg.error_text.c_str());
@@ -108,7 +106,7 @@ runClient(int id, uint16_t port, ContextCache &cache)
         const int64_t m = (id + i) % int64_t(kSpace);
         switch (i % 3) {
         case 0: { // raw Bootstrap against an explicit test vector
-            LweCiphertext ct = keyset->encryptInt(m, kSpace);
+            LweCiphertext ct = keyset.encryptInt(m, kSpace);
             TorusPolynomial tv = makeIntTestVector(p.N, kSpace, triple);
             StrixClient::Reply r =
                 client.call(MsgType::Bootstrap, tenant,
@@ -122,9 +120,9 @@ runClient(int id, uint16_t port, ContextCache &cache)
             std::vector<LweCiphertext> out =
                 decodeCiphertexts(r.payload);
             const int64_t got =
-                keyset->decryptInt(out.at(0), kSpace);
+                keyset.decryptInt(out.at(0), kSpace);
             const int64_t want =
-                keyset->decryptInt(local.bootstrap(ct, tv), kSpace);
+                keyset.decryptInt(local.bootstrap(ct, tv), kSpace);
             if (got != want || got != triple(m)) {
                 std::fprintf(stderr,
                              "client %d: bootstrap mismatch "
@@ -135,7 +133,7 @@ runClient(int id, uint16_t port, ContextCache &cache)
             break;
         }
         case 1: { // ApplyLut with a tabulated function
-            LweCiphertext ct = keyset->encryptInt(m, kSpace);
+            LweCiphertext ct = keyset.encryptInt(m, kSpace);
             std::vector<int64_t> table;
             for (uint64_t v = 0; v < kSpace; ++v)
                 table.push_back(triple(int64_t(v)));
@@ -151,8 +149,8 @@ runClient(int id, uint16_t port, ContextCache &cache)
             std::vector<LweCiphertext> out =
                 decodeCiphertexts(r.payload);
             const int64_t got =
-                keyset->decryptInt(out.at(0), kSpace);
-            const int64_t want = keyset->decryptInt(
+                keyset.decryptInt(out.at(0), kSpace);
+            const int64_t want = keyset.decryptInt(
                 local.applyLut(ct, kSpace, triple), kSpace);
             if (got != want || got != triple(m)) {
                 std::fprintf(stderr,
@@ -167,9 +165,9 @@ runClient(int id, uint16_t port, ContextCache &cache)
             const bool a = (m & 1) != 0, b = (m & 2) != 0,
                        cin = (m & 4) != 0;
             std::vector<LweCiphertext> inputs;
-            inputs.push_back(keyset->encryptBit(a));
-            inputs.push_back(keyset->encryptBit(b));
-            inputs.push_back(keyset->encryptBit(cin));
+            inputs.push_back(keyset.encryptBit(a));
+            inputs.push_back(keyset.encryptBit(b));
+            inputs.push_back(keyset.encryptBit(cin));
             StrixClient::Reply r = client.call(
                 MsgType::EvalCircuit, tenant,
                 encodeCircuitPayload(adder, inputs));
@@ -191,7 +189,7 @@ runClient(int id, uint16_t port, ContextCache &cache)
                 break;
             }
             for (size_t o = 0; o < out.size(); ++o) {
-                if (keyset->decryptBit(out[o]) != want[o]) {
+                if (keyset.decryptBit(out[o]) != want[o]) {
                     std::fprintf(stderr,
                                  "client %d: circuit output %zu "
                                  "mismatch\n",
@@ -224,12 +222,16 @@ main()
         return 1;
     }
 
-    ContextCache cache; // the client side's keys, one keyset per tenant
+    // The client side's keys, one keyset per tenant.
+    const ClientKeyset keyset_a(testParams(48, 512), kSeedA);
+    const ClientKeyset keyset_b(testParams(48, 512), kSeedB);
     std::vector<std::thread> threads;
     std::vector<int> failures(kThreads, 0);
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
-            failures[size_t(t)] = runClient(t, server.port(), cache);
+            const bool a = t % 2 == 0;
+            failures[size_t(t)] = runClient(t, server.port(), a ? 1 : 2,
+                                            a ? keyset_a : keyset_b);
         });
     for (auto &t : threads)
         t.join();

@@ -26,7 +26,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -54,28 +53,6 @@ class STRIX_CAPABILITY("mutex") Mutex
 
   private:
     std::mutex m_;
-};
-
-/** std::shared_mutex with thread-safety-analysis attributes. */
-class STRIX_CAPABILITY("shared_mutex") SharedMutex
-{
-  public:
-    SharedMutex() = default;
-    SharedMutex(const SharedMutex &) = delete;
-    SharedMutex &operator=(const SharedMutex &) = delete;
-
-    void lock() STRIX_ACQUIRE() { m_.lock(); }
-    void unlock() STRIX_RELEASE() { m_.unlock(); }
-    void lock_shared() STRIX_ACQUIRE_SHARED() { m_.lock_shared(); }
-    void unlock_shared() STRIX_RELEASE_SHARED() { m_.unlock_shared(); }
-
-    /** See Mutex::assertHeld. */
-    void assertHeld() const STRIX_ASSERT_CAPABILITY(this) {}
-    /** Shared-mode claim: reader access is held. */
-    void assertReaderHeld() const STRIX_ASSERT_SHARED_CAPABILITY(this) {}
-
-  private:
-    std::shared_mutex m_;
 };
 
 /**
@@ -115,41 +92,6 @@ class STRIX_SCOPED_CAPABILITY MutexLock
   private:
     Mutex &m_;
     bool held_ = true;
-};
-
-/** Scoped exclusive (writer) lock over a SharedMutex. */
-class STRIX_SCOPED_CAPABILITY SharedWriterLock
-{
-  public:
-    explicit SharedWriterLock(SharedMutex &m) STRIX_ACQUIRE(m) : m_(m)
-    {
-        m_.lock();
-    }
-    ~SharedWriterLock() STRIX_RELEASE() { m_.unlock(); }
-
-    SharedWriterLock(const SharedWriterLock &) = delete;
-    SharedWriterLock &operator=(const SharedWriterLock &) = delete;
-
-  private:
-    SharedMutex &m_;
-};
-
-/** Scoped shared (reader) lock over a SharedMutex. */
-class STRIX_SCOPED_CAPABILITY SharedReaderLock
-{
-  public:
-    explicit SharedReaderLock(SharedMutex &m) STRIX_ACQUIRE_SHARED(m)
-        : m_(m)
-    {
-        m_.lock_shared();
-    }
-    ~SharedReaderLock() STRIX_RELEASE_SHARED() { m_.unlock_shared(); }
-
-    SharedReaderLock(const SharedReaderLock &) = delete;
-    SharedReaderLock &operator=(const SharedReaderLock &) = delete;
-
-  private:
-    SharedMutex &m_;
 };
 
 /**

@@ -37,7 +37,7 @@
 /** Marks an RAII class whose lifetime equals holding a capability. */
 #define STRIX_SCOPED_CAPABILITY STRIX_THREAD_ANNOTATION_(scoped_lockable)
 
-/** Data member readable only with @p x held (shared or exclusive). */
+/** Data member accessible only with @p x held. */
 #define STRIX_GUARDED_BY(x) STRIX_THREAD_ANNOTATION_(guarded_by(x))
 
 /** Pointer member whose *pointee* is guarded by @p x. */
@@ -47,29 +47,13 @@
 #define STRIX_REQUIRES(...) \
     STRIX_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 
-/** Function requires at least shared (reader) access on entry. */
-#define STRIX_REQUIRES_SHARED(...) \
-    STRIX_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
-
 /** Function acquires the capability exclusively (held on return). */
 #define STRIX_ACQUIRE(...) \
     STRIX_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
 
-/** Function acquires shared (reader) access. */
-#define STRIX_ACQUIRE_SHARED(...) \
-    STRIX_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
-
 /** Function releases an exclusively held capability. */
 #define STRIX_RELEASE(...) \
     STRIX_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-
-/** Function releases shared (reader) access. */
-#define STRIX_RELEASE_SHARED(...) \
-    STRIX_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-
-/** Function releases a capability held in either mode. */
-#define STRIX_RELEASE_GENERIC(...) \
-    STRIX_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 
 /** Function tries to acquire; first arg is the success return value. */
 #define STRIX_TRY_ACQUIRE(...) \
@@ -91,10 +75,6 @@
  */
 #define STRIX_ASSERT_CAPABILITY(x) \
     STRIX_THREAD_ANNOTATION_(assert_capability(x))
-
-/** Shared-mode variant of STRIX_ASSERT_CAPABILITY. */
-#define STRIX_ASSERT_SHARED_CAPABILITY(x) \
-    STRIX_THREAD_ANNOTATION_(assert_shared_capability(x))
 
 /** Function returns a reference to the capability guarding @p x. */
 #define STRIX_RETURN_CAPABILITY(x) \

@@ -63,9 +63,9 @@ StrixServer::StrixServer(Options opts,
     : opts_(opts),
       clock_(clock ? std::move(clock)
                    : std::make_shared<SteadyWaitableClock>()),
-      executor_(std::make_shared<BatchExecutor>(opts.exec, clock_))
+      executor_(std::make_shared<BatchExecutor>(opts.exec, clock_)),
+      cache_(opts.cache_budget_bytes)
 {
-    cache_.setBudgetBytes(opts_.cache_budget_bytes);
 }
 
 StrixServer::StrixServer() : StrixServer(Options()) {}
@@ -73,12 +73,6 @@ StrixServer::StrixServer() : StrixServer(Options()) {}
 StrixServer::~StrixServer()
 {
     stop();
-}
-
-std::string
-StrixServer::tenantKey(uint64_t tenant)
-{
-    return std::to_string(tenant);
 }
 
 bool
@@ -159,7 +153,7 @@ StrixServer::handleRegister(ConnState &c, const WireMessage &m,
     // tenant unevictable and defeat the budget.
     executor_->releaseIdleShards();
     std::shared_ptr<const EvalKeys> resident =
-        cache_.getOrInsert(tenantKey(m.tenant), keys);
+        cache_.getOrInsert(m.tenant, keys);
     // The cache keeps a resident bundle and drops the new one, so a
     // tenant id already bound to other keys must be refused: answering
     // Ok would run the client's later requests under the old keys.
@@ -196,8 +190,7 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
                 now_us);
         return;
     }
-    std::shared_ptr<const EvalKeys> bundle =
-        cache_.lookup(tenantKey(m.tenant));
+    std::shared_ptr<const EvalKeys> bundle = cache_.lookup(m.tenant);
     if (!bundle) {
         if (tenant_inflight == 0)
             inflight_.erase(m.tenant);
@@ -212,8 +205,11 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
     pend.conn_id = c.id;
     pend.tenant = m.tenant;
     pend.request_id = m.request_id;
+    // Saturate: a deadline past the end of the clock never expires.
     pend.deadline_abs_us =
-        m.deadline_us != 0 ? now_us + m.deadline_us : 0;
+        m.deadline_us == 0 ? 0
+                           : now_us + std::min(m.deadline_us,
+                                               UINT64_MAX - now_us);
     try {
         switch (m.type) {
         case MsgType::Bootstrap: {

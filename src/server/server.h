@@ -38,10 +38,10 @@
  * Each request may carry a relative deadline; work that completes too
  * late is answered with DeadlineExceeded instead of a stale result.
  *
- * Trust model: this layer never sees a secret key -- it includes
- * neither tfhe/client_keyset.h nor the ContextCache facade that owns
- * keysets (both lint-enforced). Everything it holds and computes on
- * is public evaluation material and ciphertexts.
+ * Trust model: this layer never sees a secret key -- it does not
+ * include tfhe/client_keyset.h, directly or through any header it
+ * includes (lint-enforced). Everything it holds and computes on is
+ * public evaluation material and ciphertexts.
  *
  * Threading: all connection and admission state belongs to the loop
  * thread exclusively (no locks); cross-thread surface is start/stop,
@@ -249,8 +249,6 @@ class StrixServer
 
     /** Poll timeout folding sender deadlines and pending futures. */
     int pollTimeoutMs(uint64_t now_us) const;
-
-    static std::string tenantKey(uint64_t tenant);
 
     Options opts_;
     std::shared_ptr<WaitableClock> clock_;

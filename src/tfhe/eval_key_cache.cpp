@@ -9,215 +9,74 @@
 
 namespace strix {
 
-namespace {
-
-/**
- * Namespace prefix for getOrInsert() entries. ContextCache's keygen
- * keys start with "n=" (its cacheKey), so prefixed external keys can
- * never collide with them no matter what params_key a caller picks.
- */
-std::string
-externalKey(const std::string &params_key)
-{
-    return "ext:" + params_key;
-}
-
-} // namespace
-
-std::shared_ptr<EvalKeyCache::Entry>
-EvalKeyCache::entryFor(const std::string &key)
-{
-    {
-        SharedReaderLock read(index_mutex_);
-        // Look up through a const alias: a reader lock only grants
-        // shared access to entries_, and the analysis (correctly)
-        // rejects the non-const find() overload under it.
-        const auto &index = entries_;
-        auto it = index.find(key);
-        if (it != index.end())
-            return it->second;
-    }
-    SharedWriterLock write(index_mutex_);
-    auto [it, inserted] = entries_.try_emplace(key);
-    if (inserted)
-        it->second = std::make_shared<Entry>();
-    return it->second;
-}
-
-void
-EvalKeyCache::stampRecency(Entry &e)
-{
-    // Stamp recency from the global clock; an atomic per-entry stamp
-    // keeps the hit path on the reader lock (entryFor) -- no list to
-    // reorder, so no writer lock on hits.
-    e.last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-}
-
-EvalKeyCache::Built
-EvalKeyCache::getOrBuild(const std::string &key, const Builder &build)
-{
-    std::shared_ptr<Entry> entry = entryFor(key);
-    bool built_now = false;
-    std::call_once(entry->once, [&] {
-        Built b = build();
-        panicIfNot(b.bundle != nullptr,
-                   "EvalKeyCache: builder returned null bundle");
-        entry->bundle = std::move(b.bundle);
-        entry->owner = std::move(b.owner);
-        // At-rest reference count: the entry's copy, plus the owner's
-        // internal copy if it holds one (ContextCache's keyset does).
-        // Anything above this later means an external caller is live.
-        entry->pin_baseline =
-            static_cast<uint32_t>(entry->bundle.use_count());
-        // Release-store after the bundle write: the eviction scan
-        // (which never passes through this call_once) acquires
-        // `built` before touching `bundle`.
-        entry->built.store(true, std::memory_order_release);
-        builds_.fetch_add(1, std::memory_order_relaxed);
-        built_now = true;
-    });
-    stampRecency(*entry);
-    if (built_now)
-        accountAndEvict(key, entry);
-    else
-        hits_.fetch_add(1, std::memory_order_relaxed);
-    return Built{entry->bundle, entry->owner};
-}
-
 std::shared_ptr<const EvalKeys>
-EvalKeyCache::getOrInsert(const std::string &params_key,
+EvalKeyCache::getOrInsert(uint64_t tenant,
                           std::shared_ptr<const EvalKeys> bundle)
 {
     panicIfNot(bundle != nullptr, "EvalKeyCache: null bundle insert");
-    const std::string key = externalKey(params_key);
-    std::shared_ptr<Entry> entry = entryFor(key);
-    bool inserted_now = false;
-    std::call_once(entry->once, [&] {
-        entry->bundle = std::move(bundle);
-        entry->pin_baseline = 1;
-        // Release-store pairing with the eviction/lookup acquire, as
-        // in getOrBuild.
-        entry->built.store(true, std::memory_order_release);
-        inserts_.fetch_add(1, std::memory_order_relaxed);
-        inserted_now = true;
-    });
-    stampRecency(*entry);
-    if (inserted_now)
-        accountAndEvict(key, entry);
-    else
-        hits_.fetch_add(1, std::memory_order_relaxed);
-    return entry->bundle;
-}
-
-std::shared_ptr<const EvalKeys>
-EvalKeyCache::lookup(const std::string &params_key)
-{
-    const std::string key = externalKey(params_key);
-    SharedReaderLock read(index_mutex_);
-    const auto &index = entries_;
-    auto it = index.find(key);
-    if (it == index.end())
-        return nullptr; // never inserted, or evicted under pressure
-    Entry &e = *it->second;
-    if (!e.built.load(std::memory_order_acquire))
-        return nullptr; // insert still racing in
-    stampRecency(e);
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(m_);
+    auto [it, inserted] = entries_.try_emplace(tenant);
+    Entry &e = it->second;
+    e.last_used = ++tick_;
+    if (!inserted) {
+        ++hits_;
+        return e.bundle;
+    }
+    e.bytes = bundle->residentBytes();
+    e.bundle = std::move(bundle);
+    resident_bytes_ += e.bytes;
+    ++inserts_;
+    evictIfOver(tenant);
     return e.bundle;
 }
 
-void
-EvalKeyCache::accountAndEvict(const std::string &key,
-                              const std::shared_ptr<Entry> &entry)
+std::shared_ptr<const EvalKeys>
+EvalKeyCache::lookup(uint64_t tenant)
 {
-    SharedWriterLock write(index_mutex_);
-    // clear() may have raced the build: if the slot no longer holds
-    // this entry, the caller keeps an unaccounted orphan bundle and
-    // the cache owes nothing for it.
-    auto it = entries_.find(key);
-    if (it == entries_.end() || it->second != entry)
-        return;
-    const uint64_t bytes = entry->bundle->residentBytes();
-    entry->bytes.store(bytes, std::memory_order_relaxed);
-    resident_bytes_ += bytes;
-    evictIfOver(entry.get());
+    MutexLock lock(m_);
+    auto it = entries_.find(tenant);
+    if (it == entries_.end())
+        return nullptr; // never inserted, or evicted under pressure
+    it->second.last_used = ++tick_;
+    ++hits_;
+    return it->second.bundle;
 }
 
 void
-EvalKeyCache::evictIfOver(const Entry *exclude)
+EvalKeyCache::evictIfOver(uint64_t keep)
 {
     while (budget_bytes_ != 0 && resident_bytes_ > budget_bytes_) {
         auto victim = entries_.end();
-        uint64_t victim_tick = 0;
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            Entry &e = *it->second;
-            if (&e == exclude)
-                continue; // the bundle being returned right now
-            // Unbuilt entries hold no accounted bytes (build still
-            // running or pending); acquire pairs with the
-            // release-store in getOrBuild/getOrInsert.
-            if (!e.built.load(std::memory_order_acquire))
+            // Pinned: a caller still holds the bundle. Evicting would
+            // not invalidate it (shared_ptr), but an active tenant
+            // must stay resident.
+            if (it->first == keep || it->second.bundle.use_count() > 1)
                 continue;
-            // Pinned: some caller still holds the owner or the
-            // bundle beyond the cache's at-rest references.
-            // Evicting would not invalidate them (shared_ptr),
-            // but an active tenant must stay resident.
-            if (e.owner.use_count() > 1 ||
-                e.bundle.use_count() > e.pin_baseline)
-                continue;
-            const uint64_t tick =
-                e.last_used.load(std::memory_order_relaxed);
-            if (victim == entries_.end() || tick < victim_tick) {
+            if (victim == entries_.end() ||
+                it->second.last_used < victim->second.last_used)
                 victim = it;
-                victim_tick = tick;
-            }
         }
         if (victim == entries_.end())
-            return; // everything left is pinned or building
-        resident_bytes_ -=
-            victim->second->bytes.load(std::memory_order_relaxed);
+            return; // everything left is pinned
+        resident_bytes_ -= victim->second.bytes;
         entries_.erase(victim);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
+        ++evictions_;
     }
-}
-
-void
-EvalKeyCache::setBudgetBytes(uint64_t budget)
-{
-    SharedWriterLock write(index_mutex_);
-    budget_bytes_ = budget;
-    evictIfOver(nullptr);
 }
 
 CacheStats
 EvalKeyCache::stats() const
 {
+    MutexLock lock(m_);
     CacheStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = builds_.load(std::memory_order_relaxed);
-    s.inserts = inserts_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    SharedReaderLock read(index_mutex_);
+    s.hits = hits_;
+    s.inserts = inserts_;
+    s.evictions = evictions_;
     s.resident_bytes = resident_bytes_;
     s.entries = entries_.size();
     s.budget_bytes = budget_bytes_;
     return s;
-}
-
-size_t
-EvalKeyCache::size() const
-{
-    SharedReaderLock read(index_mutex_);
-    return entries_.size();
-}
-
-void
-EvalKeyCache::clear()
-{
-    SharedWriterLock write(index_mutex_);
-    entries_.clear();
-    resident_bytes_ = 0;
 }
 
 } // namespace strix

@@ -1,44 +1,29 @@
 /**
  * @file
- * EvalKeyCache: the bytes-budgeted LRU engine under ContextCache.
+ * EvalKeyCache: the serving daemon's bytes-budgeted store of tenant
+ * key bundles.
  *
  * Holds EvalKeys bundles -- public evaluation material only -- keyed
- * by caller-chosen strings, with exactly-once construction per key,
- * LRU eviction under a resident-bytes budget, and hit/miss/eviction
- * counters. Two entry populations share the machinery:
+ * by tenant id. A multi-tenant server is bounded by key memory, not
+ * compute (a set-I bundle is ~48 MiB resident; see
+ * EvalKeys::residentBytes), so the cache charges each adopted bundle
+ * its resident bytes and, over the budget fixed at construction,
+ * evicts the least-recently-used *unpinned* tenant: one whose bundle
+ * nothing outside the cache references. An evicted tenant must
+ * re-register; an active one (in-flight work, an executor shard)
+ * stays resident even if that leaves the cache over budget.
  *
- *  - built entries (getOrBuild): the keygen-amortizing path used by
- *    ContextCache, which owns the secret ClientKeyset alongside the
- *    bundle as an opaque `owner` handle (type-erased here, so this
- *    header never names or includes the secret type);
- *  - inserted entries (getOrInsert): externally-deserialized bundles
- *    -- the serving daemon's tenant-registration path -- namespaced
- *    apart from built keys so the populations can never alias.
- *
- * This split is what lets an evaluation-only daemon run budgeted key
- * storage without reaching tfhe/client_keyset.h (lint-enforced): the
- * secret-owning facade lives in context_cache.h, everything below it
- * is secret-free.
- *
- * Synchronization follows the PR 2 plan-cache discipline: lookups of
- * an already-built entry take a shared (reader) lock on the index --
- * never the build path -- and first touch is double-checked: the
- * entry slot is claimed under the exclusive lock, but the build runs
- * under a per-entry once-flag *outside* the index lock, so building
- * one tenant's keys never blocks cache hits for another. LRU recency
- * is per-entry atomic ticks; eviction scans run under the writer
- * lock.
+ * One mutex guards the map and every counter. The daemon's loop
+ * thread is the only caller of getOrInsert/lookup; stats() may be
+ * read from any thread.
  */
 
 #ifndef STRIX_TFHE_EVAL_KEY_CACHE_H
 #define STRIX_TFHE_EVAL_KEY_CACHE_H
 
-#include <atomic>
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex> // std::once_flag / std::call_once
-#include <string>
 
 #include "common/sync.h"
 #include "tfhe/eval_keys.h"
@@ -48,153 +33,73 @@ namespace strix {
 /** Point-in-time cache observability counters. */
 struct CacheStats
 {
-    uint64_t hits = 0;       //!< lookups served from a built entry
-    uint64_t misses = 0;     //!< lookups that ran the builder (keygen)
-    uint64_t inserts = 0;    //!< externally-built bundles adopted
+    uint64_t hits = 0;       //!< calls served an already-resident bundle
+    uint64_t inserts = 0;    //!< bundles adopted
     uint64_t evictions = 0;  //!< entries evicted under budget pressure
-    uint64_t resident_bytes = 0; //!< bytes of built, resident bundles
-    uint64_t entries = 0;    //!< entries resident (built or building)
+    uint64_t resident_bytes = 0; //!< bytes of resident bundles
+    uint64_t entries = 0;    //!< tenants resident
     uint64_t budget_bytes = 0;   //!< configured budget (0 = unbounded)
 };
 
-/** Budgeted LRU cache of EvalKeys bundles (no secret material). */
+/** Budgeted LRU cache of tenant EvalKeys bundles (no secret material). */
 class EvalKeyCache
 {
   public:
-    EvalKeyCache() = default;
+    /** @p budget_bytes caps resident bytes; 0 = unbounded. */
+    explicit EvalKeyCache(uint64_t budget_bytes = 0)
+        : budget_bytes_(budget_bytes)
+    {
+    }
 
     EvalKeyCache(const EvalKeyCache &) = delete;
     EvalKeyCache &operator=(const EvalKeyCache &) = delete;
 
     /**
-     * A built entry: the bundle plus an opaque strong reference the
-     * builder wants kept alive with it (ContextCache parks the
-     * secret ClientKeyset there; it participates in pinning but is
-     * never interpreted by the cache).
-     */
-    struct Built
-    {
-        std::shared_ptr<const EvalKeys> bundle;
-        std::shared_ptr<const void> owner;
-    };
-
-    using Builder = std::function<Built()>;
-
-    /**
-     * The entry for @p key, running @p build exactly once on first
-     * touch (even under concurrent first touch; concurrent callers
-     * block on the per-entry once-flag, not the index lock).
-     */
-    Built getOrBuild(const std::string &key, const Builder &build)
-        STRIX_EXCLUDES(index_mutex_);
-
-    /**
-     * Adopt an externally-built bundle (typically deserialized off
-     * the wire) under @p params_key. Idempotent: if the key is
-     * already resident the *existing* bundle is returned (a hit) and
-     * @p bundle is dropped -- a tenant re-registering does not
-     * duplicate key memory. Keys are namespaced apart from
-     * getOrBuild keys. @p bundle must be non-null.
+     * Adopt @p bundle (non-null) for @p tenant. Idempotent: if the
+     * tenant is already resident its *existing* bundle is returned (a
+     * hit) and @p bundle is dropped -- a tenant re-registering does
+     * not duplicate key memory. A new tenant is charged its resident
+     * bytes, then LRU eviction runs; it never evicts the entry just
+     * inserted.
      */
     std::shared_ptr<const EvalKeys>
-    getOrInsert(const std::string &params_key,
-                std::shared_ptr<const EvalKeys> bundle)
-        STRIX_EXCLUDES(index_mutex_);
+    getOrInsert(uint64_t tenant, std::shared_ptr<const EvalKeys> bundle)
+        STRIX_EXCLUDES(m_);
 
     /**
-     * The bundle previously adopted under @p params_key, or nullptr
-     * if never inserted or evicted under budget pressure (treat as
-     * "tenant must re-register"). A hit stamps LRU recency.
+     * The bundle adopted for @p tenant, or nullptr if never inserted
+     * or evicted under budget pressure (treat as "tenant must
+     * re-register"). A hit stamps LRU recency.
      */
-    std::shared_ptr<const EvalKeys>
-    lookup(const std::string &params_key)
-        STRIX_EXCLUDES(index_mutex_);
+    std::shared_ptr<const EvalKeys> lookup(uint64_t tenant)
+        STRIX_EXCLUDES(m_);
 
-    /**
-     * Cap the resident bytes of built bundles
-     * (EvalKeys::residentBytes accounting); 0 restores the unbounded
-     * default. Applies immediately. Best-effort under pinning: an
-     * entry whose bundle or owner is still externally referenced is
-     * never evicted, so the cache can stay over budget rather than
-     * invalidating live tenants.
-     */
-    void setBudgetBytes(uint64_t budget) STRIX_EXCLUDES(index_mutex_);
-
-    /** Current counters. */
-    CacheStats stats() const STRIX_EXCLUDES(index_mutex_);
-
-    /** Entries resident (built or being built). */
-    size_t size() const STRIX_EXCLUDES(index_mutex_);
-
-    /** Builder invocations so far (misses). */
-    uint64_t buildCount() const { return builds_.load(); }
-
-    /**
-     * Drop every cached entry. Outstanding shared_ptrs stay valid;
-     * later lookups rebuild. For tests and memory-pressure hooks.
-     */
-    void clear() STRIX_EXCLUDES(index_mutex_);
+    /** Current counters, one snapshot. */
+    CacheStats stats() const STRIX_EXCLUDES(m_);
 
   private:
-    /**
-     * One cache slot. The once-flag serializes building per entry;
-     * `bundle`/`owner` are written exactly once under it and are safe
-     * to read without the index lock afterwards (call_once publishes
-     * for threads that pass through it; the eviction scan, which does
-     * not, synchronizes through `built` instead: store-release after
-     * the bundle write, load-acquire before reading it). `last_used`
-     * and `bytes` are atomics because the hit path stamps recency
-     * under only a reader lock.
-     */
     struct Entry
     {
-        std::once_flag once;
         std::shared_ptr<const EvalKeys> bundle;
-        std::shared_ptr<const void> owner;
-        /**
-         * bundle.use_count() when nothing external holds it: 1 for
-         * inserted entries, 2 when an owner also references it
-         * (ContextCache's keyset holds its own evalKeys pointer).
-         */
-        uint32_t pin_baseline = 1;
-        std::atomic<bool> built{false};
-        std::atomic<uint64_t> last_used{0};
-        std::atomic<uint64_t> bytes{0};
+        uint64_t bytes = 0;
+        uint64_t last_used = 0; //!< tick_ at the last insert or hit
     };
 
-    std::shared_ptr<Entry> entryFor(const std::string &key)
-        STRIX_EXCLUDES(index_mutex_);
-
-    void stampRecency(Entry &e);
-
     /**
-     * Post-build accounting: charge the freshly built @p entry's
-     * resident bytes (re-checking it still occupies @p key -- a
-     * concurrent clear() may have dropped it, leaving an orphan the
-     * caller still holds) and evict down to budget.
+     * Evict LRU unpinned entries (never @p keep, the tenant being
+     * returned) until resident bytes fit the budget or no candidate
+     * remains.
      */
-    void accountAndEvict(const std::string &key,
-                         const std::shared_ptr<Entry> &entry)
-        STRIX_EXCLUDES(index_mutex_);
+    void evictIfOver(uint64_t keep) STRIX_REQUIRES(m_);
 
-    /**
-     * Evict LRU unpinned built entries (never @p exclude, the entry
-     * the current caller is about to return) until resident bytes
-     * fit the budget or no candidate remains.
-     */
-    void evictIfOver(const Entry *exclude)
-        STRIX_REQUIRES(index_mutex_);
-
-    mutable SharedMutex index_mutex_;
-    std::map<std::string, std::shared_ptr<Entry>> entries_
-        STRIX_GUARDED_BY(index_mutex_);
-    uint64_t budget_bytes_ STRIX_GUARDED_BY(index_mutex_) = 0;
-    uint64_t resident_bytes_ STRIX_GUARDED_BY(index_mutex_) = 0;
-    std::atomic<uint64_t> builds_{0};
-    std::atomic<uint64_t> inserts_{0};
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> evictions_{0};
-    std::atomic<uint64_t> tick_{0}; //!< global LRU recency clock
+    const uint64_t budget_bytes_;
+    mutable Mutex m_;
+    std::map<uint64_t, Entry> entries_ STRIX_GUARDED_BY(m_);
+    uint64_t resident_bytes_ STRIX_GUARDED_BY(m_) = 0;
+    uint64_t tick_ STRIX_GUARDED_BY(m_) = 0; //!< LRU recency clock
+    uint64_t hits_ STRIX_GUARDED_BY(m_) = 0;
+    uint64_t inserts_ STRIX_GUARDED_BY(m_) = 0;
+    uint64_t evictions_ STRIX_GUARDED_BY(m_) = 0;
 };
 
 } // namespace strix

@@ -9,8 +9,8 @@
  * bootstrapping key (BSK) and the keyswitching key (KSK). EvalKeys is
  * exactly that server-side bundle: parameters + BSK + KSK, immutable
  * after construction, shared by `std::shared_ptr` so any number of
- * ServerContexts (and the ContextCache) reference one copy with zero
- * key duplication.
+ * ServerContexts (and the daemon's EvalKeyCache) reference one copy
+ * with zero key duplication.
  *
  * EvalKeys contains no secret key and no RNG; code that only sees an
  * EvalKeys (or a ServerContext built on one) provably cannot decrypt.
@@ -81,8 +81,8 @@ class EvalKeys
      * Actual resident size of the key material as stored: the
      * frequency-domain BSK rows (16 bytes per complex point -- 4x the
      * time-domain torus estimate of bytes()) plus the KSK rows. This
-     * is what one cached tenant costs a server, and the unit
-     * ContextCache budgets and accounts evictions in.
+     * is what one cached tenant costs a server, and the unit the
+     * daemon's EvalKeyCache budgets and accounts evictions in.
      */
     uint64_t residentBytes() const;
 

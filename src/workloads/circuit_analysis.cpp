@@ -250,7 +250,7 @@ CircuitAnalyzer::plan() const
     std::vector<Wire> ops;
     std::vector<std::pair<Wire, int32_t>> terms;
     std::vector<Wire> pinned; // un-elided by the relaxation loop
-    // CheapestSufficient trial machinery. A trial pins one candidate
+    // Cheapest-sufficient trial machinery. A trial pins one candidate
     // from the violation cone and lets the next loop pass *be* the
     // simulation (same eligibility / forward-pass / budget code): an
     // empty violation list accepts the pin, otherwise the next
@@ -437,8 +437,7 @@ CircuitAnalyzer::plan() const
                     queue.push_back(o);
                 }
         }
-        if (options_.unelide == UnelidePolicy::CheapestSufficient &&
-            !trials_exhausted) {
+        if (!trials_exhausted) {
             std::vector<Wire> cands;
             for (Wire i = 0; i < nn; ++i)
                 if (in_cone[i] && a.elided[i])

@@ -38,7 +38,11 @@
  *    when every surviving PBS input and every primary output keeps
  *    its phase inside the decoding margin at z standard deviations
  *    (the budget knob). When an elision overdraws the budget the
- *    analyzer un-elides the worst offender and retries; when even the
+ *    analyzer un-elides the cheapest sufficient wire in the
+ *    violation's cone -- the first single trial pin, in descending
+ *    variance order, that restores every budget, so a shared trunk
+ *    fixes all its sinks with one PBS -- and falls back to the
+ *    max-variance wire when no single pin suffices; when even the
  *    all-bootstrap plan cannot meet the budget it reports lint-style
  *    diagnostics with the offending wire chain instead of silently
  *    under-bootstrapping.
@@ -83,25 +87,6 @@ enum class WireEncoding : uint8_t
     Wide4, //!< +-1/4: elided XOR/XNOR chains (decodes by sign)
 };
 
-/** How the relaxation loop picks the elided wire to revert when a
- * noise budget is violated. */
-enum class UnelidePolicy : uint8_t
-{
-    /**
-     * Cost-based: trial-pin candidates from the violation's ancestor
-     * cone and keep a single pin that provably restores *every*
-     * budget -- one PBS spent where the greedy policy may burn
-     * several (a shared trunk fixes all its sinks at once; the
-     * max-variance wire may fix only one). Candidates are tried in
-     * descending-variance order; when no single pin suffices the
-     * policy falls back to MaxVariance for guaranteed progress.
-     */
-    CheapestSufficient,
-    /** Greedy legacy policy: always the max-variance elided wire in
-     * the violation cone, re-checking after each revert. */
-    MaxVariance,
-};
-
 /** Analysis knobs. */
 struct AnalysisOptions
 {
@@ -127,9 +112,6 @@ struct AnalysisOptions
      * pbsOutput() when chaining circuits on bootstrapped outputs.
      */
     double input_variance = -1.0;
-
-    /** Budget-relaxation revert policy (see UnelidePolicy). */
-    UnelidePolicy unelide = UnelidePolicy::CheapestSufficient;
 };
 
 /**

@@ -125,7 +125,6 @@ enum Seed : uint64_t {
     kSeedIntegration = 60606,
     kSeedBootstrap = 99,
     kSeedParallel = 7777,
-    kSeedContextCache = 31337,
     kSeedSerialize = 90210,
     kSeedBatchExecutor = 5150,
 };

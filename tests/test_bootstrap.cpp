@@ -88,6 +88,12 @@ TEST(ModSwitchDeathTest, PanicsOnNonPowerOfTwoRingDim)
     EXPECT_DEATH(ModSwitch ms(3), "power of two");
 }
 
+TEST(ServerContextDeathTest, RejectsNullBundle)
+{
+    EXPECT_DEATH(ServerContext(nullptr),
+                 "ServerContext: null EvalKeys bundle");
+}
+
 /**
  * Zero-noise fixture with tiny parameters: blind rotation must behave
  * as the exact negacyclic rotation by the phase.

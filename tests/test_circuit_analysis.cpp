@@ -345,9 +345,9 @@ TEST(CircuitAnalysis, CheapestSufficientUnelidePinsSharedTrunk)
     // Three elided XOR chains: a noisy decoy, a shared trunk, and a
     // cheap arm. Both surviving bootstraps Xor(trunk, decoy) and
     // Xor(trunk, cheap) overdraw a budget tuned so that un-eliding
-    // the shared trunk alone restores both, while the greedy
-    // max-variance policy pins the decoy first (fixing only one
-    // sink) and must spend a second PBS on the trunk anyway.
+    // the shared trunk alone restores both, while pinning the
+    // max-variance decoy first would fix only one sink and spend a
+    // second PBS on the trunk anyway.
     const NoiseModel model(paramsSetI());
     const double V = 100.0 * std::max({model.pbsOutput(),
                                        model.freshLwe(),
@@ -378,22 +378,14 @@ TEST(CircuitAnalysis, CheapestSufficientUnelidePinsSharedTrunk)
     opts.input_variance = V;
     opts.z = 0.25 / std::sqrt(26.0 * V); // decodableStddev(2,z)^2=26V
 
-    AnalysisOptions greedy = opts;
-    greedy.unelide = UnelidePolicy::MaxVariance;
-    CircuitPlan legacy = analyzeCircuit(c, paramsSetI(), greedy);
-    ASSERT_TRUE(legacy.feasible()) << legacy.summary();
     CircuitPlan cost = analyzeCircuit(c, paramsSetI(), opts);
     ASSERT_TRUE(cost.feasible()) << cost.summary();
 
-    // One shared pin beats two greedy ones: x1 + x2 + two output
-    // Ands + trunk = 5 PBS, versus greedy's decoy + trunk = 6.
+    // One shared pin: x1 + x2 + two output Ands + trunk = 5 PBS,
+    // where pinning decoy and then trunk would spend 6.
     EXPECT_EQ(cost.pbsCount(), 5u) << cost.summary();
-    EXPECT_EQ(legacy.pbsCount(), 6u) << legacy.summary();
-    EXPECT_LT(cost.pbsCount(), legacy.pbsCount());
     EXPECT_EQ(cost.node(trunk).action, PlanAction::Bootstrap);
     EXPECT_EQ(cost.node(decoy).action, PlanAction::Linear);
-    EXPECT_EQ(legacy.node(trunk).action, PlanAction::Bootstrap);
-    EXPECT_EQ(legacy.node(decoy).action, PlanAction::Bootstrap);
 }
 
 TEST(CircuitAnalysis, PredictedStddevTracksEncodingAndSummary)

@@ -403,6 +403,20 @@ TEST(Server, GenerousDeadlineIsMet)
     EXPECT_EQ(h.server.stats().deadline_misses, 0u);
 }
 
+TEST(Server, HugeDeadlineNeverExpires)
+{
+    // now + deadline would wrap past 2^64 to a time already gone; the
+    // server saturates it instead, so the request is simply served.
+    Harness h;
+    auto keyset = keysetFor(501);
+    registerTenant(h.client, 1, *keyset);
+    StrixClient::Reply r =
+        h.client.call(MsgType::Bootstrap, 1, bootstrapPayload(*keyset, 1),
+                      /*deadline_us=*/std::numeric_limits<uint64_t>::max());
+    EXPECT_TRUE(r.ok) << r.error_text;
+    EXPECT_EQ(h.server.stats().deadline_misses, 0u);
+}
+
 // --- budget-driven eviction ------------------------------------------
 
 TEST(Server, BudgetEvictsIdleTenantWhoMustReRegister)

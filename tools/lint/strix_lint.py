@@ -21,13 +21,13 @@ with --repo, the tools/ tree):
    eval_keys, gates, bootstrap, everything under net/ and server/
    (the serving daemon), every tools/ TU when --repo is given, and
    everything those transitively include -- must not include it, and
-   must not name `ClientKeyset`. In particular the daemon must not
-   include the key-owning tfhe/context_cache.h facade: its include of
-   the secret header makes the closure walk fail with the chain.
-   Client-facing facades that legitimately bridge the two halves are
-   listed in an explicit allowlist; the allowlist itself is checked
-   for freshness (an entry that no longer includes client_keyset.h is
-   stale and fails the run, so the list cannot rot into fiction).
+   must not name `ClientKeyset`. A header that includes the secret
+   header anywhere down a server TU's include chain makes the closure
+   walk fail with that chain. Client-facing facades that
+   legitimately bridge the two halves are listed in an explicit
+   allowlist; the allowlist itself is checked for freshness (an entry
+   that no longer includes client_keyset.h is stale and fails the
+   run, so the list cannot rot into fiction).
 
 Optionally cross-checks TU coverage against a compile_commands.json:
 a compiled source under src/ the linter did not scan is an error (the
@@ -68,7 +68,6 @@ SECRET_OWNERS = {"tfhe/client_keyset.h", "tfhe/client_keyset.cpp"}
 # detection, and rule [allowlist-stale] fails the run if an entry
 # stops including the secret header.
 DEFAULT_ALLOWLIST = [
-    "tfhe/context_cache.h",  # keygen-amortizing cache (key-owning side)
     "tfhe/integer.h",        # client-side integer encrypt/decrypt API
     "workloads/circuit_client.h",  # encrypt-eval-decrypt wrapper
 ]

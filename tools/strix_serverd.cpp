@@ -15,6 +15,8 @@
  */
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -54,12 +56,19 @@ usage(const char *argv0)
         argv0);
 }
 
+/**
+ * @p value as a decimal in [0, @p max]. Anything else exits 2: a sign
+ * or leading space (strtoull would negate "-1" to 2^64 - 1), trailing
+ * characters, or a value past @p max or past 2^64 - 1.
+ */
 uint64_t
-parseU64(const char *flag, const char *value)
+parseU64(const char *flag, const char *value, uint64_t max = UINT64_MAX)
 {
     char *end = nullptr;
+    errno = 0;
     const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') {
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE || v > max) {
         std::fprintf(stderr, "strix_serverd: bad value for %s: %s\n",
                      flag, value);
         std::exit(2);
@@ -115,10 +124,11 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 0;
         } else if (arg == "--port") {
-            opts.port = static_cast<uint16_t>(parseU64("--port", next()));
+            opts.port = static_cast<uint16_t>(
+                parseU64("--port", next(), UINT16_MAX));
         } else if (arg == "--budget-mb") {
             opts.cache_budget_bytes =
-                parseU64("--budget-mb", next()) << 20;
+                parseU64("--budget-mb", next(), UINT64_MAX >> 20) << 20;
         } else if (arg == "--target-batch") {
             opts.exec.target_batch =
                 size_t(parseU64("--target-batch", next()));
