@@ -7,21 +7,25 @@
  *
  * `--json <file>` (or `--json=<file>`) writes the results as Google
  * Benchmark's JSON to <file>; CI's bench job uploads that file in the
- * `bench-results` artifact. The BM_FftForward/<kernel> rows run
- * the scalar and AVX2 kernel tables explicitly, so one run records
- * the dispatch speedup; every other row uses whatever activeKernels()
+ * `bench-results` artifact. The BM_FftForward/<kernel>,
+ * BM_NegacyclicForwardBatchKernel/<kernel> and
+ * BM_NegacyclicInverseKernel/<kernel> rows run the scalar and AVX2
+ * kernel tables explicitly, so one run records the dispatch speedup;
+ * every other row uses whatever activeKernels()
  * selected (see the `fft_kernel` context key, and STRIX_FORCE_SCALAR
  * to pin it).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
 
 #include "bench_flags.h"
+#include "poly/negacyclic_fft.h"
 #include "poly/simd.h"
 #include "tfhe/client_keyset.h"
 #include "tfhe/gates.h"
@@ -264,6 +268,56 @@ BM_FftForwardBatchKernel(benchmark::State &state,
 }
 
 /**
+ * The negacyclic forward entry (fold+twist and every stage) through an
+ * explicit kernel table, over a batch of 4 digit rows: the external
+ * product's forward transform at ring dimension @p n. Reported per
+ * transform, so scalar and AVX2 rows compare directly.
+ */
+void
+BM_NegacyclicForwardBatchKernel(benchmark::State &state,
+                                const PolyKernels *kernels, size_t n)
+{
+    constexpr size_t kBatch = 4;
+    const NegacyclicFft &eng = NegacyclicFft::get(n);
+    std::vector<int32_t> coeffs(n * kBatch);
+    for (size_t i = 0; i < coeffs.size(); ++i)
+        coeffs[i] = static_cast<int32_t>(i % 1024) - 512;
+    std::vector<Cplx> out(n / 2 * kBatch);
+    for (auto _ : state) {
+        eng.forwardBatch(out.data(), coeffs.data(), kBatch, *kernels);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(kBatch));
+}
+
+/**
+ * The negacyclic inverse entry (every stage, then untwist+round)
+ * through an explicit kernel table, on one bit-reversed spectrum of
+ * ring dimension @p n: one output column of the external product.
+ */
+void
+BM_NegacyclicInverseKernel(benchmark::State &state,
+                           const PolyKernels *kernels, size_t n)
+{
+    const NegacyclicFft &eng = NegacyclicFft::get(n);
+    std::vector<Cplx> spectrum(n / 2);
+    for (size_t i = 0; i < spectrum.size(); ++i)
+        spectrum[i] = Cplx(double(i % 97) * 1e9, -double(i % 89) * 1e9);
+    std::vector<Cplx> work(spectrum.size());
+    TorusPolynomial out(n);
+    for (auto _ : state) {
+        // The entry transforms in place, so each call starts from a
+        // fresh copy of the spectrum; the copy is timed with it.
+        std::copy(spectrum.begin(), spectrum.end(), work.begin());
+        eng.inverseBitReversed(out, work.data(), *kernels);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/**
  * The small-but-real PBS shape the unit tests bootstrap with
  * (n=48, N=512, k=1, l=3), for rows whose cost at the paper sets
  * would run for minutes.
@@ -458,6 +512,21 @@ registerKernelBenchmarks()
                         BM_FftForwardBatchKernel(st, kernels, m, batch);
                     });
             }
+        }
+    for (const Entry &e : tables)
+        for (size_t n : {size_t{1024}, size_t{2048}, size_t{16384}}) {
+            const std::string tail =
+                std::string("/") + e.name + "/" + std::to_string(n);
+            benchmark::RegisterBenchmark(
+                ("BM_NegacyclicForwardBatchKernel" + tail).c_str(),
+                [kernels = e.kernels, n](benchmark::State &st) {
+                    BM_NegacyclicForwardBatchKernel(st, kernels, n);
+                });
+            benchmark::RegisterBenchmark(
+                ("BM_NegacyclicInverseKernel" + tail).c_str(),
+                [kernels = e.kernels, n](benchmark::State &st) {
+                    BM_NegacyclicInverseKernel(st, kernels, n);
+                });
         }
 }
 

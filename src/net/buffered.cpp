@@ -5,6 +5,8 @@
 
 #include "net/buffered.h"
 
+#include <limits>
+
 namespace strix {
 
 void
@@ -28,7 +30,7 @@ BufferedSender::wantFlush(uint64_t now_us) const
         return false;
     if (pendingBytes() >= opts_.mtu_bytes)
         return true;
-    return now_us >= oldest_us_ + opts_.flush_delay_us;
+    return now_us >= flushDeadline();
 }
 
 uint64_t
@@ -36,7 +38,10 @@ BufferedSender::flushDeadline() const
 {
     if (empty())
         return 0;
-    return oldest_us_ + opts_.flush_delay_us;
+    const uint64_t deadline = oldest_us_ + opts_.flush_delay_us;
+    // Saturate a wrapped sum: a huge delay means "never by time".
+    return deadline < oldest_us_ ? std::numeric_limits<uint64_t>::max()
+                                 : deadline;
 }
 
 TcpConn::IoResult

@@ -56,7 +56,8 @@ class BufferedSender
     /**
      * Absolute microsecond time when the deadline trigger fires, or 0
      * when nothing is pending (the owner folds this into its poll
-     * timeout).
+     * timeout). Saturates at UINT64_MAX when the oldest byte's time
+     * plus flush_delay_us would overflow.
      */
     uint64_t flushDeadline() const;
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Folded negacyclic FFT implementation. The fold/twist/untwist loops
- * run through the runtime-dispatched kernel table (poly/simd.h), so
- * every caller -- externalProduct, blindRotate, bootstrapBatch --
- * picks up the vector backend transparently.
+ * Folded negacyclic FFT implementation. The forward and inverse
+ * transforms each run as one entry of the runtime-dispatched kernel
+ * table (poly/simd.h), so every caller -- externalProduct,
+ * blindRotate, bootstrapBatch -- picks up the vector backend
+ * transparently.
  */
 
 #include "poly/negacyclic_fft.h"
@@ -89,9 +90,8 @@ NegacyclicFft::forwardBatch(Cplx *out, const int32_t *coeffs, size_t batch,
     // Fold u_j = a_j + i * a_{j+N/2} and twist by w^j, landing
     // bit-reversed, so the stage-only sweep leaves natural-order
     // spectra.
-    const FftTables t = plan_.tables();
-    kernels.twistBatch(t, out, coeffs, twist_.data(), batch);
-    kernels.fftForwardBatch(t, out, batch);
+    kernels.negacyclicForward(plan_.tables(), out, coeffs, twist_.data(),
+                              batch);
 }
 
 void
@@ -129,10 +129,10 @@ NegacyclicFft::inverseBitReversed(TorusPolynomial &out, Cplx *work,
                                   const PolyKernels &kernels) const
 {
     panicIfNot(out.size() == n_, "inverse: polynomial size mismatch");
-    const size_t m = n_ / 2;
-    kernels.fftInverse(plan_.tables(), work);
-    // Untwist by conj(w^j)/m, round to the integer grid, wrap mod 2^32.
-    kernels.untwist(out.data(), out.data() + m, work, untwist_.data(), m);
+    // Stages, then untwist by conj(w^j)/m, round to the integer grid
+    // and wrap mod 2^32.
+    kernels.negacyclicInverse(plan_.tables(), out.data(),
+                              out.data() + n_ / 2, work, untwist_.data());
 }
 
 void

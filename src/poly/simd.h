@@ -2,23 +2,30 @@
  * @file
  * Runtime-dispatched kernel tables for the hot loops of a software PBS.
  *
- * Almost every cycle of a PBS is spent in these loops: the FFT
- * butterfly stages, the fold+twist feeding the negacyclic transform,
- * the untwist+round leaving it, the frequency-domain multiply-
- * accumulate of the external product, and the row subtraction of the
- * keyswitch. This header exposes them as a table of C function
- * pointers so that one CPUID check at startup -- not an #ifdef at
- * build time -- decides whether the AVX2+FMA implementations or the
- * portable scalar reference runs.
+ * Almost every cycle of a PBS is spent in these loops: the negacyclic
+ * forward transform (fold+twist, then the FFT butterfly stages), its
+ * inverse (the stages, then untwist+round), the frequency-domain
+ * multiply-accumulate of the external product, and the row
+ * subtraction of the keyswitch. This header exposes them as a table of
+ * C function pointers so that one CPUID check at startup -- not an
+ * #ifdef at build time -- decides whether the AVX2+FMA implementations
+ * or the portable scalar reference runs.
  *
  * An external product streams through the table once, with no pass
- * that only permutes, clears, copies or scales: twistBatch and
- * mulAccumulateColumns store bit-reversed for the stage-only FFT
- * entries, and the untwist table carries the inverse's 1/m. On each
- * table, mulAccumulateColumns equals (==) zero-filled accumulators
- * fed by per-row mulAccumulate calls and then bit-reversed, and the
- * stage-only inverse plus the 1/m untwist table equals FftPlan::inverse
- * plus an untwist by the unscaled table; tests/test_fft.cpp pins both.
+ * that only permutes, clears, copies or scales: negacyclicForward and
+ * mulAccumulateColumns store bit-reversed for the stage-only FFT, and
+ * the untwist table carries the inverse's 1/m. The two negacyclic
+ * entries each run a whole transform, so a backend may fuse stages
+ * that would otherwise each be a pass over memory: the AVX2 table runs
+ * the first two forward stages inside the fold+twist, the middle
+ * stages two per sweep (radix-2^2), and the last two inverse stages
+ * inside the untwist+round. On each table, negacyclicForward equals (==) the
+ * fold+twist followed by fftForwardBatch, negacyclicInverse equals
+ * fftInverse followed by the untwist, mulAccumulateColumns equals
+ * zero-filled accumulators fed by per-row mulAccumulate calls and
+ * then bit-reversed, and the stage-only inverse plus the 1/m untwist
+ * table equals FftPlan::inverse plus an untwist by the unscaled table;
+ * tests/test_fft.cpp pins all four.
  *
  * Dispatch contract:
  *  - scalarKernels() is always available and is the semantic
@@ -73,8 +80,8 @@ struct FftTables
  * The three FFT entries are butterfly stages only: their input is in
  * bit-reversed order and their output in natural order. FftPlan's
  * natural-order API applies the permutation (and the inverse's 1/m)
- * around them; the external product never needs either, because
- * twistBatch and mulAccumulateColumns store bit-reversed directly.
+ * around them; the negacyclic entries need neither, because their
+ * fold+twist and mulAccumulateColumns store bit-reversed directly.
  */
 struct PolyKernels
 {
@@ -112,21 +119,28 @@ struct PolyKernels
     void (*fftInverse)(const FftTables &t, Cplx *data);
 
     /**
-     * Fold+twist entering the negacyclic transform, over @p batch
-     * contiguous polynomials and stored bit-reversed for the stage-only
-     * forward entries: row b of @p coeffs is the length-2m coefficient
-     * array of one polynomial (signed centered lift for torus inputs),
-     * with lo = coeffs + b*2m and hi = lo + m, and its point
-     * (lo[j] + i*hi[j]) * tw[j] lands at out[b*m + t.bit_reverse[j]].
+     * Forward negacyclic transform of @p batch contiguous polynomials,
+     * leaving natural-order spectra: row b of @p coeffs is the
+     * length-2m coefficient array of one polynomial (signed centered
+     * lift for torus inputs), with lo = coeffs + b*2m and hi = lo + m.
+     * Its point (lo[j] + i*hi[j]) * tw[j] is folded and twisted into
+     * out[b*m + t.bit_reverse[j]], and the forward butterfly stages
+     * then run on the batch. Equal (==) on each table to that fold+twist
+     * followed by fftForwardBatch: every element goes through the same
+     * complex multiplies, adds and subtracts in the same order, and
+     * only when values reach memory changes.
      */
-    void (*twistBatch)(const FftTables &t, Cplx *out,
-                       const int32_t *coeffs, const Cplx *tw,
-                       size_t batch);
+    void (*negacyclicForward)(const FftTables &t, Cplx *out,
+                              const int32_t *coeffs, const Cplx *tw,
+                              size_t batch);
 
     /**
-     * Untwist+round leaving the negacyclic transform: for
-     * u = freq[j] * conj(tw[j]), store round(u.re) mod 2^32 into
-     * lo[j] and round(u.im) mod 2^32 into hi[j].
+     * Inverse negacyclic transform of one spectrum held in bit-reversed
+     * order in @p work (m points, clobbered): the inverse butterfly
+     * stages, then untwist+round -- for x the natural-order stage
+     * output and u = x[j] * conj(untw[j]), store round(u.re) mod 2^32
+     * into lo[j] and round(u.im) mod 2^32 into hi[j]. Equal (==) on
+     * each table to fftInverse followed by that untwist.
      *
      * Contract: |u| < 2^51 for every element. That is the validity
      * bound of the vector backends' magic-number rounding (and what
@@ -139,8 +153,8 @@ struct PolyKernels
      * may differ on exact-.5 ties (round-half-even vs half-away), a
      * one-ulp slack the tests allow.
      */
-    void (*untwist)(uint32_t *lo, uint32_t *hi, const Cplx *freq,
-                    const Cplx *tw, size_t m);
+    void (*negacyclicInverse)(const FftTables &t, uint32_t *lo,
+                              uint32_t *hi, Cplx *work, const Cplx *untw);
 
     /** out[i] += a[i] * b[i] for i in [0, m). */
     void (*mulAccumulate)(Cplx *out, const Cplx *a, const Cplx *b,

@@ -229,6 +229,9 @@ fftForwardBatchChunkAvx2(const FftTables &t, Cplx *data, size_t batch)
     }
 }
 
+/** Points per L1-resident chunk of a batched forward sweep. */
+constexpr size_t kChunkPoints = 2048; // * sizeof(Cplx) = 32 KiB
+
 /**
  * Batched forward FFT. The stage-major sweep re-touches a chunk's
  * entire data once per stage, so the chunk working set is capped near
@@ -242,7 +245,6 @@ fftForwardBatchChunkAvx2(const FftTables &t, Cplx *data, size_t batch)
 void
 fftForwardBatchAvx2(const FftTables &t, Cplx *data, size_t batch)
 {
-    constexpr size_t kChunkPoints = 2048; // * sizeof(Cplx) = 32 KiB
     const size_t max_members =
         t.m >= kChunkPoints ? 1 : kChunkPoints / t.m;
     while (batch > 0) {
@@ -269,13 +271,36 @@ storePair(double *d, size_t i0, size_t i1, __m256d v)
 }
 
 /**
+ * Fold+twist of four consecutive points j..j+3 of one row: returns
+ * (lo[j+p] + i*hi[j+p]) * tw[j+p] as the packed pairs @p c01 (p = 0, 1)
+ * and @p c23 (p = 2, 3). @p twd points at tw[j].
+ */
+inline void
+twistFour(const int32_t *lo, const int32_t *hi, const double *twd,
+          __m256d &c01, __m256d &c23)
+{
+    __m256d re = _mm256_cvtepi32_pd(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo)));
+    __m256d im = _mm256_cvtepi32_pd(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(hi)));
+    // Interleave [r0..r3]/[i0..i3] into packed complex pairs.
+    __m256d t0 = _mm256_unpacklo_pd(re, im); // [r0 i0 r2 i2]
+    __m256d t1 = _mm256_unpackhi_pd(re, im); // [r1 i1 r3 i3]
+    c01 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x20),
+                  _mm256_loadu_pd(twd));
+    c23 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x31),
+                  _mm256_loadu_pd(twd + 4));
+}
+
+/**
  * Batched fold+twist: point j of row b, (lo[j] + i*hi[j]) * tw[j], is
  * stored at its bit-reversed slot out[b*m + rev[j]], one 128-bit half
- * of a register per point.
+ * of a register per point. The unfused first half of
+ * negacyclicForwardAvx2, which runs it below m = 16.
  */
 void
-twistBatchAvx2(const FftTables &t, Cplx *out, const int32_t *coeffs,
-               const Cplx *tw, size_t batch)
+twistBatch(const FftTables &t, Cplx *out, const int32_t *coeffs,
+           const Cplx *tw, size_t batch)
 {
     const size_t m = t.m;
     const uint32_t *rev = t.bit_reverse;
@@ -287,68 +312,326 @@ twistBatchAvx2(const FftTables &t, Cplx *out, const int32_t *coeffs,
         double *o = reinterpret_cast<double *>(row);
         size_t j = 0;
         for (; j + 4 <= m; j += 4) {
-            __m256d re = _mm256_cvtepi32_pd(
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo + j)));
-            __m256d im = _mm256_cvtepi32_pd(
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(hi + j)));
-            // Interleave [r0..r3]/[i0..i3] into packed complex pairs.
-            __m256d t0 = _mm256_unpacklo_pd(re, im); // [r0 i0 r2 i2]
-            __m256d t1 = _mm256_unpackhi_pd(re, im); // [r1 i1 r3 i3]
-            __m256d c01 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x20),
-                                  _mm256_loadu_pd(twd + 2 * j));
-            __m256d c23 = cplxMul(_mm256_permute2f128_pd(t0, t1, 0x31),
-                                  _mm256_loadu_pd(twd + 2 * j + 4));
+            __m256d c01, c23;
+            twistFour(lo + j, hi + j, twd + 2 * j, c01, c23);
             storePair(o, rev[j], rev[j + 1], c01);
             storePair(o, rev[j + 2], rev[j + 3], c23);
         }
-        for (; j < m; ++j)
-            row[rev[j]] = Cplx(static_cast<double>(lo[j]),
-                               static_cast<double>(hi[j])) *
-                          tw[j];
+        // m = 2. The twiddle-first operand order gives the bits this
+        // table has always produced here, where a std::complex product
+        // left the FMA contraction to the compiler.
+        for (; j < m; j += 2) {
+            const __m256d c = _mm256_setr_pd(
+                static_cast<double>(lo[j]), static_cast<double>(hi[j]),
+                static_cast<double>(lo[j + 1]),
+                static_cast<double>(hi[j + 1]));
+            storePair(o, rev[j], rev[j + 1],
+                      cplxMul(_mm256_loadu_pd(twd + 2 * j), c));
+        }
     }
 }
 
+/**
+ * Untwist+round of four natural-order points held as two packed
+ * registers: u = x * conj(untw) for x = [x01, x23], rounded onto the
+ * integer grid and stored mod 2^32 as lo[0..3] and hi[0..3].
+ *
+ * The rounding adds 2^52 + 2^51, which forces round-to-nearest onto
+ * the integer grid and leaves value mod 2^32 in the low mantissa
+ * dword; exact on the kernel contract's |u| < 2^51 domain (simd.h).
+ * External-product sums typically sit near 2^45 but can reach 2^52 at
+ * set I in the worst case, so that domain is a statistical margin,
+ * not a guarantee. Ties round to even where the scalar reference
+ * rounds away from zero -- a <=1 ulp difference the tests allow.
+ */
+inline void
+untwistFour(uint32_t *lo, uint32_t *hi, __m256d x01, __m256d x23,
+            const double *untw)
+{
+    const __m256d magic = _mm256_set1_pd(6755399441055744.0);
+    const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+    __m256d u01 = cplxMulConj(x01, _mm256_loadu_pd(untw));
+    __m256d u23 = cplxMulConj(x23, _mm256_loadu_pd(untw + 4));
+    // Deinterleave packed complex pairs into [r0..r3]/[i0..i3].
+    __m256d t0 = _mm256_permute2f128_pd(u01, u23, 0x20);
+    __m256d t1 = _mm256_permute2f128_pd(u01, u23, 0x31);
+    __m256d re = _mm256_unpacklo_pd(t0, t1);
+    __m256d im = _mm256_unpackhi_pd(t0, t1);
+    __m256i rei = _mm256_castpd_si256(_mm256_add_pd(re, magic));
+    __m256i imi = _mm256_castpd_si256(_mm256_add_pd(im, magic));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i *>(lo),
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(rei, pick)));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i *>(hi),
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(imi, pick)));
+}
+
+/**
+ * Untwist+round of @p m natural-order points. The unfused second half
+ * of negacyclicInverseAvx2, which runs it below m = 16.
+ */
 void
-untwistAvx2(uint32_t *lo, uint32_t *hi, const Cplx *freq, const Cplx *tw,
-            size_t m)
+untwist(uint32_t *lo, uint32_t *hi, const Cplx *freq, const Cplx *tw,
+        size_t m)
 {
     const double *f = reinterpret_cast<const double *>(freq);
     const double *twd = reinterpret_cast<const double *>(tw);
-    // 2^52 + 2^51: adding it forces round-to-nearest onto the integer
-    // grid and leaves value mod 2^32 in the low mantissa dword; exact
-    // on the kernel contract's |u| < 2^51 domain (simd.h). External-
-    // product sums typically sit near 2^45 but can reach 2^52 at set
-    // I in the worst case, so that domain is a statistical margin,
-    // not a guarantee. Ties round to even where the scalar reference
-    // rounds away from zero -- a <=1 ulp difference the tests allow.
-    const __m256d magic = _mm256_set1_pd(6755399441055744.0);
-    const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
     size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-        __m256d u01 = cplxMulConj(_mm256_loadu_pd(f + 2 * j),
-                                  _mm256_loadu_pd(twd + 2 * j));
-        __m256d u23 = cplxMulConj(_mm256_loadu_pd(f + 2 * j + 4),
-                                  _mm256_loadu_pd(twd + 2 * j + 4));
-        // Deinterleave packed complex pairs into [r0..r3]/[i0..i3].
-        __m256d t0 = _mm256_permute2f128_pd(u01, u23, 0x20);
-        __m256d t1 = _mm256_permute2f128_pd(u01, u23, 0x31);
-        __m256d re = _mm256_unpacklo_pd(t0, t1);
-        __m256d im = _mm256_unpackhi_pd(t0, t1);
-        __m256i rei = _mm256_castpd_si256(_mm256_add_pd(re, magic));
-        __m256i imi = _mm256_castpd_si256(_mm256_add_pd(im, magic));
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(lo + j),
-            _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(rei, pick)));
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(hi + j),
-            _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(imi, pick)));
+    for (; j + 4 <= m; j += 4)
+        untwistFour(lo + j, hi + j, _mm256_loadu_pd(f + 2 * j),
+                    _mm256_loadu_pd(f + 2 * j + 4), twd + 2 * j);
+    // m = 2: conj(untw) times the point, rounded half away from zero,
+    // the bits this table has always produced here (see twistBatch).
+    for (; j < m; j += 2) {
+        const __m256d conj_mask = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+        alignas(32) double u[4];
+        _mm256_store_pd(u, cplxMul(_mm256_xor_pd(_mm256_loadu_pd(twd + 2 * j),
+                                                 conj_mask),
+                                   _mm256_loadu_pd(f + 2 * j)));
+        for (size_t p = 0; p < 2; ++p) {
+            lo[j + p] = static_cast<uint32_t>(
+                static_cast<int64_t>(std::llround(u[2 * p])));
+            hi[j + p] = static_cast<uint32_t>(
+                static_cast<int64_t>(std::llround(u[2 * p + 1])));
+        }
     }
-    for (; j < m; ++j) {
-        Cplx u = freq[j] * std::conj(tw[j]);
-        lo[j] = static_cast<uint32_t>(
-            static_cast<int64_t>(std::llround(u.real())));
-        hi[j] = static_cast<uint32_t>(
-            static_cast<int64_t>(std::llround(u.imag())));
+}
+
+/**
+ * One radix-2^2 butterfly group: stage len on the pairs (a, b) and
+ * (c, d) with twiddle @p wl, then stage 2*len on (a, c) with @p w2a and
+ * on (b, d) with @p w2b, two points per register. Each element takes
+ * the multiply, add and subtract that the two single-stage sweeps
+ * apply, in the same order; it only skips the store and reload
+ * between them.
+ */
+template <bool Conj>
+inline void
+radix22(__m256d &a, __m256d &b, __m256d &c, __m256d &d, __m256d wl,
+        __m256d w2a, __m256d w2b)
+{
+    const __m256d p = Conj ? cplxMulConj(b, wl) : cplxMul(b, wl);
+    const __m256d a1 = _mm256_add_pd(a, p);
+    const __m256d b1 = _mm256_sub_pd(a, p);
+    const __m256d r = Conj ? cplxMulConj(d, wl) : cplxMul(d, wl);
+    const __m256d c1 = _mm256_add_pd(c, r);
+    const __m256d d1 = _mm256_sub_pd(c, r);
+    const __m256d s = Conj ? cplxMulConj(c1, w2a) : cplxMul(c1, w2a);
+    const __m256d u = Conj ? cplxMulConj(d1, w2b) : cplxMul(d1, w2b);
+    a = _mm256_add_pd(a1, s);
+    c = _mm256_sub_pd(a1, s);
+    b = _mm256_add_pd(b1, u);
+    d = _mm256_sub_pd(b1, u);
+}
+
+/**
+ * Stages @p len and 2*len in one sweep over @p span contiguous
+ * elements (len >= 4). @p tw holds the stage-len twiddles followed by
+ * the stage-2len ones, as FftTables::stage_twiddles stores them. In
+ * each 2*len block, points j, j+len/2, j+len and j+3len/2 (j < len/2)
+ * take both stages in registers, so the sweep reads and writes the
+ * data once where two single-stage sweeps would each do so.
+ */
+template <bool Conj>
+inline void
+stagePairSweep(double *d, const Cplx *tw, size_t len, size_t span)
+{
+    const size_t q = len >> 1;
+    const double *twl = reinterpret_cast<const double *>(tw);
+    const double *tw2 = twl + 2 * q;
+    auto group = [d, q, len](size_t at, __m256d wl, __m256d w2a,
+                             __m256d w2b) {
+        double *pa = d + 2 * at;
+        double *pb = pa + 2 * q;
+        double *pc = pa + 2 * len;
+        double *pd = pc + 2 * q;
+        __m256d a = _mm256_loadu_pd(pa);
+        __m256d b = _mm256_loadu_pd(pb);
+        __m256d c = _mm256_loadu_pd(pc);
+        __m256d e = _mm256_loadu_pd(pd);
+        radix22<Conj>(a, b, c, e, wl, w2a, w2b);
+        _mm256_storeu_pd(pa, a);
+        _mm256_storeu_pd(pb, b);
+        _mm256_storeu_pd(pc, c);
+        _mm256_storeu_pd(pd, e);
+    };
+    if (span <= kChunkPoints) {
+        // L1-resident: twiddle-stationary, so one j's twiddles are
+        // split into real and imaginary parts once for every block
+        // instead of once per block.
+        for (size_t j = 0; j < q; j += 2) {
+            const __m256d wl = _mm256_loadu_pd(twl + 2 * j);
+            const __m256d w2a = _mm256_loadu_pd(tw2 + 2 * j);
+            const __m256d w2b = _mm256_loadu_pd(tw2 + 2 * (j + q));
+            for (size_t base = 0; base < span; base += 2 * len)
+                group(base + j, wl, w2a, w2b);
+        }
+        return;
+    }
+    // Larger spans leave L1, so walk them once, block by block.
+    for (size_t base = 0; base < span; base += 2 * len)
+        for (size_t j = 0; j < q; j += 2)
+            group(base + j, _mm256_loadu_pd(twl + 2 * j),
+                  _mm256_loadu_pd(tw2 + 2 * j),
+                  _mm256_loadu_pd(tw2 + 2 * (j + q)));
+}
+
+/**
+ * Stages @p len through @p last of a sweep over @p span elements:
+ * radix-2^2 passes while two stages remain, then one single stage if
+ * the count is odd. @p tw points at stage len's twiddles on entry and
+ * at the twiddles of stage 2*last on return.
+ */
+template <bool Conj>
+inline void
+middleStages(double *d, const Cplx *&tw, size_t len, size_t last,
+             size_t span)
+{
+    for (; 2 * len <= last; len <<= 2) {
+        stagePairSweep<Conj>(d, tw, len, span);
+        tw += len + (len >> 1);
+    }
+    if (len <= last) {
+        stageSweep<Conj>(d, tw, len, span);
+        tw += len >> 1;
+    }
+}
+
+/**
+ * Fold+twist with the first two forward stages, for one row (m >= 16).
+ * For j < m/4 the points j, j+m/4, j+m/2 and j+3m/4 land at the
+ * bit-reversed slots rev(j), rev(j)+2, rev(j)+1 and rev(j)+3: one
+ * len-4 butterfly block. Each block is twisted, takes the len-2 and
+ * len-4 stages in registers and is stored as one 64-byte line, four
+ * values of j per iteration.
+ */
+inline void
+foldTwistRow(const FftTables &t, double *o, const int32_t *lo,
+             const int32_t *hi, const double *twd)
+{
+    const size_t q = t.m >> 2;
+    const uint32_t *rev = t.bit_reverse;
+    // Stage 4's two twiddles, each broadcast to both halves.
+    const __m256d w4 =
+        _mm256_loadu_pd(reinterpret_cast<const double *>(t.stage_twiddles + 1));
+    const __m256d w40 = _mm256_permute2f128_pd(w4, w4, 0x00);
+    const __m256d w41 = _mm256_permute2f128_pd(w4, w4, 0x11);
+    for (size_t j = 0; j < q; j += 4) {
+        __m256d a[2], b[2], c[2], e[2];
+        twistFour(lo + j, hi + j, twd + 2 * j, a[0], a[1]);
+        twistFour(lo + j + q, hi + j + q, twd + 2 * (j + q), b[0], b[1]);
+        twistFour(lo + j + 2 * q, hi + j + 2 * q, twd + 2 * (j + 2 * q),
+                  c[0], c[1]);
+        twistFour(lo + j + 3 * q, hi + j + 3 * q, twd + 2 * (j + 3 * q),
+                  e[0], e[1]);
+        for (int h = 0; h < 2; ++h) {
+            // Block slots 0..3 hold a, c, b, e. len 2: (a, c), (b, e).
+            const __m256d s0 = _mm256_add_pd(a[h], c[h]);
+            const __m256d s1 = _mm256_sub_pd(a[h], c[h]);
+            const __m256d s2 = _mm256_add_pd(b[h], e[h]);
+            const __m256d s3 = _mm256_sub_pd(b[h], e[h]);
+            // len 4: (s0, s2) with w4^0, (s1, s3) with w4^1.
+            const __m256d p0 = cplxMul(s2, w40);
+            const __m256d p1 = cplxMul(s3, w41);
+            const __m256d y0 = _mm256_add_pd(s0, p0);
+            const __m256d y1 = _mm256_add_pd(s1, p1);
+            const __m256d y2 = _mm256_sub_pd(s0, p0);
+            const __m256d y3 = _mm256_sub_pd(s1, p1);
+            // Lane 0 is point j + 2h, lane 1 point j + 2h + 1.
+            double *blk0 = o + 2 * size_t(rev[j + 2 * h]);
+            double *blk1 = o + 2 * size_t(rev[j + 2 * h + 1]);
+            _mm256_storeu_pd(blk0, _mm256_permute2f128_pd(y0, y1, 0x20));
+            _mm256_storeu_pd(blk0 + 4, _mm256_permute2f128_pd(y2, y3, 0x20));
+            _mm256_storeu_pd(blk1, _mm256_permute2f128_pd(y0, y1, 0x31));
+            _mm256_storeu_pd(blk1 + 4, _mm256_permute2f128_pd(y2, y3, 0x31));
+        }
+    }
+}
+
+/**
+ * Forward negacyclic transform. Each chunk of up to kChunkPoints
+ * points (the L1 budget fftForwardBatchAvx2 also keeps) is folded,
+ * twisted and taken through stages 2 and 4 row by row, then swept
+ * through stages 8..m two at a time. Every element takes the operations of
+ * twistBatch followed by fftForwardBatchAvx2, in the same order, so
+ * the spectra are equal (==); only the number of passes over memory
+ * falls, from log2(m) + 1 to about log2(m) / 2.
+ */
+void
+negacyclicForwardAvx2(const FftTables &t, Cplx *out, const int32_t *coeffs,
+                      const Cplx *tw, size_t batch)
+{
+    const size_t m = t.m;
+    if (m < 16) {
+        twistBatch(t, out, coeffs, tw, batch);
+        fftForwardBatchAvx2(t, out, batch);
+        return;
+    }
+    const double *twd = reinterpret_cast<const double *>(tw);
+    const size_t max_members = m >= kChunkPoints ? 1 : kChunkPoints / m;
+    while (batch > 0) {
+        const size_t members = batch < max_members ? batch : max_members;
+        double *d = reinterpret_cast<double *>(out);
+        for (size_t b = 0; b < members; ++b) {
+            const int32_t *lo = coeffs + b * 2 * m;
+            foldTwistRow(t, d + 2 * b * m, lo, lo + m, twd);
+        }
+        const Cplx *stw = t.stage_twiddles + 3; // stage 8
+        middleStages<false>(d, stw, 8, m, members * m);
+        out += members * m;
+        coeffs += members * 2 * m;
+        batch -= members;
+    }
+}
+
+/**
+ * Inverse negacyclic transform (m >= 16 fused): stage 2, the stages up
+ * to m/4 two at a time, then stages m/2 and m together with the
+ * untwist+round. For j < m/4 the last two stages combine exactly the
+ * four points j, j+m/4, j+m/2 and j+3m/4, so they go straight from
+ * registers to the rounded outputs and the last two stages never
+ * store. Every element takes the operations of fftInverseAvx2 followed
+ * by untwist, in the same order, so the outputs are equal (==).
+ */
+void
+negacyclicInverseAvx2(const FftTables &t, uint32_t *lo, uint32_t *hi,
+                      Cplx *work, const Cplx *untw)
+{
+    const size_t m = t.m;
+    if (m < 16) {
+        fftInverseAvx2(t, work);
+        untwist(lo, hi, work, untw, m);
+        return;
+    }
+    double *d = reinterpret_cast<double *>(work);
+    const size_t q = m >> 2;
+    stageLen2(d, m);
+    const Cplx *stw = t.stage_twiddles + 1; // stage 4
+    middleStages<true>(d, stw, 4, q, m);
+    // stw now holds stage m/2's twiddles, then stage m's.
+    const double *twl = reinterpret_cast<const double *>(stw);
+    const double *tw2 = twl + 2 * q;
+    const double *ud = reinterpret_cast<const double *>(untw);
+    for (size_t j = 0; j < q; j += 4) {
+        __m256d a[2], b[2], c[2], e[2];
+        for (int h = 0; h < 2; ++h) {
+            const size_t i = j + 2 * size_t(h);
+            a[h] = _mm256_loadu_pd(d + 2 * i);
+            b[h] = _mm256_loadu_pd(d + 2 * (i + q));
+            c[h] = _mm256_loadu_pd(d + 2 * (i + 2 * q));
+            e[h] = _mm256_loadu_pd(d + 2 * (i + 3 * q));
+            radix22<true>(a[h], b[h], c[h], e[h],
+                          _mm256_loadu_pd(twl + 2 * i),
+                          _mm256_loadu_pd(tw2 + 2 * i),
+                          _mm256_loadu_pd(tw2 + 2 * (i + q)));
+        }
+        untwistFour(lo + j, hi + j, a[0], a[1], ud + 2 * j);
+        untwistFour(lo + j + q, hi + j + q, b[0], b[1], ud + 2 * (j + q));
+        untwistFour(lo + j + 2 * q, hi + j + 2 * q, c[0], c[1],
+                    ud + 2 * (j + 2 * q));
+        untwistFour(lo + j + 3 * q, hi + j + 3 * q, e[0], e[1],
+                    ud + 2 * (j + 3 * q));
     }
 }
 
@@ -460,8 +743,8 @@ const PolyKernels kAvx2Kernels = {
     fftForwardAvx2,
     fftForwardBatchAvx2,
     fftInverseAvx2,
-    twistBatchAvx2,
-    untwistAvx2,
+    negacyclicForwardAvx2,
+    negacyclicInverseAvx2,
     mulAccumulateAvx2,
     mulAccumulateColumnsAvx2,
     subScaledRowAvx2,

@@ -61,9 +61,10 @@ fftInverseScalar(const FftTables &t, Cplx *data)
     butterflyStages<true>(t, data, t.m);
 }
 
+/** Fold+twist, stored bit-reversed (the first half of negacyclicForward). */
 void
-twistBatchScalar(const FftTables &t, Cplx *out, const int32_t *coeffs,
-                 const Cplx *tw, size_t batch)
+twistBatch(const FftTables &t, Cplx *out, const int32_t *coeffs,
+           const Cplx *tw, size_t batch)
 {
     const size_t m = t.m;
     for (size_t b = 0; b < batch; ++b) {
@@ -77,9 +78,10 @@ twistBatchScalar(const FftTables &t, Cplx *out, const int32_t *coeffs,
     }
 }
 
+/** Untwist+round (the second half of negacyclicInverse). */
 void
-untwistScalar(uint32_t *lo, uint32_t *hi, const Cplx *freq,
-              const Cplx *tw, size_t m)
+untwist(uint32_t *lo, uint32_t *hi, const Cplx *freq, const Cplx *tw,
+        size_t m)
 {
     for (size_t j = 0; j < m; ++j) {
         Cplx u = freq[j] * std::conj(tw[j]);
@@ -92,6 +94,25 @@ untwistScalar(uint32_t *lo, uint32_t *hi, const Cplx *freq,
         hi[j] = static_cast<uint32_t>(
             static_cast<int64_t>(std::llround(u.imag())));
     }
+}
+
+/** The fold+twist loop, then the batched forward stages. */
+void
+negacyclicForwardScalar(const FftTables &t, Cplx *out,
+                        const int32_t *coeffs, const Cplx *tw,
+                        size_t batch)
+{
+    twistBatch(t, out, coeffs, tw, batch);
+    butterflyStages<false>(t, out, t.m * batch);
+}
+
+/** The inverse stages, then the untwist+round loop. */
+void
+negacyclicInverseScalar(const FftTables &t, uint32_t *lo, uint32_t *hi,
+                        Cplx *work, const Cplx *untw)
+{
+    butterflyStages<true>(t, work, t.m);
+    untwist(lo, hi, work, untw, t.m);
 }
 
 void
@@ -131,8 +152,8 @@ const PolyKernels kScalarKernels = {
     fftForwardScalar,
     fftForwardBatchScalar,
     fftInverseScalar,
-    twistBatchScalar,
-    untwistScalar,
+    negacyclicForwardScalar,
+    negacyclicInverseScalar,
     mulAccumulateScalar,
     mulAccumulateColumnsScalar,
     subScaledRowScalar,

@@ -175,8 +175,12 @@ BatchExecutor::runReady(unsigned lane)
     ready_.pop_front();
     lock.unlock();
     try {
-        job.req.result.set_value(bootstrapKeySwitch(
-            *job.shard->keys, job.req.ct, job.req.tv, scratch_[lane]));
+        // One request per lane job: an epoch of width 1.
+        const TorusPolynomial *tv = &job.req.tv;
+        LweCiphertext out;
+        bootstrapKeySwitch(*job.shard->keys, &job.req.ct, &tv, 1, &out,
+                           scratch_[lane]);
+        job.req.result.set_value(std::move(out));
     } catch (...) {
         // A failed PBS fails only its own request.
         job.req.result.set_exception(std::current_exception());

@@ -5,6 +5,8 @@
 
 #include "tfhe/bootstrap.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace strix {
@@ -103,32 +105,53 @@ modulusSwitch(Torus32 a, uint32_t big_n)
 }
 
 void
-blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
+blindRotate(GlweCiphertext *accs, const LweCiphertext *cts, size_t count,
             const BootstrappingKey &bsk, PbsScratch &scratch)
 {
     const TfheParams &p = bsk.params();
-    panicIfNot(ct.dim() == p.n, "blindRotate: ciphertext dim mismatch");
     const uint32_t two_n = 2 * p.N;
     const ModSwitch ms(p.N);
 
-    // Initial rotation by -b~ (Algorithm 1, line 4).
-    const uint32_t b_tilde = ms(ct.b());
-    if (b_tilde != 0) {
-        GlweCiphertext rotated(p.k, p.N);
+    // Initial rotation by -b~ (Algorithm 1, line 4), into the scratch
+    // GLWE; the swap hands the old accumulator's storage back to
+    // scratch, so no rotation allocates.
+    GlweCiphertext &rotated = scratch.rotated;
+    if (rotated.k() != p.k || rotated.ringDim() != p.N)
+        rotated = GlweCiphertext(p.k, p.N);
+    for (size_t b = 0; b < count; ++b) {
+        panicIfNot(cts[b].dim() == p.n,
+                   "blindRotate: ciphertext dim mismatch");
+        panicIfNot(accs[b].k() == p.k && accs[b].ringDim() == p.N,
+                   "blindRotate: accumulator shape mismatch");
+        const uint32_t b_tilde = ms(cts[b].b());
+        if (b_tilde == 0)
+            continue;
         for (uint32_t c = 0; c <= p.k; ++c)
-            negacyclicRotate(rotated.poly(c), acc.poly(c),
+            negacyclicRotate(rotated.poly(c), accs[b].poly(c),
                              two_n - b_tilde);
-        acc = std::move(rotated);
+        std::swap(accs[b], rotated);
     }
 
-    // n CMux iterations (lines 5-12); each is one blind-rotation
-    // iteration of the Strix PBS cluster.
+    // n CMux iterations (lines 5-12), key-stationary: bit i's GGSW
+    // serves every accumulator of the epoch before bit i+1 is read.
+    // Each accumulator still skips its own zero a~_i, so it sees the
+    // CMux sequence of a blind rotation of its own.
     for (uint32_t i = 0; i < p.n; ++i) {
-        const uint32_t a_tilde = ms(ct.a(i));
-        if (a_tilde == 0)
-            continue; // rotation by X^0 - 1 = 0 contributes nothing
-        bsk.bit(i).cmuxRotate(acc, a_tilde, scratch);
+        const GgswFft &bit = bsk.bit(i);
+        for (size_t b = 0; b < count; ++b) {
+            const uint32_t a_tilde = ms(cts[b].a(i));
+            if (a_tilde == 0)
+                continue; // rotation by X^0 - 1 = 0 contributes nothing
+            bit.cmuxRotate(accs[b], a_tilde, scratch);
+        }
     }
+}
+
+void
+blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
+            const BootstrappingKey &bsk, PbsScratch &scratch)
+{
+    blindRotate(&acc, &ct, 1, bsk, scratch);
 }
 
 LweCiphertext

@@ -103,14 +103,27 @@ class ModSwitch
 uint32_t modulusSwitch(Torus32 a, uint32_t big_n);
 
 /**
- * Blind rotation (Algorithm 1, lines 4-12): rotate @p acc by -b~, then
- * run n CMux iterations accumulating X^{a~_i * s_i}.
+ * Blind rotation (Algorithm 1, lines 4-12) of @p count accumulators as
+ * one key-stationary epoch: rotate each accs[b] by -b~ of cts[b], then
+ * run n CMux iterations accumulating X^{a~_i * s_i}, applying BSK bit
+ * i to every accumulator before any takes bit i+1. Each GGSW is thus
+ * read once per epoch rather than once per ciphertext (Strix's second
+ * batching level). Every accumulator still skips its own zero a~_i and
+ * sees the CMux sequence of a rotation of its own, so each result is
+ * bit-identical to a width-1 call.
  *
- * @param acc     in: trivial GLWE of the test vector; out: rotated GLWE
- * @param ct      the LWE ciphertext being bootstrapped (dimension n)
+ * @param accs    in: trivial GLWEs of the test vectors (shape (k, N));
+ *                out: rotated GLWEs
+ * @param cts     the LWE ciphertexts being bootstrapped (dimension n)
+ * @param count   the epoch width
  * @param bsk     bootstrapping key
  * @param scratch per-thread working buffers reused across iterations
  */
+void blindRotate(GlweCiphertext *accs, const LweCiphertext *cts,
+                 size_t count, const BootstrappingKey &bsk,
+                 PbsScratch &scratch);
+
+/** Blind rotation of one accumulator: an epoch of width 1. */
 void blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
                  const BootstrappingKey &bsk, PbsScratch &scratch);
 

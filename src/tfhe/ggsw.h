@@ -113,6 +113,12 @@ struct PbsScratch
     std::vector<const Cplx *> bsk_rows;
     GlweCiphertext diff;                //!< CMux rotate-minus-one input
     GlweCiphertext prod;                //!< external-product output
+    GlweCiphertext rotated;             //!< blindRotate's -b~ rotation
+    /**
+     * The accumulators of one key-stationary epoch, one per ciphertext
+     * of the sub-batch bootstrapKeySwitch runs (B x (k+1)*N words).
+     */
+    std::vector<GlweCiphertext> accs;
 };
 
 /**

@@ -59,29 +59,46 @@ KeySwitchKey::fromSeededBodies(uint32_t in_dim, uint32_t out_dim,
     return ksk;
 }
 
-LweCiphertext
-keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk)
+void
+keySwitch(LweCiphertext *out, const LweCiphertext *cts, size_t count,
+          const KeySwitchKey &ksk)
 {
-    panicIfNot(ct.dim() == ksk.inDim(), "keySwitch: dim mismatch");
     const GadgetParams &g = ksk.gadget();
     const PolyKernels &kernels = activeKernels();
 
     // o[m] = c[n] (Algorithm 2, line 2), then subtract digit * row for
     // every nonzero digit of the decomposed mask, in one pass per row
     // over all n+1 scalars (mask and body).
-    LweCiphertext out = LweCiphertext::trivial(ksk.outDim(), ct.b());
-    Torus32 *o = out.raw().data();
+    for (size_t b = 0; b < count; ++b) {
+        panicIfNot(cts[b].dim() == ksk.inDim(), "keySwitch: dim mismatch");
+        out[b] = LweCiphertext::trivial(ksk.outDim(), cts[b].b());
+    }
     const size_t len = size_t(ksk.outDim()) + 1;
-    std::vector<int32_t> digits(g.levels);
+    // Row-outer: each KSK row is applied to every ciphertext before the
+    // next row is read. The sums are mod 2^32, so the order cannot
+    // change them.
+    std::vector<int32_t> digits(count * g.levels);
     for (uint32_t i = 0; i < ksk.inDim(); ++i) {
-        gadgetDecompose(digits.data(), ct.a(i), g);
+        for (size_t b = 0; b < count; ++b)
+            gadgetDecompose(digits.data() + b * g.levels, cts[b].a(i), g);
         for (uint32_t j = 0; j < g.levels; ++j) {
-            if (digits[j] == 0)
-                continue;
-            kernels.subScaledRow(o, ksk.row(i, j).raw().data(),
-                                 static_cast<uint32_t>(digits[j]), len);
+            const Torus32 *row = ksk.row(i, j).raw().data();
+            for (size_t b = 0; b < count; ++b) {
+                const int32_t digit = digits[b * g.levels + j];
+                if (digit == 0)
+                    continue;
+                kernels.subScaledRow(out[b].raw().data(), row,
+                                     static_cast<uint32_t>(digit), len);
+            }
         }
     }
+}
+
+LweCiphertext
+keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk)
+{
+    LweCiphertext out;
+    keySwitch(&out, &ct, 1, ksk);
     return out;
 }
 

@@ -72,12 +72,19 @@ class KeySwitchKey
 };
 
 /**
- * Switch @p ct (dimension ksk.inDim()) to dimension ksk.outDim().
- * Each nonzero digit subtracts digit * row from the output in one
+ * Switch @p count ciphertexts cts[b] (dimension ksk.inDim()) to
+ * dimension ksk.outDim(), into out[b] (which must not alias cts).
+ * Each nonzero digit subtracts digit * row from its output in one
  * pass through the dispatched kernel table (PolyKernels::subScaledRow,
- * AVX2 where available). The arithmetic is mod 2^32, so the result is
- * exact on every table and at every vector width.
+ * AVX2 where available). The loop is row-outer: each KSK row is
+ * applied to every ciphertext before the next row is read, so a batch
+ * reads the key once. The arithmetic is mod 2^32, so every out[b] is
+ * exact on every table, at every vector width and every count.
  */
+void keySwitch(LweCiphertext *out, const LweCiphertext *cts, size_t count,
+               const KeySwitchKey &ksk);
+
+/** Switch one ciphertext: a batch of 1. */
 LweCiphertext keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk);
 
 } // namespace strix

@@ -37,15 +37,19 @@
 namespace strix {
 
 /**
- * One PBS+KS of @p ct against @p test_vector under @p keys, with
- * caller-owned scratch. Every bootstrap entry point and the
- * BatchExecutor's lanes run this one function, so their outputs are
- * bit-identical by construction.
+ * PBS+KS of a sub-batch under @p keys, with caller-owned scratch:
+ * out[b] is cts[b] bootstrapped against *tvs[b] and keyswitched back
+ * to dimension n, for b < @p count. The sub-batch runs as one
+ * key-stationary epoch -- blindRotate applies each BSK bit to all
+ * @p count accumulators (held in @p scratch) before the next, and the
+ * keyswitch applies each KSK row to all of them before the next -- so
+ * each out[b] is bit-identical to a count-1 call. Every bootstrap
+ * entry point and the BatchExecutor's lanes run this one function,
+ * so their outputs are bit-identical by construction.
  */
-LweCiphertext bootstrapKeySwitch(const EvalKeys &keys,
-                                 const LweCiphertext &ct,
-                                 const TorusPolynomial &test_vector,
-                                 PbsScratch &scratch);
+void bootstrapKeySwitch(const EvalKeys &keys, const LweCiphertext *cts,
+                        const TorusPolynomial *const *tvs, size_t count,
+                        LweCiphertext *out, PbsScratch &scratch);
 
 /** PBS evaluation engine over a shared public-key bundle. */
 class ServerContext
@@ -89,11 +93,16 @@ class ServerContext
 
     /**
      * Batched PBS+KS: bootstrap @p count ciphertexts against one
-     * shared test vector, parallelized across ciphertexts on the
-     * context's lanes with one scratch buffer per worker.
+     * shared test vector on the context's lanes, as key-stationary
+     * epochs (Strix's two-level batching). With
+     * workers = min(count, lanes) the batch splits into sub-batches
+     * of B = ceil(count / workers) consecutive ciphertexts (the last
+     * may be shorter); each worker runs one at a time through
+     * bootstrapKeySwitch with its own scratch, so every BSK bit and
+     * KSK row it reads serves B ciphertexts. Width 16 on 4 lanes gives
+     * B = 4; a width no larger than the lane count gives B = 1.
      * out[i] always corresponds to cts[i] and is bit-identical to
-     * bootstrap(cts[i], test_vector) at any thread count -- the
-     * software seam for Strix-style ciphertext batching.
+     * bootstrap(cts[i], test_vector) at any width and thread count.
      */
     std::vector<LweCiphertext>
     bootstrapBatch(const LweCiphertext *cts, size_t count,
@@ -108,8 +117,8 @@ class ServerContext
      * Batched PBS+KS with a per-ciphertext test vector: tvs[i] is the
      * LUT applied to cts[i] (every pointer non-null, same ring
      * dimension): requests keep their own LUTs while sharing one
-     * parallel sweep, and each out[i] is bit-identical to
-     * bootstrap(cts[i], *tvs[i]) at any thread count.
+     * sweep of epochs (as above), and each out[i] is bit-identical to
+     * bootstrap(cts[i], *tvs[i]) at any width and thread count.
      */
     std::vector<LweCiphertext>
     bootstrapBatch(const LweCiphertext *cts,

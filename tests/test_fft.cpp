@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/random.h"
@@ -238,8 +239,8 @@ TEST(SimdDispatch, ScalarTableIsAlwaysAvailable)
     EXPECT_NE(s.fftForward, nullptr);
     EXPECT_NE(s.fftForwardBatch, nullptr);
     EXPECT_NE(s.fftInverse, nullptr);
-    EXPECT_NE(s.twistBatch, nullptr);
-    EXPECT_NE(s.untwist, nullptr);
+    EXPECT_NE(s.negacyclicForward, nullptr);
+    EXPECT_NE(s.negacyclicInverse, nullptr);
     EXPECT_NE(s.mulAccumulate, nullptr);
     EXPECT_NE(s.mulAccumulateColumns, nullptr);
     EXPECT_NE(s.subScaledRow, nullptr);
@@ -452,6 +453,111 @@ allKernelTables()
     return tables;
 }
 
+/**
+ * The negacyclic kernel entries fuse a fold+twist or an untwist with
+ * the butterfly stages, and neither half is a table entry of its own.
+ * These test-side halves reproduce each table's arithmetic exactly:
+ * std::complex products on the scalar table; on the AVX2 table the
+ * packed products of simd_avx2.cpp, in which one of the two partial
+ * products of each component is rounded and the other fused into an
+ * FMA. std::fma reproduces that rounding on any host.
+ */
+bool
+fusesProducts(const PolyKernels &k)
+{
+    return std::strcmp(k.name, "avx2") == 0;
+}
+
+/** simd_avx2.cpp's cplxMul(a, b). */
+Cplx
+fmaMul(Cplx a, Cplx b)
+{
+    return Cplx(std::fma(a.real(), b.real(), -(a.imag() * b.imag())),
+                std::fma(a.imag(), b.real(), a.real() * b.imag()));
+}
+
+/** simd_avx2.cpp's cplxMulConj(a, b) = a * conj(b). */
+Cplx
+fmaMulConj(Cplx a, Cplx b)
+{
+    return Cplx(std::fma(a.real(), b.real(), a.imag() * b.imag()),
+                std::fma(a.imag(), b.real(), -(a.real() * b.imag())));
+}
+
+/**
+ * The twists exp(i*pi*j/n) of an n-point negacyclic transform times
+ * @p scale, as NegacyclicFft builds its twist (scale 1) and untwist
+ * (scale 2/n) tables.
+ */
+std::vector<Cplx>
+twistTable(size_t n, double scale)
+{
+    std::vector<Cplx> tw(n / 2);
+    for (size_t j = 0; j < n / 2; ++j) {
+        double ang = M_PI * static_cast<double>(j) / static_cast<double>(n);
+        tw[j] = Cplx(std::cos(ang), std::sin(ang)) * scale;
+    }
+    return tw;
+}
+
+/**
+ * Fold+twist of @p batch rows into bit-reversed slots, with @p k's
+ * arithmetic: the first half of its negacyclicForward.
+ */
+void
+refTwistBatch(const PolyKernels &k, const FftTables &t, Cplx *out,
+              const int32_t *coeffs, const Cplx *tw, size_t batch)
+{
+    const size_t m = t.m;
+    for (size_t b = 0; b < batch; ++b) {
+        const int32_t *lo = coeffs + b * 2 * m;
+        const int32_t *hi = lo + m;
+        for (size_t j = 0; j < m; ++j) {
+            const Cplx c(static_cast<double>(lo[j]),
+                         static_cast<double>(hi[j]));
+            Cplx v;
+            if (!fusesProducts(k))
+                v = c * tw[j];
+            else if (m >= 4)
+                v = fmaMul(c, tw[j]);
+            else // m = 2: the AVX2 tail takes the operands swapped
+                v = fmaMul(tw[j], c);
+            out[b * m + t.bit_reverse[j]] = v;
+        }
+    }
+}
+
+/**
+ * Untwist+round of @p m natural-order points with @p k's arithmetic:
+ * the second half of its negacyclicInverse. The AVX2 table's vector
+ * path rounds half to even (its magic-number add); the scalar table
+ * and the AVX2 m = 2 tail round half away from zero (llround).
+ */
+void
+refUntwist(const PolyKernels &k, uint32_t *lo, uint32_t *hi,
+           const Cplx *x, const Cplx *untw, size_t m)
+{
+    for (size_t j = 0; j < m; ++j) {
+        Cplx u;
+        bool half_even = false;
+        if (!fusesProducts(k)) {
+            u = x[j] * std::conj(untw[j]);
+        } else if (m >= 4) {
+            u = fmaMulConj(x[j], untw[j]);
+            half_even = true;
+        } else { // m = 2: the AVX2 tail takes conj(untw) first
+            u = fmaMul(std::conj(untw[j]), x[j]);
+        }
+        auto round = [half_even](double v) {
+            return static_cast<uint32_t>(
+                half_even ? static_cast<int64_t>(std::nearbyint(v))
+                          : static_cast<int64_t>(std::llround(v)));
+        };
+        lo[j] = round(u.real());
+        hi[j] = round(u.imag());
+    }
+}
+
 class FftBatchExactness : public ::testing::TestWithParam<size_t>
 {
 };
@@ -548,6 +654,52 @@ TEST_P(NegacyclicFftBatch, DispatchedForwardBatchMatchesPerPoly)
         for (size_t j = 0; j < m; ++j) {
             ASSERT_EQ(fused[b * m + j], ref[j])
                 << "n=" << n << " b=" << b << " j=" << j;
+        }
+    }
+}
+
+TEST_P(NegacyclicFftBatch, KernelEntryEqualsTwistThenForwardBatch)
+{
+    // negacyclicForward against the two-step sequence it replaces: the
+    // table's fold+twist, then its fftForwardBatch. The AVX2 entry
+    // folds stages 2 and 4 into the twist and sweeps the rest two at
+    // a time from m = 16 up, so equality here pins every fused stage.
+    const size_t n = GetParam();
+    const size_t m = n / 2;
+    const auto &eng = NegacyclicFft::get(n);
+    const FftTables t = FftPlan::get(m).tables();
+    const std::vector<Cplx> tw = twistTable(n, 1.0);
+    for (const auto &[tag, kernels] : allKernelTables()) {
+        for (size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{6}}) {
+            for (bool digits : {true, false}) {
+                Rng rng(n + 17 * batch + (digits ? 1 : 0));
+                std::vector<int32_t> coeffs(n * batch);
+                for (auto &c : coeffs)
+                    c = digits ? static_cast<int32_t>(rng.uniformBelow(
+                                     1024)) - 512
+                               : static_cast<int32_t>(rng.uniformTorus32());
+                std::vector<Cplx> want(m * batch);
+                refTwistBatch(*kernels, t, want.data(), coeffs.data(),
+                              tw.data(), batch);
+                kernels->fftForwardBatch(t, want.data(), batch);
+                std::vector<Cplx> got(m * batch);
+                kernels->negacyclicForward(t, got.data(), coeffs.data(),
+                                           tw.data(), batch);
+                std::vector<Cplx> via_engine(m * batch);
+                eng.forwardBatch(via_engine.data(), coeffs.data(), batch,
+                                 *kernels);
+                for (size_t i = 0; i < m * batch; ++i) {
+                    ASSERT_EQ(got[i].real(), want[i].real())
+                        << tag << " n=" << n << " batch=" << batch
+                        << " i=" << i;
+                    ASSERT_EQ(got[i].imag(), want[i].imag())
+                        << tag << " n=" << n << " batch=" << batch
+                        << " i=" << i;
+                    ASSERT_EQ(via_engine[i], want[i])
+                        << tag << " n=" << n << " batch=" << batch
+                        << " i=" << i;
+                }
+            }
         }
     }
 }
@@ -674,11 +826,7 @@ TEST_P(NegacyclicFftInverseExactness, EqualsScaledPlanInverseThenUntwist)
     const size_t m = n / 2;
     const auto &eng = NegacyclicFft::get(n);
     const FftPlan &plan = FftPlan::get(m);
-    std::vector<Cplx> twist(m);
-    for (size_t j = 0; j < m; ++j) {
-        double ang = M_PI * static_cast<double>(j) / static_cast<double>(n);
-        twist[j] = Cplx(std::cos(ang), std::sin(ang));
-    }
+    const std::vector<Cplx> twist = twistTable(n, 1.0);
     const double amp =
         std::ldexp(std::sqrt(3.0 * static_cast<double>(m)), 48);
     for (const auto &[tag, kernels] : allKernelTables()) {
@@ -691,8 +839,8 @@ TEST_P(NegacyclicFftInverseExactness, EqualsScaledPlanInverseThenUntwist)
         std::vector<Cplx> work = freq;
         plan.inverse(work.data(), *kernels);
         TorusPolynomial want(n);
-        kernels->untwist(want.data(), want.data() + m, work.data(),
-                         twist.data(), m);
+        refUntwist(*kernels, want.data(), want.data() + m, work.data(),
+                   twist.data(), m);
 
         TorusPolynomial got(n);
         eng.inverse(got, freq, *kernels);
@@ -707,6 +855,44 @@ TEST_P(NegacyclicFftInverseExactness, EqualsScaledPlanInverseThenUntwist)
             ASSERT_EQ(got[i], want[i]) << tag << " n=" << n << " i=" << i;
             ASSERT_EQ(got_rev[i], want[i])
                 << tag << " n=" << n << " i=" << i;
+        }
+    }
+}
+
+TEST_P(NegacyclicFftInverseExactness, KernelEntryEqualsStagesThenUntwist)
+{
+    // negacyclicInverse against the two-step sequence it replaces: the
+    // table's fftInverse, then its untwist+round by the 1/m table. The
+    // AVX2 entry sweeps the middle stages two at a time and runs the
+    // last two inside the untwist from m = 16 up, so equality here
+    // pins every fused stage and the rounding that follows them.
+    const size_t n = GetParam();
+    const size_t m = n / 2;
+    const FftTables t = FftPlan::get(m).tables();
+    const std::vector<Cplx> untw = twistTable(n, 2.0 / static_cast<double>(n));
+    // Outputs near 2^48: a 1/16 grid below the rounding point, so a
+    // changed rounding anywhere in the chain flips outputs.
+    const double amp =
+        std::ldexp(std::sqrt(3.0 * static_cast<double>(m)), 48);
+    for (const auto &[tag, kernels] : allKernelTables()) {
+        for (int rep = 0; rep < 3; ++rep) {
+            Rng rng(n + 59 + rep);
+            std::vector<Cplx> spectrum(m);
+            for (auto &c : spectrum)
+                c = Cplx((rng.uniformDouble() - 0.5) * 2 * amp,
+                         (rng.uniformDouble() - 0.5) * 2 * amp);
+            std::vector<Cplx> work = spectrum;
+            kernels->fftInverse(t, work.data());
+            std::vector<uint32_t> want(n);
+            refUntwist(*kernels, want.data(), want.data() + m, work.data(),
+                       untw.data(), m);
+            work = spectrum;
+            std::vector<uint32_t> got(n);
+            kernels->negacyclicInverse(t, got.data(), got.data() + m,
+                                       work.data(), untw.data());
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(got[i], want[i])
+                    << tag << " n=" << n << " rep=" << rep << " i=" << i;
         }
     }
 }

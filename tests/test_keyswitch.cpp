@@ -212,5 +212,37 @@ TEST(KeySwitch, MatchesNaivePerRowLoopAtSetIShape)
     EXPECT_EQ(keySwitch(ct, ksk).raw(), want);
 }
 
+TEST(KeySwitch, RowOuterBatchMatchesPerCiphertext)
+{
+    // Set I's shape, batches of 1 to 5. The batch form applies each
+    // KSK row to every ciphertext before reading the next row;
+    // ciphertext 1 has an all-zero mask, so its digits are all zero
+    // and it skips every row the others apply.
+    const TfheParams &p = paramsSetI();
+    Rng rng(21);
+    LweKey from(p.k * p.N, rng);
+    LweKey to(p.n, rng);
+    KeySwitchKey ksk =
+        KeySwitchKey::generateSeeded(from, to, p, rng.next64(), rng);
+    std::vector<LweCiphertext> cts;
+    for (size_t b = 0; b < 5; ++b) {
+        LweCiphertext ct(p.k * p.N);
+        for (uint32_t i = 0; i <= ct.dim(); ++i)
+            ct.raw()[i] =
+                b == 1 && i < ct.dim() ? 0u : rng.uniformTorus32();
+        cts.push_back(std::move(ct));
+    }
+    for (size_t count = 1; count <= cts.size(); ++count) {
+        std::vector<LweCiphertext> out(count);
+        keySwitch(out.data(), cts.data(), count, ksk);
+        for (size_t b = 0; b < count; ++b)
+            EXPECT_EQ(out[b].raw(), keySwitch(cts[b], ksk).raw())
+                << "count=" << count << " b=" << b;
+    }
+    // The zero-mask ciphertext switches to the trivial one.
+    EXPECT_EQ(keySwitch(cts[1], ksk).raw(),
+              LweCiphertext::trivial(p.n, cts[1].b()).raw());
+}
+
 } // namespace
 } // namespace strix

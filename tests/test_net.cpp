@@ -5,6 +5,7 @@
  * primitives over real loopback sockets.
  */
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -192,6 +193,23 @@ TEST(BufferedSender, DeadlineTriggerAges)
     // A later frame does not reset the oldest byte's age.
     s.queue(std::vector<uint8_t>(8, 2), 1090);
     EXPECT_EQ(s.flushDeadline(), 1100u);
+}
+
+TEST(BufferedSender, HugeFlushDelayNeverWraps)
+{
+    // oldest + delay overflows here; the deadline saturates instead of
+    // wrapping to the past, so only the size trigger can flush.
+    BufferedSender::Options opts;
+    opts.mtu_bytes = 100;
+    opts.flush_delay_us = UINT64_MAX;
+    BufferedSender s(opts);
+
+    s.queue(std::vector<uint8_t>(8, 1), /*now_us=*/1000);
+    EXPECT_FALSE(s.wantFlush(1001));
+    EXPECT_FALSE(s.wantFlush(UINT64_MAX - 1));
+    EXPECT_EQ(s.flushDeadline(), UINT64_MAX);
+    s.queue(std::vector<uint8_t>(100, 2), 1002);
+    EXPECT_TRUE(s.wantFlush(1002)) << "108 >= 100 bytes pending";
 }
 
 TEST(BufferedSender, EmptyHasNoDeadline)

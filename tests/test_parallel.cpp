@@ -439,6 +439,52 @@ TEST_F(BatchPbs, DeterministicAcrossThreadCounts)
 }
 
 /**
+ * Key-stationary epochs at their boundaries. bootstrapBatch splits a
+ * batch into sub-batches of B = ceil(width / min(width, lanes)), so
+ * these widths give B = 1, full and short last sub-batches, and widths
+ * past the lane count at every thread count. Each ciphertext has its
+ * own LUT, so a sub-batch that paired an accumulator with the wrong
+ * ciphertext or LUT shows up, as does any change of order inside an
+ * epoch.
+ */
+TEST_F(BatchPbs, EpochWidthsMatchPerCiphertext)
+{
+    const size_t kWidths[] = {1, 2, 3, 4, 5, 7, 8, 16, 17};
+    const size_t kMaxWidth = 17;
+    auto cts = encryptRange(kMaxWidth);
+    std::vector<TorusPolynomial> luts;
+    for (size_t i = 0; i < kMaxWidth; ++i)
+        luts.push_back(makeIntTestVector(
+            server().params().N, kSpace, [i](int64_t v) {
+                return (v * int64_t(i % 3 + 1) + int64_t(i)) %
+                       int64_t(kSpace);
+            }));
+    std::vector<const TorusPolynomial *> tvs;
+    std::vector<LweCiphertext> want;
+    for (size_t i = 0; i < kMaxWidth; ++i) {
+        tvs.push_back(&luts[i]);
+        want.push_back(server().bootstrap(cts[i], luts[i]));
+    }
+    for (unsigned threads : {1u, 2u, 3u, 4u}) {
+        ServerContext ctx(client().evalKeys(), threads);
+        for (size_t width : kWidths) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " width=" + std::to_string(width));
+            std::vector<LweCiphertext> got =
+                ctx.bootstrapBatch(cts.data(), tvs.data(), width);
+            ASSERT_EQ(got.size(), width);
+            for (size_t i = 0; i < width; ++i)
+                expectSameCiphertext(got[i], want[i], i);
+        }
+    }
+    for (size_t i = 0; i < kMaxWidth; ++i)
+        EXPECT_EQ(client().decryptInt(want[i], kSpace),
+                  int64_t((i % kSpace) * (i % 3 + 1) + i) %
+                      int64_t(kSpace))
+            << "ciphertext " << i;
+}
+
+/**
  * The stress test the ISSUE asks for: N threads x M bootstraps against
  * one shared context (hand-rolled std::thread, not the pool), checked
  * bit-exactly against the sequential answers. This is the workload
