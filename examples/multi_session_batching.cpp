@@ -112,9 +112,6 @@ main()
                 (unsigned long long)st.size_flushes,
                 (unsigned long long)st.deadline_flushes,
                 (unsigned long long)st.drain_flushes);
-    std::printf("tenant shards:        %zu  (requests never co-batch "
-                "across key bundles)\n",
-                st.shards);
     std::printf("sweep occupancy:      %.2f  (mean width / target "
                 "width %zu)\n",
                 st.occupancy(opts.target_batch), opts.target_batch);

@@ -2,10 +2,9 @@
  * @file
  * Waitable monotonic clock: the time seam for deadline-driven queues.
  *
- * A flush loop (the BatchExecutor's dispatcher, a network buffered
- * sender) needs exactly three time operations: read a monotonic
- * microsecond counter, sleep until a deadline, and be woken early by a
- * producer. Bundling them behind one interface makes the deadline
+ * A flush loop (the BatchExecutor's dispatcher) needs exactly three
+ * time operations: read a monotonic microsecond counter, sleep until a
+ * deadline, and be woken early by a producer. Bundling them behind one interface makes the deadline
  * path testable: production code gets SteadyWaitableClock (real
  * std::chrono::steady_clock time), tests get ManualWaitableClock and
  * advance virtual time deterministically -- a "deadline elapsed" test

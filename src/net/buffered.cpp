@@ -5,43 +5,22 @@
 
 #include "net/buffered.h"
 
-#include <limits>
+#include <cstddef>
 
 namespace strix {
 
 void
-BufferedSender::queue(const std::vector<uint8_t> &frame,
-                      uint64_t now_us)
+BufferedSender::queue(const std::vector<uint8_t> &frame)
 {
-    if (empty()) {
-        // Compact: everything before off_ is already on the wire.
-        buf_.clear();
+    // Drop the flushed prefix once it is at least as long as what is
+    // still unsent. A peer that reads steadily but never catches up
+    // then keeps the buffer under twice its unsent bytes plus one
+    // frame, and each byte is moved at most once per byte flushed.
+    if (off_ >= pendingBytes()) {
+        buf_.erase(buf_.begin(), buf_.begin() + std::ptrdiff_t(off_));
         off_ = 0;
-        oldest_us_ = now_us;
     }
     buf_.insert(buf_.end(), frame.begin(), frame.end());
-    ++frames_queued_;
-}
-
-bool
-BufferedSender::wantFlush(uint64_t now_us) const
-{
-    if (empty())
-        return false;
-    if (pendingBytes() >= opts_.mtu_bytes)
-        return true;
-    return now_us >= flushDeadline();
-}
-
-uint64_t
-BufferedSender::flushDeadline() const
-{
-    if (empty())
-        return 0;
-    const uint64_t deadline = oldest_us_ + opts_.flush_delay_us;
-    // Saturate a wrapped sum: a huge delay means "never by time".
-    return deadline < oldest_us_ ? std::numeric_limits<uint64_t>::max()
-                                 : deadline;
 }
 
 TcpConn::IoResult
@@ -53,7 +32,6 @@ BufferedSender::flushTo(TcpConn &conn)
             conn.writeSome(buf_.data() + off_, pendingBytes(), put);
         if (r != TcpConn::IoResult::Ok)
             return r;
-        ++write_calls_;
         off_ += put;
     }
     return TcpConn::IoResult::Ok;

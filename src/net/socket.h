@@ -57,7 +57,7 @@ class TcpConn
 
     /** Toggle O_NONBLOCK. Returns false if the fcntl failed. */
     bool setNonBlocking(bool on);
-    /** Disable Nagle; the BufferedSender does the coalescing. */
+    /** Disable Nagle: a queued reply is written as soon as it is whole. */
     bool setNoDelay(bool on);
 
     /**

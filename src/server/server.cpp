@@ -58,11 +58,8 @@ StrixServer::CircuitJob::CircuitJob(std::shared_ptr<const EvalKeys> keys,
 {
 }
 
-StrixServer::StrixServer(Options opts,
-                         std::shared_ptr<WaitableClock> clock)
-    : opts_(opts),
-      clock_(clock ? std::move(clock)
-                   : std::make_shared<SteadyWaitableClock>()),
+StrixServer::StrixServer(Options opts)
+    : opts_(opts), clock_(std::make_shared<SteadyWaitableClock>()),
       executor_(std::make_shared<BatchExecutor>(opts.exec, clock_)),
       cache_(opts.cache_budget_bytes)
 {
@@ -115,43 +112,36 @@ StrixServer::stats() const
 
 void
 StrixServer::sendOk(ConnState &c, const WireMessage &m,
-                    std::vector<uint8_t> payload, uint64_t now_us)
+                    std::vector<uint8_t> payload)
 {
     WireMessage reply;
     reply.type = MsgType::Ok;
     reply.tenant = m.tenant;
     reply.request_id = m.request_id;
     reply.payload = std::move(payload);
-    c.out.queue(encodeMessage(reply), now_us);
+    c.out.queue(encodeMessage(reply));
     ok_replies_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
 StrixServer::sendErr(ConnState &c, uint64_t tenant, uint64_t request_id,
-                     WireError code, const std::string &text,
-                     uint64_t now_us)
+                     WireError code, const std::string &text)
 {
-    c.out.queue(encodeError(tenant, request_id, code, text), now_us);
+    c.out.queue(encodeError(tenant, request_id, code, text));
     error_replies_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
-StrixServer::handleRegister(ConnState &c, const WireMessage &m,
-                            uint64_t now_us)
+StrixServer::handleRegister(ConnState &c, const WireMessage &m)
 {
     std::shared_ptr<const EvalKeys> keys;
     try {
         keys = decodeEvalKeysPayload(m.payload);
     } catch (const std::exception &e) {
         sendErr(c, m.tenant, m.request_id, WireError::BadPayload,
-                e.what(), now_us);
+                e.what());
         return;
     }
-    // Unpin idle tenants' bundles before the insert: the executor
-    // keeps a shard (and a strong bundle reference) per key bundle it
-    // has served, which would otherwise make every previously-served
-    // tenant unevictable and defeat the budget.
-    executor_->releaseIdleShards();
     std::shared_ptr<const EvalKeys> resident =
         cache_.getOrInsert(m.tenant, keys);
     // The cache keeps a resident bundle and drops the new one, so a
@@ -159,10 +149,10 @@ StrixServer::handleRegister(ConnState &c, const WireMessage &m,
     // Ok would run the client's later requests under the old keys.
     if (resident != keys && !sameKeys(*resident, *keys)) {
         sendErr(c, m.tenant, m.request_id, WireError::BadPayload,
-                "tenant already registered with other keys", now_us);
+                "tenant already registered with other keys");
         return;
     }
-    sendOk(c, m, {}, now_us);
+    sendOk(c, m, {});
 }
 
 void
@@ -171,13 +161,13 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
 {
     if (m.payload.size() > opts_.max_request_payload_bytes) {
         sendErr(c, m.tenant, m.request_id, WireError::PayloadTooLarge,
-                "request payload over the compute cap", now_us);
+                "request payload over the compute cap");
         return;
     }
     if (pendings_.size() >= opts_.max_queue_depth) {
         busy_rejects_.fetch_add(1, std::memory_order_relaxed);
         sendErr(c, m.tenant, m.request_id, WireError::Busy,
-                "server queue full; retry with backoff", now_us);
+                "server queue full; retry with backoff");
         return;
     }
     size_t &tenant_inflight = inflight_[m.tenant];
@@ -186,8 +176,7 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
             inflight_.erase(m.tenant);
         busy_rejects_.fetch_add(1, std::memory_order_relaxed);
         sendErr(c, m.tenant, m.request_id, WireError::Busy,
-                "tenant in-flight cap reached; retry with backoff",
-                now_us);
+                "tenant in-flight cap reached; retry with backoff");
         return;
     }
     std::shared_ptr<const EvalKeys> bundle = cache_.lookup(m.tenant);
@@ -195,8 +184,7 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
         if (tenant_inflight == 0)
             inflight_.erase(m.tenant);
         sendErr(c, m.tenant, m.request_id, WireError::UnknownTenant,
-                "tenant not registered (or evicted); re-register",
-                now_us);
+                "tenant not registered (or evicted); re-register");
         return;
     }
     const TfheParams &p = bundle->params();
@@ -253,7 +241,7 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
                 if (tenant_inflight == 0)
                     inflight_.erase(m.tenant);
                 sendErr(c, m.tenant, m.request_id,
-                        WireError::Infeasible, os.str(), now_us);
+                        WireError::Infeasible, os.str());
                 return;
             }
             // The job owns bundle + request for the eval's whole
@@ -273,7 +261,7 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
         if (tenant_inflight == 0)
             inflight_.erase(m.tenant);
         sendErr(c, m.tenant, m.request_id, WireError::BadPayload,
-                e.what(), now_us);
+                e.what());
         return;
     }
     ++tenant_inflight;
@@ -288,31 +276,29 @@ StrixServer::handleMessage(ConnState &c, WireMessage &&m,
     const bool draining = stop_requested_.load();
     switch (m.type) {
     case MsgType::Ping:
-        sendOk(c, m, std::move(m.payload), now_us); // echo
+        sendOk(c, m, std::move(m.payload)); // echo
         break;
     case MsgType::RegisterTenant:
         if (draining) {
             sendErr(c, m.tenant, m.request_id,
-                    WireError::ShuttingDown, "server is draining",
-                    now_us);
+                    WireError::ShuttingDown, "server is draining");
             break;
         }
-        handleRegister(c, m, now_us);
+        handleRegister(c, m);
         break;
     case MsgType::Bootstrap:
     case MsgType::ApplyLut:
     case MsgType::EvalCircuit:
         if (draining) {
             sendErr(c, m.tenant, m.request_id,
-                    WireError::ShuttingDown, "server is draining",
-                    now_us);
+                    WireError::ShuttingDown, "server is draining");
             break;
         }
         handleCompute(c, std::move(m), now_us);
         break;
     default:
         sendErr(c, m.tenant, m.request_id, WireError::UnknownType,
-                "unknown message type", now_us);
+                "unknown message type");
         break;
     }
 }
@@ -322,7 +308,7 @@ StrixServer::serviceReadable(ConnState &c, uint64_t now_us)
 {
     if (rbuf_.empty())
         rbuf_.resize(64 * 1024);
-    for (;;) {
+    while (c.out.pendingBytes() < kMaxUnsentBytes) {
         size_t got = 0;
         const TcpConn::IoResult r =
             c.conn.readSome(rbuf_.data(), rbuf_.size(), got);
@@ -340,15 +326,16 @@ StrixServer::serviceReadable(ConnState &c, uint64_t now_us)
             // Answer with a structured error frame, then close once
             // it has flushed -- hostile bytes never crash the loop.
             protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-            sendErr(c, 0, 0, WireError::Protocol, e.what(), now_us);
+            sendErr(c, 0, 0, WireError::Protocol, e.what());
             c.closing = true;
             return true;
         }
     }
+    return true; // at the egress cap
 }
 
 void
-StrixServer::acceptPending(uint64_t /*now_us*/)
+StrixServer::acceptPending()
 {
     for (;;) {
         TcpConn nc = listener_.accept();
@@ -359,7 +346,6 @@ StrixServer::acceptPending(uint64_t /*now_us*/)
         st.id = id;
         st.conn = std::move(nc);
         st.dec = FrameDecoder(opts_.limits);
-        st.out = BufferedSender(opts_.send);
         conns_.emplace(id, std::move(st));
         conns_accepted_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -396,7 +382,7 @@ StrixServer::advanceCircuit(CircuitJob &job, std::string &fail)
 }
 
 void
-StrixServer::completeFinished(uint64_t now_us)
+StrixServer::completeFinished()
 {
     for (auto it = pendings_.begin(); it != pendings_.end();) {
         Pending &pend = *it;
@@ -430,17 +416,16 @@ StrixServer::completeFinished(uint64_t now_us)
             ConnState &c = cit->second;
             if (!fail.empty()) {
                 sendErr(c, pend.tenant, pend.request_id,
-                        WireError::Internal, fail, now_us);
+                        WireError::Internal, fail);
             } else if (missed) {
                 sendErr(c, pend.tenant, pend.request_id,
                         WireError::DeadlineExceeded,
-                        "completed after the request deadline",
-                        now_us);
+                        "completed after the request deadline");
             } else {
                 WireMessage reply;
                 reply.tenant = pend.tenant;
                 reply.request_id = pend.request_id;
-                sendOk(c, reply, encodeCiphertexts(cts), now_us);
+                sendOk(c, reply, encodeCiphertexts(cts));
             }
         }
         auto fit = inflight_.find(pend.tenant);
@@ -451,11 +436,11 @@ StrixServer::completeFinished(uint64_t now_us)
 }
 
 void
-StrixServer::flushSenders(uint64_t now_us)
+StrixServer::flushSenders()
 {
     std::vector<uint64_t> dead;
     for (auto &[id, c] : conns_) {
-        if (!c.out.empty() && c.out.wantFlush(now_us)) {
+        if (!c.out.empty()) {
             const TcpConn::IoResult r = c.out.flushTo(c.conn);
             if (r == TcpConn::IoResult::Eof ||
                 r == TcpConn::IoResult::Error) {
@@ -470,50 +455,31 @@ StrixServer::flushSenders(uint64_t now_us)
         conns_.erase(id);
 }
 
-int
-StrixServer::pollTimeoutMs(uint64_t now_us) const
-{
-    // Idle heartbeat also bounds how fast stop() is noticed.
-    uint64_t wait_us = 20 * 1000;
-    // Outstanding futures have no fd; poll them at ms granularity
-    // (PBS work is ms-scale at the paper parameter sets).
-    if (!pendings_.empty())
-        wait_us = std::min<uint64_t>(wait_us, 1000);
-    for (const auto &[id, c] : conns_) {
-        (void)id;
-        // A sender past its trigger is waiting on POLLOUT, not time.
-        if (c.out.empty() || c.out.wantFlush(now_us))
-            continue;
-        const uint64_t deadline = c.out.flushDeadline();
-        wait_us = std::min<uint64_t>(
-            wait_us, deadline > now_us ? deadline - now_us : 0);
-    }
-    return static_cast<int>((wait_us + 999) / 1000);
-}
-
 void
 StrixServer::run()
 {
     Poller poller;
+    uint64_t close_at_us = 0; //!< drain deadline for unsent replies
     for (;;) {
         const bool draining = stop_requested_.load();
-        uint64_t now_us = clock_->nowMicros();
-        completeFinished(now_us);
+        completeFinished();
         // Drain must not depend on the executor's own flush policy: a
         // long flush_delay_us would strand admitted work (and us)
         // forever. Force everything queued due each pass, including
         // the circuit levels completeFinished just submitted.
         if (draining && !pendings_.empty())
             executor_->flushNow();
-        flushSenders(now_us);
+        flushSenders();
         if (draining && pendings_.empty()) {
-            bool flushed = true;
-            for (const auto &[id, c] : conns_) {
-                (void)id;
-                if (!c.out.empty())
-                    flushed = false;
-            }
-            if (flushed)
+            // Every request is answered; a peer that stopped reading
+            // must not hold stop() past the grace.
+            const uint64_t now_us = clock_->nowMicros();
+            if (close_at_us == 0)
+                close_at_us = now_us + kDrainGraceUs;
+            const bool flushed = std::all_of(
+                conns_.begin(), conns_.end(),
+                [](const auto &e) { return e.second.out.empty(); });
+            if (flushed || now_us >= close_at_us)
                 break;
         }
         poller.clear();
@@ -521,30 +487,23 @@ StrixServer::run()
             poller.add(listener_.fd(), true, false);
         for (const auto &[id, c] : conns_) {
             (void)id;
-            poller.add(c.conn.fd(), !draining && !c.closing,
-                       !c.out.empty());
+            const bool read = !draining && !c.closing &&
+                              c.out.pendingBytes() < kMaxUnsentBytes;
+            poller.add(c.conn.fd(), read, !c.out.empty());
         }
-        poller.wait(pollTimeoutMs(now_us));
-        now_us = clock_->nowMicros();
+        // Outstanding futures have no fd; poll them at ms granularity
+        // (PBS work is ms-scale at the paper parameter sets). The idle
+        // heartbeat bounds how fast stop() is noticed.
+        poller.wait(pendings_.empty() ? 20 : 1);
+        const uint64_t now_us = clock_->nowMicros();
         if (!draining && poller.readable(listener_.fd()))
-            acceptPending(now_us);
+            acceptPending();
         std::vector<uint64_t> dead;
         for (auto &[id, c] : conns_) {
             const int fd = c.conn.fd();
-            if (poller.errored(fd)) {
-                dead.push_back(id);
-                continue;
-            }
-            if (poller.writable(fd)) {
-                const TcpConn::IoResult r = c.out.flushTo(c.conn);
-                if (r == TcpConn::IoResult::Eof ||
-                    r == TcpConn::IoResult::Error) {
-                    dead.push_back(id);
-                    continue;
-                }
-            }
-            if (!c.closing && poller.readable(fd) &&
-                !serviceReadable(c, now_us))
+            if (poller.errored(fd) ||
+                (!c.closing && poller.readable(fd) &&
+                 !serviceReadable(c, now_us)))
                 dead.push_back(id);
         }
         for (uint64_t id : dead)

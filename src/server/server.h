@@ -4,12 +4,12 @@
  *
  * One poll(2) event loop owns every connection: it accepts, reads
  * MSG1 frames through the incremental FrameDecoder, dispatches
- * requests, and writes replies through per-connection BufferedSenders
- * (MTU + flush-delay coalescing). PBS work never runs on the loop
- * thread: Bootstrap/ApplyLut requests are submitted to the shared
- * BatchExecutor -- so requests from *different tenants and different
- * connections* coalesce into one batch whenever their key bundles
- * match, and batches of different tenants run at once on the
+ * requests, and writes each reply through its connection's
+ * BufferedSender as soon as the socket takes it. PBS work never runs
+ * on the loop thread: Bootstrap/ApplyLut requests are submitted to
+ * the shared BatchExecutor -- so requests from *different tenants and
+ * different connections* coalesce into one batch whenever their key
+ * bundles match, and batches of different tenants run at once on the
  * executor's lanes. An EvalCircuit request becomes a PlanRun that the
  * loop steps level by level: each level's PBS go to the same
  * executor, and the loop advances the run once that level's futures
@@ -27,10 +27,10 @@
  * key-memory pressure the least-recently-used idle tenant is evicted
  * and must re-register (requests answer UnknownTenant, a structured
  * error, never a crash).
- * The server never holds a strong bundle reference outside the cache,
- * the executor's shards (released when idle before each eviction
- * attempt), and in-flight work -- so eviction of idle tenants is
- * actually possible, and active tenants are pinned resident.
+ * Outside the cache only in-flight work holds a strong bundle
+ * reference (a circuit job until its reply, the executor while the
+ * tenant has requests queued or running), so idle tenants are
+ * evictable and active tenants are pinned resident.
  *
  * Admission control bounds work the server will buffer: a per-tenant
  * in-flight cap and a global queue depth; past either, requests get a
@@ -101,9 +101,6 @@ class StrixServer
         /** Cross-tenant PBS batching policy (shared BatchExecutor). */
         BatchExecutor::Options exec;
 
-        /** Response coalescing policy (per-connection sender). */
-        BufferedSender::Options send;
-
         /**
          * Key-memory budget handed to the EvalKeyCache
          * (0 = unbounded).
@@ -127,15 +124,24 @@ class StrixServer
     };
 
     /**
-     * @p clock defaults to a fresh SteadyWaitableClock shared with
-     * the executor; tests may pass a manual clock to drive batching
-     * deadlines deterministically (the event loop itself still
-     * paces on real poll timeouts).
+     * Unsent reply bytes at which the loop stops reading a connection
+     * until its peer takes enough to fall below: a peer that never
+     * reads stalls itself instead of growing the daemon. Far above a
+     * ciphertext reply, so only a peer that leaves replies unread
+     * reaches it.
      */
-    explicit StrixServer(Options opts,
-                         std::shared_ptr<WaitableClock> clock = nullptr);
+    static constexpr size_t kMaxUnsentBytes = 4u << 20;
 
-    /** Default Options, real clock. */
+    /**
+     * How long stop() waits, once every admitted request is answered,
+     * for the peers to take their unsent replies before it closes the
+     * connections that still hold some.
+     */
+    static constexpr uint64_t kDrainGraceUs = 2u * 1000 * 1000;
+
+    explicit StrixServer(Options opts);
+
+    /** Default Options. */
     StrixServer();
 
     /** stop()s if still running. */
@@ -152,8 +158,9 @@ class StrixServer
 
     /**
      * Drain and shut down: stop reading new requests, fulfil every
-     * pending response, flush the senders, then stop the executor
-     * and join all threads. Idempotent.
+     * pending response, flush the senders for up to kDrainGraceUs,
+     * close every connection, then stop the executor and join all
+     * threads. Idempotent.
      */
     void stop();
 
@@ -222,15 +229,14 @@ class StrixServer
 
     void run();
 
-    void acceptPending(uint64_t now_us);
+    void acceptPending();
     /** Read + decode + dispatch; false when the conn must be dropped. */
     bool serviceReadable(ConnState &c, uint64_t now_us);
     void handleMessage(ConnState &c, WireMessage &&m, uint64_t now_us);
-    void handleRegister(ConnState &c, const WireMessage &m,
-                        uint64_t now_us);
+    void handleRegister(ConnState &c, const WireMessage &m);
     void handleCompute(ConnState &c, WireMessage &&m, uint64_t now_us);
     /** Scan pendings; ship replies for completed work. */
-    void completeFinished(uint64_t now_us);
+    void completeFinished();
     /** Submit the PBS of @p job's current level to the executor. */
     void submitLevel(CircuitJob &job);
     /**
@@ -239,16 +245,12 @@ class StrixServer
      * is finished: the run is done, or a PBS failed (@p fail set).
      */
     bool advanceCircuit(CircuitJob &job, std::string &fail);
-    void flushSenders(uint64_t now_us);
+    void flushSenders();
 
     void sendOk(ConnState &c, const WireMessage &m,
-                std::vector<uint8_t> payload, uint64_t now_us);
+                std::vector<uint8_t> payload);
     void sendErr(ConnState &c, uint64_t tenant, uint64_t request_id,
-                 WireError code, const std::string &text,
-                 uint64_t now_us);
-
-    /** Poll timeout folding sender deadlines and pending futures. */
-    int pollTimeoutMs(uint64_t now_us) const;
+                 WireError code, const std::string &text);
 
     Options opts_;
     std::shared_ptr<WaitableClock> clock_;

@@ -15,6 +15,7 @@
 #include "tfhe/batch_executor.h"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 
 #include "common/logging.h"
@@ -78,18 +79,16 @@ BatchExecutor::submit(std::shared_ptr<const EvalKeys> keys,
             pool_ = std::make_unique<ThreadPool>();
             scratch_.resize(pool_->lanes());
         }
-        std::unique_ptr<Shard> &slot = shards_[keys.get()];
-        if (!slot)
-            slot = std::make_unique<Shard>(std::move(keys));
+        const EvalKeys *id = keys.get();
+        Shard &shard = shards_.try_emplace(id, std::move(keys)).first->second;
         Request r;
         r.submit_us = clock_->nowMicros();
         r.ct = std::move(ct);
         r.tv = std::move(test_vector);
         fut = r.result.get_future();
-        slot->fill.push_back(std::move(r));
+        shard.fill.push_back(std::move(r));
         ++stats_.submitted;
         ++in_flight_;
-        stats_.shards = shards_.size();
     }
     // Wake the dispatcher to re-evaluate the triggers. The latch in
     // the clock closes the window where it already checked the queues
@@ -103,50 +102,48 @@ BatchExecutor::dispatchLoop()
 {
     MutexLock lock(m_);
     for (;;) {
-        Shard *due = nullptr;
+        auto due = shards_.end();
         uint64_t *reason = nullptr;
         uint64_t next_deadline = kNoDeadline;
         const uint64_t now = clock_->nowMicros();
-        for (auto &entry : shards_) {
-            Shard &sh = *entry.second;
-            if (sh.fill.empty())
-                continue;
-            if (sh.fill.size() >= opts_.target_batch) {
-                due = &sh;
+        for (auto it = shards_.begin(); it != shards_.end(); ++it) {
+            const std::deque<Request> &fill = it->second.fill;
+            if (fill.size() >= opts_.target_batch) {
+                due = it;
                 reason = &stats_.size_flushes;
                 break;
             }
             if (stopping_ || flush_now_) {
-                due = &sh;
+                due = it;
                 reason = &stats_.drain_flushes;
                 break;
             }
-            uint64_t deadline =
-                sh.fill.front().submit_us + opts_.flush_delay_us;
-            if (deadline < sh.fill.front().submit_us)
+            uint64_t deadline = fill.front().submit_us + opts_.flush_delay_us;
+            if (deadline < fill.front().submit_us)
                 deadline = kNoDeadline - 1; // saturate a wrapped sum
             if (deadline <= now) {
-                due = &sh;
+                due = it;
                 reason = &stats_.deadline_flushes;
                 break;
             }
             next_deadline = std::min(next_deadline, deadline);
         }
 
-        if (due != nullptr) {
+        if (due != shards_.end()) {
             // Move up to one batch's width onto the ready queue;
             // anything beyond target_batch stays and is picked up by
             // the next pass (likely as a size flush).
             // One job per request, capturing only `this`, so the
             // post fits std::function's inline buffer.
-            const size_t take =
-                std::min(due->fill.size(), opts_.target_batch);
+            Shard &sh = due->second;
+            const size_t take = std::min(sh.fill.size(), opts_.target_batch);
             for (size_t i = 0; i < take; ++i) {
-                ready_.push_back({due, std::move(due->fill.front())});
-                due->fill.pop_front();
+                ready_.push_back({sh.keys, std::move(sh.fill.front())});
+                sh.fill.pop_front();
                 pool_->post([this](unsigned lane) { runReady(lane); });
             }
-            due->on_lanes += take;
+            if (sh.fill.empty())
+                shards_.erase(due); // its ready requests hold the bundle
             ++stats_.sweeps;
             stats_.swept_lwes += take;
             ++*reason;
@@ -174,40 +171,27 @@ BatchExecutor::runReady(unsigned lane)
     Ready job = std::move(ready_.front());
     ready_.pop_front();
     lock.unlock();
+    LweCiphertext out;
+    std::exception_ptr failure;
     try {
         // One request per lane job: an epoch of width 1.
         const TorusPolynomial *tv = &job.req.tv;
-        LweCiphertext out;
-        bootstrapKeySwitch(*job.shard->keys, &job.req.ct, &tv, 1, &out,
+        bootstrapKeySwitch(*job.keys, &job.req.ct, &tv, 1, &out,
                            scratch_[lane]);
-        job.req.result.set_value(std::move(out));
     } catch (...) {
-        // A failed PBS fails only its own request.
-        job.req.result.set_exception(std::current_exception());
+        failure = std::current_exception(); // fails this request only
     }
+    // Let the bundle go before the caller can see the result: once a
+    // tenant's last reply is out, nothing here pins its keys.
+    job.keys.reset();
+    if (failure)
+        job.req.result.set_exception(failure);
+    else
+        job.req.result.set_value(std::move(out));
     lock.lock();
-    --job.shard->on_lanes;
     ++stats_.completed;
     if (--in_flight_ == 0)
         drained_cv_.notify_all();
-}
-
-size_t
-BatchExecutor::releaseIdleShards()
-{
-    MutexLock lock(m_);
-    size_t released = 0;
-    for (auto it = shards_.begin(); it != shards_.end();) {
-        Shard &sh = *it->second;
-        if (sh.fill.empty() && sh.on_lanes == 0) {
-            it = shards_.erase(it);
-            ++released;
-        } else {
-            ++it;
-        }
-    }
-    stats_.shards = shards_.size();
-    return released;
 }
 
 void

@@ -14,9 +14,9 @@
  * never share a batch (cross-tenant isolation by construction: every
  * request runs under exactly its own shard's key bundle).
  *
- * Flush policy is the buffered-sender shape: a shard flushes when its
- * fill reaches `target_batch` requests (size trigger) or when its
- * oldest request has waited `flush_delay_us` (deadline trigger), so a
+ * The flush policy has two triggers: a shard flushes when its fill
+ * reaches `target_batch` requests (size trigger) or when its oldest
+ * request has waited `flush_delay_us` (deadline trigger), so a
  * saturated stream flushes at full width while a trickle still meets
  * a microsecond-scale latency bound. A flush moves the batch onto one
  * FIFO ready queue shared by every shard and posts one job per
@@ -88,7 +88,6 @@ class BatchExecutor
         uint64_t size_flushes = 0;     //!< flushes triggered by width
         uint64_t deadline_flushes = 0; //!< flushes triggered by age
         uint64_t drain_flushes = 0;    //!< flushes triggered by shutdown
-        size_t shards = 0;             //!< distinct EvalKeys seen
 
         /** Mean batch width over target width: 1.0 = full flushes. */
         double occupancy(size_t target_batch) const
@@ -124,7 +123,9 @@ class BatchExecutor
      * bit-identical to `ServerContext(keys).bootstrap(ct, tv)`; a
      * failed PBS delivers its exception through that request's
      * future alone. Safe from any thread; requests sharing a keys
-     * pointer coalesce into one batch.
+     * pointer coalesce into one batch. The executor drops its last
+     * reference to @p keys before the future is ready, so a bundle
+     * with no request left is held only by its caller's owners.
      */
     std::future<LweCiphertext> submit(std::shared_ptr<const EvalKeys> keys,
                                       LweCiphertext ct,
@@ -157,17 +158,6 @@ class BatchExecutor
      */
     void shutdown() STRIX_EXCLUDES(m_, join_mutex_);
 
-    /**
-     * Release shards whose fill queue is empty and none of whose
-     * requests is queued for or running on a lane, dropping the
-     * executor's reference to their EvalKeys bundle. A serving layer
-     * calls this after budget-driven key eviction so a departed
-     * tenant's bundle does not stay pinned by the executor forever;
-     * the shard is recreated transparently on that bundle's next
-     * submit. Returns the shards released.
-     */
-    size_t releaseIdleShards() STRIX_EXCLUDES(m_);
-
     /** Snapshot of the counters. */
     Stats stats() const STRIX_EXCLUDES(m_);
 
@@ -185,32 +175,23 @@ class BatchExecutor
 
     /**
      * Per-params-shard state: the key bundle and the fill queue the
-     * dispatcher flushes batches out of. Shards are created on first
-     * submit and live until shutdown or releaseIdleShards(). A flush
-     * adds its width to `on_lanes` and each lane job subtracts its
-     * one request once fulfilled; release skips a shard while the count
-     * is nonzero, so the raw Shard pointers on the ready queue and on
-     * running lanes stay valid and no bundle is freed under a PBS.
+     * dispatcher flushes batches out of. A shard exists only while its
+     * fill queue is non-empty: submit creates it, and the flush that
+     * empties the queue erases it, so the executor holds a tenant's
+     * bundle only while that tenant has queued or running requests.
      */
     struct Shard
     {
         explicit Shard(std::shared_ptr<const EvalKeys> k);
 
         const std::shared_ptr<const EvalKeys> keys;
-        // Guarded by the owning BatchExecutor's m_. The analysis has
-        // no way to express a guard that lives in another object, so
-        // this contract is manual: every access sits in a
-        // BatchExecutor member that provably holds m_ (submit,
-        // releaseIdleShards, and the locked sections of dispatchLoop
-        // and runReady).
-        std::deque<Request> fill;
-        size_t on_lanes = 0; //!< flushed, not yet fulfilled
+        std::deque<Request> fill; //!< never empty
     };
 
-    /** A flushed request waiting for a lane. */
+    /** A flushed request waiting for a lane, holding its own bundle. */
     struct Ready
     {
-        Shard *shard = nullptr; //!< pinned by shard->on_lanes
+        std::shared_ptr<const EvalKeys> keys;
         Request req;
     };
 
@@ -226,8 +207,7 @@ class BatchExecutor
     // producers signal() after dropping it, so BatchExecutor::m_ and
     // the clock's internal mutex are never nested.
     mutable Mutex m_;
-    std::map<const EvalKeys *, std::unique_ptr<Shard>> shards_
-        STRIX_GUARDED_BY(m_);
+    std::map<const EvalKeys *, Shard> shards_ STRIX_GUARDED_BY(m_);
     std::deque<Ready> ready_ STRIX_GUARDED_BY(m_); //!< FIFO, all shards
     Stats stats_ STRIX_GUARDED_BY(m_);
     uint64_t in_flight_ STRIX_GUARDED_BY(m_) = 0; //!< submitted - completed

@@ -10,8 +10,8 @@
  * its resident bytes and, over the budget fixed at construction,
  * evicts the least-recently-used *unpinned* tenant: one whose bundle
  * nothing outside the cache references. An evicted tenant must
- * re-register; an active one (in-flight work, an executor shard)
- * stays resident even if that leaves the cache over budget.
+ * re-register; an active one (queued or running work holds its
+ * bundle) stays resident even if that leaves the cache over budget.
  *
  * One mutex guards the map and every counter. The daemon's loop
  * thread is the only caller of getOrInsert/lookup; stats() may be

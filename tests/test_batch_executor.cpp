@@ -5,17 +5,20 @@
  * no real sleeps), bit-identity against the direct bootstrapBatch
  * path with two tenants' batches on the lanes at once, cross-tenant
  * shard isolation, shutdown/drain semantics, when the executor's and
- * a ServerContext's lanes start and stop, and concurrent
- * mixed-tenant submit stresses (one racing releaseIdleShards) for the
- * TSan CI leg.
+ * a ServerContext's lanes start and stop, that the executor lets a
+ * bundle go as soon as its last request is answered (a failed PBS
+ * included), and concurrent mixed-tenant submit stresses for the TSan
+ * CI leg.
  */
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <iterator>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -66,7 +69,51 @@ settledThreadCount(size_t want)
     return threadCount();
 }
 
+/**
+ * Every malformed PBS input panics, so only a failed allocation makes
+ * a PBS throw. While nonzero, the next allocation of exactly this many
+ * bytes, on any thread, throws std::bad_alloc and disarms it.
+ */
+std::atomic<size_t> g_fail_alloc_bytes{0};
+
+void *
+allocate(size_t bytes)
+{
+    size_t armed = bytes;
+    if (g_fail_alloc_bytes.load(std::memory_order_relaxed) == bytes &&
+        g_fail_alloc_bytes.compare_exchange_strong(armed, 0))
+        throw std::bad_alloc();
+    if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
+        return p;
+    throw std::bad_alloc();
+}
+
 } // namespace
+
+// Every non-aligned form is replaced, so each block is released by the
+// allocator that made it (the sanitizer legs check that pairing).
+void *operator new(size_t bytes) { return allocate(bytes); }
+void *operator new[](size_t bytes) { return allocate(bytes); }
+void *operator new(size_t bytes, const std::nothrow_t &) noexcept
+{
+    return std::malloc(bytes == 0 ? 1 : bytes);
+}
+void *operator new[](size_t bytes, const std::nothrow_t &) noexcept
+{
+    return std::malloc(bytes == 0 ? 1 : bytes);
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, size_t) noexcept { std::free(p); }
+void operator delete[](void *p, size_t) noexcept { std::free(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 TEST(WaitableClock, ManualClockLatchesSignals)
 {
@@ -153,7 +200,6 @@ TEST_F(BatchExecutorTest, SizeTriggerSweepsAtFullWidth)
     EXPECT_EQ(st.swept_lwes, 8u);
     EXPECT_EQ(st.size_flushes, 2u);
     EXPECT_EQ(st.deadline_flushes, 0u);
-    EXPECT_EQ(st.shards, 1u);
     EXPECT_DOUBLE_EQ(st.occupancy(opts.target_batch), 1.0);
 }
 
@@ -237,7 +283,6 @@ TEST_F(BatchExecutorTest, ResultsBitIdenticalToDirectBatch)
     }
     exec.drain();
     BatchExecutor::Stats st = exec.stats();
-    EXPECT_EQ(st.shards, 2u);
     EXPECT_EQ(st.size_flushes, kCount); // 2 tenants x kCount / 2
 }
 
@@ -308,7 +353,6 @@ TEST_F(BatchExecutorTest, CrossTenantShardsNeverCoBatch)
 
     exec.drain();
     BatchExecutor::Stats st = exec.stats();
-    EXPECT_EQ(st.shards, 2u);
     EXPECT_EQ(st.completed, 12u);
     EXPECT_GE(st.sweeps, 4u); // 2 tenants x ceil(6/3) -- never merged
 }
@@ -439,19 +483,23 @@ TEST_F(BatchExecutorTest, ConcurrentMixedTenantSubmitStress)
     EXPECT_EQ(st.submitted, uint64_t(kThreads) * kPerThread);
     EXPECT_EQ(st.completed, st.submitted);
     EXPECT_EQ(st.swept_lwes, st.submitted);
-    EXPECT_EQ(st.shards, 2u);
 }
 
 /**
- * The shard-lifetime stress: client threads submit for two tenants
- * while another thread releases idle shards in a loop, so shards are
- * dropped and recreated under requests that are queued or running on
- * lanes. A shard freed under a running PBS is a use-after-free TSan
- * (and ASan) report; a lost request is a future that never decodes.
+ * The shard-lifetime stress: client threads submit for two tenants,
+ * spaced so that shards empty, are erased and are created again under
+ * requests that are queued or running on lanes. A bundle freed under a
+ * running PBS is a use-after-free TSan (and ASan) report; a lost
+ * request is a future that never decodes; a shard or a lane job left
+ * holding a bundle shows in its use_count() once every reply is in.
  */
-TEST_F(BatchExecutorTest, ReleaseIdleShardsRacingSubmitsStress)
+TEST_F(BatchExecutorTest, ShardLifetimeRacingSubmitsStress)
 {
     TestKeys other(midParams(), kSeedBatchExecutor + 4);
+    const std::shared_ptr<const EvalKeys> keys_a = keys_.client.evalKeys();
+    const std::shared_ptr<const EvalKeys> keys_b = other.client.evalKeys();
+    const long uses_a = keys_a.use_count();
+    const long uses_b = keys_b.use_count();
 
     BatchExecutor::Options opts;
     opts.target_batch = 2;
@@ -467,13 +515,6 @@ TEST_F(BatchExecutorTest, ReleaseIdleShardsRacingSubmitsStress)
     constexpr int kPerThread = 5;
     std::vector<std::future<LweCiphertext>> futs(
         size_t(kThreads) * kPerThread);
-    std::atomic<bool> submitting{true};
-    std::thread releaser([&] {
-        while (submitting.load()) {
-            exec.releaseIdleShards();
-            std::this_thread::yield();
-        }
-    });
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
@@ -482,11 +523,10 @@ TEST_F(BatchExecutorTest, ReleaseIdleShardsRacingSubmitsStress)
                 const bool tenant_a = idx % 2 == 0;
                 TestKeys &k = tenant_a ? keys_ : other;
                 futs[idx] = exec.submit(
-                    k.client.evalKeys(),
+                    tenant_a ? keys_a : keys_b,
                     k.client.encryptInt(int64_t(idx % kSpace), kSpace),
                     tenant_a ? tv_a : tv_b);
-                // Spread the submissions so shards go idle between
-                // them and the releaser gets to drop them.
+                // Spread the submissions so shards empty between them.
                 std::this_thread::sleep_for(std::chrono::milliseconds(2));
             }
         });
@@ -502,15 +542,48 @@ TEST_F(BatchExecutorTest, ReleaseIdleShardsRacingSubmitsStress)
                   int64_t((idx % kSpace + uint64_t(shift)) % kSpace))
             << "request " << idx;
     }
-    submitting = false;
-    releaser.join();
+    // Every reply is in, so nothing is queued or on a lane: the
+    // executor holds neither bundle.
+    EXPECT_EQ(keys_a.use_count(), uses_a);
+    EXPECT_EQ(keys_b.use_count(), uses_b);
 
     exec.drain();
     BatchExecutor::Stats st = exec.stats();
     EXPECT_EQ(st.submitted, uint64_t(kThreads) * kPerThread);
     EXPECT_EQ(st.completed, st.submitted);
     EXPECT_EQ(st.swept_lwes, st.submitted);
-    // Nothing is queued or on a lane any more: every shard is idle.
-    exec.releaseIdleShards();
-    EXPECT_EQ(exec.stats().shards, 0u);
+}
+
+/**
+ * The executor lets a bundle go before its request's future is ready,
+ * on success and on failure alike, so a daemon can evict a tenant the
+ * moment its last reply is out.
+ */
+TEST_F(BatchExecutorTest, BundleReleasedWhenFutureReady)
+{
+    const std::shared_ptr<const EvalKeys> keys = keys_.client.evalKeys();
+    const long uses = keys.use_count();
+    BatchExecutor::Options opts;
+    opts.flush_delay_us = 0;
+    BatchExecutor exec(opts);
+    const TorusPolynomial tv = shiftLut(1);
+
+    std::future<LweCiphertext> ok = exec.submit(keys, encrypt(2), tv);
+    EXPECT_EQ(keys_.client.decryptInt(ok.get(), kSpace), 3);
+    EXPECT_EQ(keys.use_count(), uses);
+
+    // Fail the PBS in sample extraction: its output is the one
+    // allocation of the extracted dimension.
+    const size_t extracted_bytes =
+        (size_t(keys->params().extractedDim()) + 1) * sizeof(Torus32);
+    g_fail_alloc_bytes = extracted_bytes;
+    std::future<LweCiphertext> failed = exec.submit(keys, encrypt(4), tv);
+    EXPECT_THROW(failed.get(), std::bad_alloc);
+    EXPECT_EQ(g_fail_alloc_bytes.exchange(0), 0u) << "the PBS did not fail";
+    EXPECT_EQ(keys.use_count(), uses);
+
+    // The lane that failed serves the next request as usual.
+    ok = exec.submit(keys, encrypt(5), tv);
+    EXPECT_EQ(keys_.client.decryptInt(ok.get(), kSpace), 6);
+    EXPECT_EQ(keys.use_count(), uses);
 }

@@ -3,7 +3,8 @@
  * StrixServer integration tests over live loopback sockets: the
  * tenant lifecycle (register / compute / re-register), admission
  * control, deadlines, budget-driven key eviction, drain semantics,
- * circuits of two tenants stepped at once by the event loop,
+ * the egress cap and the bounded drain against a peer that never
+ * reads, circuits of two tenants stepped at once by the event loop,
  * pipelined connections of two tenants, and a hostile-wire-input
  * suite (truncated, length-lying, type-confused, bit-flipped frames,
  * oversized payloads, LUTs wider than the ring or with extreme
@@ -785,6 +786,133 @@ TEST(Server, RequestsDuringDrainAnswerShuttingDown)
     StrixClient::Reply r = h.client.call(
         MsgType::Bootstrap, 1, bootstrapPayload(*keyset, 1));
     EXPECT_FALSE(r.ok);
+}
+
+// --- a peer that never reads its replies -----------------------------
+
+/** Ping frames as large as the egress cap, so few fill it. */
+std::vector<uint8_t>
+bigPingFrame()
+{
+    WireMessage m;
+    m.type = MsgType::Ping;
+    m.payload.assign(StrixServer::kMaxUnsentBytes, 0xA5);
+    return encodeMessage(m);
+}
+
+/**
+ * Write copies of @p frame on the non-blocking @p conn and read
+ * nothing, until @p budget bytes are out or none has gone out for 1 s.
+ * Returns the bytes written.
+ */
+size_t
+pushUnread(TcpConn &conn, const std::vector<uint8_t> &frame, size_t budget)
+{
+    size_t pushed = 0;
+    Poller poller;
+    while (pushed < budget) {
+        const size_t off = pushed % frame.size();
+        size_t put = 0;
+        const TcpConn::IoResult r =
+            conn.writeSome(frame.data() + off, frame.size() - off, put);
+        if (r == TcpConn::IoResult::Ok) {
+            pushed += put;
+            continue;
+        }
+        if (r != TcpConn::IoResult::WouldBlock)
+            break;
+        poller.clear();
+        poller.add(conn.fd(), false, true);
+        if (poller.wait(1000) == 0)
+            break; // stalled: the server stopped reading
+    }
+    return pushed;
+}
+
+TEST(Server, UnreadRepliesStallThePeerAtTheEgressCap)
+{
+    Harness h;
+    TcpConn peer = TcpConn::connectLoopback(h.server.port());
+    ASSERT_TRUE(peer.valid());
+    ASSERT_TRUE(peer.setNonBlocking(true));
+    const std::vector<uint8_t> frame = bigPingFrame();
+
+    // The daemon may take the cap, what it read past it, and the
+    // kernel's socket buffers -- not the 160 MiB on offer.
+    size_t pushed = pushUnread(peer, frame, 160u << 20);
+    EXPECT_LT(pushed, 64u << 20);
+
+    // Reading the replies lifts the stall: the rest of the last frame
+    // goes out and every Ping begun is echoed.
+    const size_t begun = (pushed + frame.size() - 1) / frame.size();
+    const size_t total = begun * frame.size();
+    FrameDecoder dec;
+    std::vector<uint8_t> buf(256 * 1024);
+    size_t echoed = 0;
+    Poller poller;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (echoed < begun && std::chrono::steady_clock::now() < deadline) {
+        size_t put = 0, got = 0;
+        if (pushed < total &&
+            peer.writeSome(frame.data() + pushed % frame.size(),
+                           total - pushed, put) == TcpConn::IoResult::Ok)
+            pushed += put;
+        const TcpConn::IoResult r = peer.readSome(buf.data(), buf.size(), got);
+        ASSERT_TRUE(r == TcpConn::IoResult::Ok ||
+                    r == TcpConn::IoResult::WouldBlock);
+        if (r == TcpConn::IoResult::Ok) {
+            dec.feed(buf.data(), got);
+            WireMessage m;
+            while (dec.next(m)) {
+                ASSERT_EQ(m.type, MsgType::Ok);
+                EXPECT_EQ(m.payload.size(), StrixServer::kMaxUnsentBytes);
+                ++echoed;
+            }
+            continue;
+        }
+        poller.clear();
+        poller.add(peer.fd(), true, pushed < total);
+        poller.wait(100);
+    }
+    EXPECT_EQ(echoed, begun);
+}
+
+TEST(Server, StopClosesAPeerThatStoppedReading)
+{
+    Harness h;
+    TcpConn peer = TcpConn::connectLoopback(h.server.port());
+    ASSERT_TRUE(peer.valid());
+    ASSERT_TRUE(peer.setNonBlocking(true));
+    const std::vector<uint8_t> frame = bigPingFrame();
+    const size_t budget = 16 * frame.size();
+    // Leave replies unsent: the peer stalls at the egress cap, or, with
+    // no cap, the server reads every Ping and holds all the echoes.
+    if (pushUnread(peer, frame, budget) == budget)
+        for (int i = 0; i < 10000 && h.server.stats().requests < 16; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    const auto grace = std::chrono::microseconds(StrixServer::kDrainGraceUs);
+    std::atomic<bool> stopped{false};
+    bool closed_by_watchdog = false;
+    std::thread watchdog([&] {
+        const auto until = std::chrono::steady_clock::now() + 3 * grace;
+        while (!stopped.load() && std::chrono::steady_clock::now() < until)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (!stopped.load()) {
+            closed_by_watchdog = true;
+            peer.close(); // lets a stop() that waits for the peer return
+        }
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    h.server.stop();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    stopped = true;
+    watchdog.join();
+    EXPECT_FALSE(closed_by_watchdog) << "stop() waited for the peer";
+    EXPECT_LT(took.count(), StrixServer::kDrainGraceUs / 1e6 + 2.0)
+        << "seconds in stop()";
 }
 
 TEST(Server, StressManyConnectionsTwoTenants)

@@ -6,8 +6,8 @@
  * net/wire.h): tenants upload EVK2 key bundles, then submit
  * Bootstrap / ApplyLut / EvalCircuit requests whose PBS work batches
  * across tenants through the shared BatchExecutor. SIGINT/SIGTERM
- * trigger a clean drain: pending responses are fulfilled and flushed
- * before exit.
+ * trigger a clean drain: pending responses are fulfilled, and peers
+ * get a fixed grace to take them before their connections close.
  *
  * This process is evaluation-only by construction: it links no code
  * that can touch a secret key (lint-enforced), so operating it
@@ -48,12 +48,13 @@ usage(const char *argv0)
         "  --budget-mb N       tenant key-memory budget in MiB (0 = unbounded)\n"
         "  --target-batch N    PBS batch width trigger (default 16)\n"
         "  --flush-delay-us N  PBS batch deadline trigger (default 200)\n"
-        "  --send-mtu N        response coalescing threshold bytes (default 16384)\n"
-        "  --send-flush-us N   response coalescing delay (default 100)\n"
         "  --max-inflight N    per-tenant in-flight admission cap (default 32)\n"
         "  --queue-depth N     global in-flight admission cap (default 256)\n"
-        "  --selftest          bind ephemeral, ping self once, drain, exit\n",
-        argv0);
+        "  --selftest          bind ephemeral, ping self once, drain, exit\n"
+        "SIGINT/SIGTERM drain: admitted requests are answered, and peers\n"
+        "get %llu s to read their replies before their connections close.\n",
+        argv0,
+        (unsigned long long)(strix::StrixServer::kDrainGraceUs / 1000000));
 }
 
 /**
@@ -135,11 +136,6 @@ main(int argc, char **argv)
         } else if (arg == "--flush-delay-us") {
             opts.exec.flush_delay_us =
                 parseU64("--flush-delay-us", next());
-        } else if (arg == "--send-mtu") {
-            opts.send.mtu_bytes = size_t(parseU64("--send-mtu", next()));
-        } else if (arg == "--send-flush-us") {
-            opts.send.flush_delay_us =
-                parseU64("--send-flush-us", next());
         } else if (arg == "--max-inflight") {
             opts.max_inflight_per_tenant =
                 size_t(parseU64("--max-inflight", next()));
