@@ -14,10 +14,11 @@
  * timing every stage, so the stages sum to the gate. It then replays
  * the same blind rotation one CMux iteration at a time, timing the
  * kernels of each iteration on the real accumulator in the sequence
- * GgswFft::externalProduct runs them: one forwardBatch over every
- * digit, one fused mulAccumulateColumns, and an in-place
- * inverseBitReversed per output column. The program exits 1 unless
- * the staged gate equals gateNand and every staged iteration equals
+ * GgswFft::cmuxRotate runs them: per GLWE component a rotation, a
+ * decomposition and one forwardBatch over its digits, then per output
+ * column one fused mulAccumulateColumns and an in-place
+ * inverseBitReversed plus accumulate. The program exits 1 unless the
+ * staged gate equals gateNand and every staged iteration equals
  * GgswFft::cmuxRotate, bit for bit.
  */
 
@@ -74,8 +75,8 @@ struct IterTimes
 {
     double rotate = 0;    //!< X^a * acc - acc
     double decompose = 0; //!< gadget decomposition of every component
-    double fft = 0;       //!< one forwardBatch over every digit
-    double mac = 0;       //!< one fused mulAccumulateColumns
+    double fft = 0;       //!< one forwardBatch per component's digits
+    double mac = 0;       //!< one fused mulAccumulateColumns per column
     double ifft_acc = 0;  //!< in-place inverse FFTs + accumulate
     uint64_t count = 0;   //!< iterations staged
 
@@ -112,47 +113,59 @@ stagedNand(const ServerContext &server, const LweCiphertext &a,
     return out;
 }
 
+/** The staged CMux's buffers, sized for one key shape. */
+struct Stage
+{
+    Stage(const TfheParams &p)
+        : diff(p.N), prod(p.N), digits(size_t(p.l_bsk) * p.N),
+          spectra((size_t(p.k) + 1) * p.l_bsk * p.N / 2), facc(p.N / 2),
+          rows((size_t(p.k) + 1) * p.l_bsk)
+    {
+    }
+
+    TorusPolynomial diff, prod;      //!< one component / column
+    std::vector<int32_t> digits;     //!< one component's l digit rows
+    std::vector<Cplx> spectra;       //!< every digit row's spectrum
+    std::vector<Cplx> facc;          //!< one column's MAC sum
+    std::vector<const Cplx *> rows;  //!< one column's GGSW rows
+};
+
 /**
  * One CMux iteration, acc <- acc + ggsw [*] (X^power * acc - acc),
  * run kernel by kernel as GgswFft::cmuxRotate runs it, adding each
- * kernel's time to @p t. @p s must be sized for the key's shape.
+ * kernel's time to @p t.
  */
 void
 stagedCmux(const GgswFft &ggsw, GlweCiphertext &acc, uint32_t power,
-           PbsScratch &s, IterTimes &t)
+           Stage &s, IterTimes &t)
 {
     const uint32_t k = ggsw.k();
-    const uint32_t big_n = ggsw.ringDim();
     const GadgetParams &g = ggsw.gadget();
-    const auto &eng = NegacyclicFft::get(big_n);
+    const auto &eng = NegacyclicFft::get(ggsw.ringDim());
     const PolyKernels &kernels = activeKernels();
-    const size_t nrows = (size_t(k) + 1) * g.levels;
-    const size_t m = size_t(big_n) / 2;
+    const size_t nrows = s.rows.size();
+    const size_t m = s.facc.size();
 
     Clock::time_point clk = Clock::now();
-    for (uint32_t c = 0; c <= k; ++c)
-        negacyclicRotateMinusOne(s.diff.poly(c), acc.poly(c), power);
-    t.rotate += lap(clk);
-    for (uint32_t comp = 0; comp <= k; ++comp)
-        gadgetDecomposePolyInto(
-            s.digit_coeffs.data() + size_t(comp) * g.levels * big_n,
-            s.diff.poly(comp), g);
-    t.decompose += lap(clk);
-    eng.forwardBatch(s.fdigits.data(), s.digit_coeffs.data(), nrows,
-                     kernels);
-    t.fft += lap(clk);
-    for (size_t r = 0; r < nrows; ++r)
-        for (uint32_t c = 0; c <= k; ++c)
-            s.bsk_rows[r * (k + 1) + c] = ggsw.row(r, c).data();
-    eng.mulAccumulateColumns(s.facc.data(), s.fdigits.data(),
-                             s.bsk_rows.data(), nrows, size_t(k) + 1,
-                             kernels);
-    t.mac += lap(clk);
-    for (uint32_t c = 0; c <= k; ++c)
-        eng.inverseBitReversed(s.prod.poly(c), s.facc.data() + c * m,
-                               kernels);
-    acc.addAssign(s.prod);
-    t.ifft_acc += lap(clk);
+    for (uint32_t comp = 0; comp <= k; ++comp) {
+        negacyclicRotateMinusOne(s.diff, acc.poly(comp), power);
+        t.rotate += lap(clk);
+        gadgetDecomposePolyInto(s.digits.data(), s.diff, g);
+        t.decompose += lap(clk);
+        eng.forwardBatch(s.spectra.data() + size_t(comp) * g.levels * m,
+                         s.digits.data(), g.levels, kernels);
+        t.fft += lap(clk);
+    }
+    for (uint32_t c = 0; c <= k; ++c) {
+        for (size_t r = 0; r < nrows; ++r)
+            s.rows[r] = ggsw.row(r, c).data();
+        eng.mulAccumulateColumns(s.facc.data(), s.spectra.data(),
+                                 s.rows.data(), nrows, 1, kernels);
+        t.mac += lap(clk);
+        eng.inverseBitReversed(s.prod, s.facc.data(), kernels);
+        acc.poly(c).addAssign(s.prod);
+        t.ifft_acc += lap(clk);
+    }
     ++t.count;
 }
 
@@ -165,25 +178,18 @@ stagedCmux(const GgswFft &ggsw, GlweCiphertext &acc, uint32_t power,
  */
 bool
 stagedIterations(const BootstrappingKey &bsk, const LweCiphertext &lin,
-                 PbsScratch &s, IterTimes &t)
+                 PbsScratch &scratch, IterTimes &t)
 {
     const TfheParams &p = bsk.params();
-    const size_t nrows = (size_t(p.k) + 1) * p.l_bsk;
     const ModSwitch ms(p.N);
 
     // With every mask element zero, blindRotate applies only the
     // initial rotation: this is the state its iterations start from.
     GlweCiphertext start =
         GlweCiphertext::trivial(p.k, signTestVector(p.N));
-    blindRotate(start, LweCiphertext::trivial(p.n, lin.b()), bsk, s);
+    blindRotate(start, LweCiphertext::trivial(p.n, lin.b()), bsk, scratch);
 
-    s.digit_coeffs.resize(nrows * p.N);
-    s.fdigits.resize(nrows * p.N / 2);
-    s.facc.resize((size_t(p.k) + 1) * p.N / 2);
-    s.bsk_rows.resize(nrows * (size_t(p.k) + 1));
-    s.diff = GlweCiphertext(p.k, p.N);
-    s.prod = GlweCiphertext(p.k, p.N);
-
+    Stage s(p);
     GlweCiphertext acc = start;
     for (uint32_t i = 0; i < p.n; ++i)
         if (const uint32_t power = ms(lin.a(i)))

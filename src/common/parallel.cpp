@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -129,20 +130,31 @@ ThreadPool::defaultThreadCount()
 void
 ThreadPool::laneLoop(unsigned lane)
 {
+    MutexLock lock(m_);
     for (;;) {
+        ++waiting_;
+        cv_.wait(lock, [&] {
+            m_.assertHeld(); // the wait runs its predicate locked
+            return stop_ || !jobs_.empty() || !offers_.empty();
+        });
+        --waiting_;
         std::function<void(unsigned)> job;
-        {
-            MutexLock lock(m_);
-            cv_.wait(lock, [&] {
-                m_.assertHeld(); // the wait runs its predicate locked
-                return stop_ || !jobs_.empty();
-            });
-            if (jobs_.empty())
-                return; // stopping, and every queued job has run
+        if (!jobs_.empty()) {
             job = std::move(jobs_.front());
             jobs_.pop_front();
+            queued_.store(jobs_.size(), std::memory_order_relaxed);
+        } else if (!offers_.empty()) {
+            job = std::move(offers_.front());
+            offers_.pop_front();
+        } else {
+            return; // stopping, and every queued job has run
         }
+        busy_.fetch_add(1, std::memory_order_relaxed);
+        lock.unlock();
         job(lane);
+        job = nullptr; // its captures go before the lane counts as idle
+        busy_.fetch_sub(1, std::memory_order_relaxed);
+        lock.lock();
     }
 }
 
@@ -152,8 +164,28 @@ ThreadPool::post(std::function<void(unsigned lane)> job)
     {
         MutexLock lock(m_);
         jobs_.push_back(std::move(job));
+        queued_.store(jobs_.size(), std::memory_order_relaxed);
     }
     cv_.notify_one();
+}
+
+bool
+ThreadPool::postIfIdle(std::function<void(unsigned lane)> job)
+{
+    // Lock-free refusal first: owners ask at every step boundary, and
+    // a full pool must cost them two loads, not a contended lock.
+    if (queued() != 0 || busy_.load(std::memory_order_relaxed) >= lanes())
+        return false;
+    {
+        MutexLock lock(m_);
+        const size_t reserved = offers_.size();
+        if (!jobs_.empty() || waiting_ <= reserved ||
+            busy_.load(std::memory_order_relaxed) + reserved >= lanes())
+            return false;
+        offers_.push_back(std::move(job));
+    }
+    cv_.notify_one();
+    return true;
 }
 
 void
@@ -167,7 +199,10 @@ ThreadPool::parallelFor(size_t count,
     for (size_t h = 0; h < helpers; ++h)
         post([shared](unsigned lane) { shared->help(lane + 1); });
     Loop &loop = *shared;
+    // The caller runs pool work like a lane until its share is done.
+    busy_.fetch_add(1, std::memory_order_relaxed);
     loop.run(0);
+    busy_.fetch_sub(1, std::memory_order_relaxed);
 
     MutexLock lock(loop.m);
     loop.closed = true;
@@ -181,6 +216,142 @@ ThreadPool::parallelFor(size_t count,
         lock.unlock();
         std::rethrow_exception(e);
     }
+}
+
+namespace {
+
+/** Wait this long before parking: a few CMux halves at set I. */
+constexpr auto kSpin = std::chrono::microseconds(50);
+
+/**
+ * Pause this many times, then yield: two sides the scheduler put on
+ * one core must hand it over at once, or each half costs a spin.
+ */
+constexpr unsigned kPauses = 64;
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+}
+
+} // namespace
+
+template <typename Done>
+void
+LanePair::await(const Done &done)
+{
+    if (done())
+        return;
+    const auto give_up = std::chrono::steady_clock::now() + kSpin;
+    for (unsigned i = 1;; ++i) {
+        if (i < kPauses)
+            cpuRelax();
+        else
+            std::this_thread::yield();
+        if (done())
+            return;
+        if (i % 64 == 0 && std::chrono::steady_clock::now() >= give_up)
+            break;
+    }
+    MutexLock lock(park_m_);
+    // Counting first, then re-checking, pairs with wake(): the store a
+    // waker made before reading parked_ is seen here, or the waker sees
+    // this count and notifies under the mutex (both sequentially
+    // consistent).
+    parked_.fetch_add(1);
+    while (!done())
+        park_cv_.wait(lock);
+    parked_.fetch_sub(1);
+}
+
+void
+LanePair::wake()
+{
+    if (parked_.load() == 0)
+        return;
+    MutexLock lock(park_m_);
+    park_cv_.notify_all();
+}
+
+bool
+LanePair::ask()
+{
+    uint64_t idle = kIdle;
+    return join_.compare_exchange_strong(idle, kAsked);
+}
+
+uint64_t
+LanePair::joined()
+{
+    uint64_t v = kAsked;
+    await([&] { return (v = join_.load()) != kAsked; });
+    if (v == kClosed) {
+        // Closed before this partner took its admission, if it had
+        // one: a closing owner may be waiting for it in close().
+        partner_.store(kClosed);
+        wake();
+        return 0;
+    }
+    // Clear the admission for a later partner; a close since the load
+    // must stand, and this partner still meets the owner at v - 1.
+    join_.compare_exchange_strong(v, kIdle);
+    return v - 1;
+}
+
+bool
+LanePair::partnerMeet(uint64_t step)
+{
+    partner_.store(2 * step);
+    wake();
+    uint64_t o = 0;
+    await([&] { return (o = owner_.load()) >= step; });
+    if (o != kClosed)
+        return true;
+    // The owner closed, maybe after it met this step: tell close()
+    // this partner is out whatever step it waits for.
+    partner_.store(kClosed);
+    wake();
+    return false;
+}
+
+void
+LanePair::leave(uint64_t step)
+{
+    partner_.store(2 * step + 1);
+    wake();
+}
+
+void
+LanePair::admit(uint64_t step)
+{
+    join_.store(step + 1);
+    wake();
+}
+
+bool
+LanePair::ownerMeet(uint64_t step)
+{
+    owner_.store(step);
+    wake();
+    uint64_t p = 0;
+    await([&] { return (p = partner_.load()) >= 2 * step; });
+    // Past 2 * step the partner met this step and ran on: it may have
+    // arrived at, or left before, a later one already.
+    return p != 2 * step + 1;
+}
+
+void
+LanePair::close(uint64_t until)
+{
+    join_.store(kClosed);
+    owner_.store(kClosed);
+    wake();
+    await([&] { return partner_.load() >= 2 * until; });
 }
 
 } // namespace strix

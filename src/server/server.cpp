@@ -483,6 +483,7 @@ StrixServer::run()
                 break;
         }
         poller.clear();
+        poller.add(executor_->completionFd(), true, false);
         if (!draining)
             poller.add(listener_.fd(), true, false);
         for (const auto &[id, c] : conns_) {
@@ -491,10 +492,11 @@ StrixServer::run()
                               c.out.pendingBytes() < kMaxUnsentBytes;
             poller.add(c.conn.fd(), read, !c.out.empty());
         }
-        // Outstanding futures have no fd; poll them at ms granularity
-        // (PBS work is ms-scale at the paper parameter sets). The idle
-        // heartbeat bounds how fast stop() is noticed.
-        poller.wait(pendings_.empty() ? 20 : 1);
+        // A completed future signals the executor's pipe, which wakes
+        // this wait; the next pass's completeFinished() then sees it.
+        // The heartbeat bounds how fast stop() is noticed.
+        poller.wait(20);
+        executor_->drainCompletions();
         const uint64_t now_us = clock_->nowMicros();
         if (!draining && poller.readable(listener_.fd()))
             acceptPending();

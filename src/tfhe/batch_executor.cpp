@@ -133,14 +133,19 @@ BatchExecutor::dispatchLoop()
             // Move up to one batch's width onto the ready queue;
             // anything beyond target_batch stays and is picked up by
             // the next pass (likely as a size flush).
-            // One job per request, capturing only `this`, so the
-            // post fits std::function's inline buffer.
+            // One job per request, capturing two pointers, so the
+            // post fits std::function's inline buffer. The job takes
+            // its pool from the capture: shutdown() has already moved
+            // pool_ out when the pool's destructor runs the last jobs.
             Shard &sh = due->second;
             const size_t take = std::min(sh.fill.size(), opts_.target_batch);
+            ThreadPool *pool = pool_.get();
             for (size_t i = 0; i < take; ++i) {
                 ready_.push_back({sh.keys, std::move(sh.fill.front())});
                 sh.fill.pop_front();
-                pool_->post([this](unsigned lane) { runReady(lane); });
+                pool->post([this, pool](unsigned lane) {
+                    runReady(*pool, lane);
+                });
             }
             if (sh.fill.empty())
                 shards_.erase(due); // its ready requests hold the bundle
@@ -163,7 +168,7 @@ BatchExecutor::dispatchLoop()
 }
 
 void
-BatchExecutor::runReady(unsigned lane)
+BatchExecutor::runReady(ThreadPool &pool, unsigned lane)
 {
     MutexLock lock(m_);
     // Each ready request was posted with its own job, so the queue
@@ -171,13 +176,15 @@ BatchExecutor::runReady(unsigned lane)
     Ready job = std::move(ready_.front());
     ready_.pop_front();
     lock.unlock();
+    PartnerLanes lanes(pool);
     LweCiphertext out;
     std::exception_ptr failure;
     try {
-        // One request per lane job: an epoch of width 1.
+        // One request per lane job: an epoch of width 1, which an idle
+        // lane may join as its partner.
         const TorusPolynomial *tv = &job.req.tv;
         bootstrapKeySwitch(*job.keys, &job.req.ct, &tv, 1, &out,
-                           scratch_[lane]);
+                           scratch_[lane], &lanes);
     } catch (...) {
         failure = std::current_exception(); // fails this request only
     }
@@ -188,6 +195,7 @@ BatchExecutor::runReady(unsigned lane)
         job.req.result.set_exception(failure);
     else
         job.req.result.set_value(std::move(out));
+    completions_.signal();
     lock.lock();
     ++stats_.completed;
     if (--in_flight_ == 0)

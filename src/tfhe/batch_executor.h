@@ -24,10 +24,17 @@
  * `ThreadPool::defaultThreadCount()`, started by the first submit);
  * each job pops the oldest ready request and runs its PBS+KS under
  * its own shard's bundle. Due batches of different tenants therefore
- * run at the same time, and a batch narrower than the lane count
- * leaves the other lanes to the next flush instead of idling them --
- * the blind-rotation fragmentation of the paper's Fig. 2 does not
- * arise between batches.
+ * run at the same time. While fewer requests run than there are
+ * lanes, an idle lane joins a running request as its partner and the
+ * two split each CMux step and the keyswitch (README "Lane pairs");
+ * the partner gives its lane back at its next step boundary once a
+ * request is queued. So neither a narrow flush nor a flush wider than
+ * the lanes leaves a lane idle -- the blind-rotation fragmentation of
+ * the paper's Fig. 2 arises neither between batches nor inside one.
+ *
+ * Every completed request (value or exception) signals a self-pipe,
+ * completionFd(), so an event loop wakes on completions instead of
+ * polling its futures on a timer.
  *
  * Time comes from a WaitableClock, so the deadline path is testable
  * with a ManualWaitableClock and no real sleeps.
@@ -52,6 +59,7 @@
 #include "common/parallel.h"
 #include "common/sync.h"
 #include "common/waitclock.h"
+#include "common/wake_pipe.h"
 #include "tfhe/server_context.h"
 
 namespace strix {
@@ -161,6 +169,17 @@ class BatchExecutor
     /** Snapshot of the counters. */
     Stats stats() const STRIX_EXCLUDES(m_);
 
+    /**
+     * Read end of the completion pipe: readable once a future this
+     * executor made ready (value or exception) may not have been seen.
+     * Watch it in poll(2) and call drainCompletions() before checking
+     * the futures.
+     */
+    int completionFd() const { return completions_.fd(); }
+
+    /** Consume the completion pipe's pending signals. */
+    void drainCompletions() { completions_.drain(); }
+
     const Options &options() const { return opts_; }
 
   private:
@@ -196,8 +215,8 @@ class BatchExecutor
     };
 
     void dispatchLoop() STRIX_EXCLUDES(m_);
-    /** One posted lane job: run the oldest ready request. */
-    void runReady(unsigned lane) STRIX_EXCLUDES(m_);
+    /** One job on @p pool's lane: run the oldest ready request. */
+    void runReady(ThreadPool &pool, unsigned lane) STRIX_EXCLUDES(m_);
 
     const Options opts_;
     const std::shared_ptr<WaitableClock> clock_;
@@ -219,6 +238,8 @@ class BatchExecutor
     // alone touches scratch_[L], so it needs no lock.
     std::vector<PbsScratch> scratch_;
     std::unique_ptr<ThreadPool> pool_ STRIX_GUARDED_BY(m_); //!< first submit
+
+    WakePipe completions_; //!< signaled after every future is ready
 
     Mutex join_mutex_;       //!< serializes concurrent shutdown()s
     std::thread dispatcher_; //!< started last: sees a complete object

@@ -105,8 +105,9 @@ modulusSwitch(Torus32 a, uint32_t big_n)
 }
 
 void
-blindRotate(GlweCiphertext *accs, const LweCiphertext *cts, size_t count,
-            const BootstrappingKey &bsk, PbsScratch &scratch)
+blindRotateInit(GlweCiphertext *accs, const LweCiphertext *cts,
+                size_t count, const BootstrappingKey &bsk,
+                PbsScratch &scratch)
 {
     const TfheParams &p = bsk.params();
     const uint32_t two_n = 2 * p.N;
@@ -131,6 +132,15 @@ blindRotate(GlweCiphertext *accs, const LweCiphertext *cts, size_t count,
                              two_n - b_tilde);
         std::swap(accs[b], rotated);
     }
+}
+
+void
+blindRotate(GlweCiphertext *accs, const LweCiphertext *cts, size_t count,
+            const BootstrappingKey &bsk, PbsScratch &scratch)
+{
+    const TfheParams &p = bsk.params();
+    const ModSwitch ms(p.N);
+    blindRotateInit(accs, cts, count, bsk, scratch);
 
     // n CMux iterations (lines 5-12), key-stationary: bit i's GGSW
     // serves every accumulator of the epoch before bit i+1 is read.

@@ -123,6 +123,16 @@ void blindRotate(GlweCiphertext *accs, const LweCiphertext *cts,
                  size_t count, const BootstrappingKey &bsk,
                  PbsScratch &scratch);
 
+/**
+ * The first stage of blindRotate (Algorithm 1, line 4): check every
+ * shape, then rotate each accs[b] by -b~ of cts[b]. The n CMux
+ * iterations follow; a lane-paired epoch (bootstrapKeySwitch) runs
+ * them itself, split between its lanes.
+ */
+void blindRotateInit(GlweCiphertext *accs, const LweCiphertext *cts,
+                     size_t count, const BootstrappingKey &bsk,
+                     PbsScratch &scratch);
+
 /** Blind rotation of one accumulator: an epoch of width 1. */
 void blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
                  const BootstrappingKey &bsk, PbsScratch &scratch);

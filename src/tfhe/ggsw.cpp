@@ -129,47 +129,64 @@ GgswFft::fromRawRows(uint32_t k, uint32_t big_n, const GadgetParams &g,
 }
 
 void
+GgswFft::reserveScratch(PbsScratch &scratch) const
+{
+    const size_t nrows = (size_t(k_) + 1) * g_.levels;
+    const size_t m = size_t(big_n_) / 2;
+    scratch.digit_coeffs.resize(size_t(g_.levels) * big_n_);
+    scratch.spectra.resize(2 * nrows * m);
+    scratch.facc.resize(m);
+    scratch.bsk_rows.resize(nrows);
+    if (scratch.diff.size() != big_n_)
+        scratch.diff = TorusPolynomial(big_n_);
+    if (scratch.prod.size() != big_n_)
+        scratch.prod = TorusPolynomial(big_n_);
+}
+
+void
+GgswFft::forwardComponent(const TorusPolynomial &poly, uint32_t comp,
+                          Cplx *spectra, PbsScratch &scratch) const
+{
+    // Decomposer unit, then the FFT unit: the component's l digits go
+    // through one batched sweep, Strix's streaming-FFT schedule.
+    const size_t m = size_t(big_n_) / 2;
+    gadgetDecomposePolyInto(scratch.digit_coeffs.data(), poly, g_);
+    NegacyclicFft::get(big_n_).forwardBatch(
+        spectra + size_t(comp) * g_.levels * m, scratch.digit_coeffs.data(),
+        g_.levels, activeKernels());
+}
+
+void
+GgswFft::productColumn(TorusPolynomial &out, uint32_t col,
+                       const Cplx *spectra, PbsScratch &scratch) const
+{
+    // VMA unit: one fused MAC sums every digit row of this column in
+    // registers (the same per-column sums as a MAC over all columns),
+    // then the IFFT unit runs in place on the bit-reversed sum.
+    const auto &eng = NegacyclicFft::get(big_n_);
+    const PolyKernels &kernels = activeKernels();
+    const size_t nrows = scratch.bsk_rows.size();
+    for (size_t r = 0; r < nrows; ++r)
+        scratch.bsk_rows[r] = rows_[r * (k_ + 1) + col].data();
+    eng.mulAccumulateColumns(scratch.facc.data(), spectra,
+                             scratch.bsk_rows.data(), nrows, 1, kernels);
+    eng.inverseBitReversed(out, scratch.facc.data(), kernels);
+}
+
+void
 GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
                          PbsScratch &scratch) const
 {
     panicIfNot(glwe.k() == k_ && glwe.ringDim() == big_n_,
                "externalProduct(fft): shape mismatch");
-    const auto &eng = NegacyclicFft::get(big_n_);
-    const PolyKernels &kernels = activeKernels();
-
-    // Decompose every component (Decomposer unit) into one contiguous
-    // digit matrix, transform all (k+1)*l digits in a single batched
-    // FFT sweep (FFT unit -- Strix streams the whole decomposition of
-    // a batch through the transform as one schedule, not digit by
-    // digit), multiply-accumulate against bsk rows in one fused pass
-    // (VMA unit), inverse-transform each output column in place (IFFT
-    // unit).
-    const size_t ncols = size_t(k_) + 1;
-    const size_t nrows = ncols * g_.levels;
-    const size_t m = size_t(big_n_) / 2;
-    std::vector<int32_t> &coeffs = scratch.digit_coeffs;
-    std::vector<Cplx> &fdigits = scratch.fdigits;
-    std::vector<Cplx> &facc = scratch.facc;
-    std::vector<const Cplx *> &bsk_rows = scratch.bsk_rows;
-    coeffs.resize(nrows * big_n_);
-    fdigits.resize(nrows * m);
-    facc.resize(ncols * m);
-    bsk_rows.resize(rows_.size());
-    for (size_t i = 0; i < rows_.size(); ++i)
-        bsk_rows[i] = rows_[i].data();
-
+    reserveScratch(scratch);
     for (uint32_t comp = 0; comp <= k_; ++comp)
-        gadgetDecomposePolyInto(
-            coeffs.data() + size_t(comp) * g_.levels * big_n_,
-            glwe.poly(comp), g_);
-    eng.forwardBatch(fdigits.data(), coeffs.data(), nrows, kernels);
-    eng.mulAccumulateColumns(facc.data(), fdigits.data(), bsk_rows.data(),
-                             nrows, ncols, kernels);
-
+        forwardComponent(glwe.poly(comp), comp, scratch.spectra.data(),
+                         scratch);
     if (out.k() != k_ || out.ringDim() != big_n_)
         out = GlweCiphertext(k_, big_n_);
     for (uint32_t c = 0; c <= k_; ++c)
-        eng.inverseBitReversed(out.poly(c), facc.data() + c * m, kernels);
+        productColumn(out.poly(c), c, scratch.spectra.data(), scratch);
 }
 
 void
@@ -180,18 +197,34 @@ GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe) const
 }
 
 void
+GgswFft::cmuxForward(const GlweCiphertext &acc, uint32_t power,
+                     uint32_t comp, Cplx *spectra,
+                     PbsScratch &scratch) const
+{
+    // diff = X^power * acc - acc (Rotator unit: rotate and subtract)
+    negacyclicRotateMinusOne(scratch.diff, acc.poly(comp), power);
+    forwardComponent(scratch.diff, comp, spectra, scratch);
+}
+
+void
+GgswFft::cmuxAccumulate(GlweCiphertext &acc, uint32_t col,
+                        const Cplx *spectra, PbsScratch &scratch) const
+{
+    // acc += ggsw [*] diff, one column (Accumulator unit)
+    productColumn(scratch.prod, col, spectra, scratch);
+    acc.poly(col).addAssign(scratch.prod);
+}
+
+void
 GgswFft::cmuxRotate(GlweCiphertext &acc, uint32_t power,
                     PbsScratch &scratch) const
 {
-    // diff = X^power * acc - acc (Rotator unit: rotate and subtract)
-    GlweCiphertext &diff = scratch.diff;
-    if (diff.k() != k_ || diff.ringDim() != big_n_)
-        diff = GlweCiphertext(k_, big_n_);
+    reserveScratch(scratch);
+    Cplx *spectra = scratch.spectra.data();
     for (uint32_t c = 0; c <= k_; ++c)
-        negacyclicRotateMinusOne(diff.poly(c), acc.poly(c), power);
-    // acc += ggsw [*] diff
-    externalProduct(scratch.prod, diff, scratch);
-    acc.addAssign(scratch.prod);
+        cmuxForward(acc, power, c, spectra, scratch);
+    for (uint32_t c = 0; c <= k_; ++c)
+        cmuxAccumulate(acc, c, spectra, scratch);
 }
 
 void

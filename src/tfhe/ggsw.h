@@ -91,29 +91,25 @@ void externalProduct(GlweCiphertext &out, const GgswCiphertext &ggsw,
 struct PbsScratch
 {
     /**
-     * Contiguous digit matrix for the fused external product:
-     * (k+1)*l rows of N coefficients, decomposed component-major so
-     * row comp*l + level holds digit `level` of GLWE component `comp`
-     * -- exactly the bsk row order.
+     * One GLWE component's digit matrix: l rows of N coefficients,
+     * row `level` holding digit `level`.
      */
     std::vector<int32_t> digit_coeffs;
     /**
-     * Frequency images of every digit row, (k+1)*l rows of N/2 points,
-     * produced by one NegacyclicFft::forwardBatch sweep.
+     * Two buffers of (k+1)*l spectra of N/2 points; row comp*l + level
+     * of buffer `b` starts at (b*(k+1)*l + comp*l + level) * N/2, the
+     * bsk row order. A CMux alone uses buffer 0; a lane pair
+     * alternates them by step, so one lane may write step s+1's rows
+     * while its partner still reads step s's.
      */
-    std::vector<Cplx> fdigits;
-    /**
-     * The k+1 output columns of the MAC, N/2 points each, in
-     * bit-reversed order: NegacyclicFft::mulAccumulateColumns writes
-     * every point, and inverseBitReversed transforms each column in
-     * place.
-     */
+    std::vector<Cplx> spectra;
+    /** One output column of the MAC, N/2 points in bit-reversed order. */
     std::vector<Cplx> facc;
-    /** Row pointers of the GGSW being applied, entry r*(k+1) + c. */
+    /** One column's (k+1)*l GGSW row pointers, in row order. */
     std::vector<const Cplx *> bsk_rows;
-    GlweCiphertext diff;                //!< CMux rotate-minus-one input
-    GlweCiphertext prod;                //!< external-product output
-    GlweCiphertext rotated;             //!< blindRotate's -b~ rotation
+    TorusPolynomial diff;   //!< one component of X^a * acc - acc
+    TorusPolynomial prod;   //!< one column of the external product
+    GlweCiphertext rotated; //!< blindRotate's -b~ rotation
     /**
      * The accumulators of one key-stationary epoch, one per ciphertext
      * of the sub-batch bootstrapKeySwitch runs (B x (k+1)*N words).
@@ -162,14 +158,14 @@ class GgswFft
      * VMA -> IFFT -> Accumulator). All working storage comes from
      * @p scratch (one instance per thread).
      *
-     * The iteration streams through each unit once: all (k+1)*l
-     * decomposition digits land in one contiguous scratch matrix and
-     * go through a single NegacyclicFft::forwardBatch sweep (Strix's
-     * streaming-FFT batch schedule); one fused MAC sums every digit
-     * row per output column in registers and stores the sum
-     * bit-reversed; and each column's inverse runs in place on that
-     * sum. Results are bit-identical to the tests' per-polynomial
-     * oracle (forward, per-row mulAccumulate, inverse).
+     * The iteration streams through each unit once per component and
+     * column: each component's l digits go through one
+     * NegacyclicFft::forwardBatch sweep (Strix's streaming-FFT batch
+     * schedule), then one fused MAC per output column sums every
+     * digit row in registers and stores the sum bit-reversed, and the
+     * column's inverse runs in place on that sum. Results are
+     * bit-identical to the tests' per-polynomial oracle (forward,
+     * per-row mulAccumulate, inverse).
      */
     void externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
                          PbsScratch &scratch) const;
@@ -182,7 +178,10 @@ class GgswFft
      * Fused CMux used by blind rotation:
      *   acc <- acc + ggsw [*] (X^power * acc - acc),
      * selecting between acc and its rotation with one external
-     * product (Algorithm 1, lines 6-11).
+     * product (Algorithm 1, lines 6-11). Runs cmuxForward for every
+     * component, then cmuxAccumulate for every column, on spectra
+     * buffer 0 of @p scratch. A lane pair runs the same halves split
+     * between its two lanes, so both give the same bits.
      */
     void cmuxRotate(GlweCiphertext &acc, uint32_t power,
                     PbsScratch &scratch) const;
@@ -190,7 +189,40 @@ class GgswFft
     /** Convenience overload with a throwaway local scratch. */
     void cmuxRotate(GlweCiphertext &acc, uint32_t power) const;
 
+    /**
+     * First half of a CMux for GLWE component @p comp (Rotator,
+     * Decomposer, FFT): the l digit rows of
+     * X^power * acc.poly(comp) - acc.poly(comp), forward-transformed
+     * into rows comp*l .. comp*l + l - 1 of @p spectra ((k+1)*l rows
+     * of N/2 points). Reads only acc.poly(comp). @p scratch must be
+     * sized by reserveScratch.
+     */
+    void cmuxForward(const GlweCiphertext &acc, uint32_t power,
+                     uint32_t comp, Cplx *spectra,
+                     PbsScratch &scratch) const;
+
+    /**
+     * Second half of a CMux for output column @p col (VMA, IFFT,
+     * Accumulator): the column's MAC over all (k+1)*l rows of
+     * @p spectra, inverse-transformed and added into acc.poly(col).
+     * Writes only acc.poly(col). @p scratch must be sized by
+     * reserveScratch.
+     */
+    void cmuxAccumulate(GlweCiphertext &acc, uint32_t col,
+                        const Cplx *spectra, PbsScratch &scratch) const;
+
+    /** Size @p scratch for this shape, so the halves allocate nothing. */
+    void reserveScratch(PbsScratch &scratch) const;
+
   private:
+    /** Decompose @p poly and forward-transform its l digit rows. */
+    void forwardComponent(const TorusPolynomial &poly, uint32_t comp,
+                          Cplx *spectra, PbsScratch &scratch) const;
+
+    /** Column @p col of the product of @p spectra, into @p out. */
+    void productColumn(TorusPolynomial &out, uint32_t col,
+                       const Cplx *spectra, PbsScratch &scratch) const;
+
     uint32_t k_ = 0;
     uint32_t big_n_ = 0;
     GadgetParams g_{0, 0};

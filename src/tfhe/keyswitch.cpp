@@ -63,22 +63,28 @@ void
 keySwitch(LweCiphertext *out, const LweCiphertext *cts, size_t count,
           const KeySwitchKey &ksk)
 {
-    const GadgetParams &g = ksk.gadget();
-    const PolyKernels &kernels = activeKernels();
-
-    // o[m] = c[n] (Algorithm 2, line 2), then subtract digit * row for
-    // every nonzero digit of the decomposed mask, in one pass per row
-    // over all n+1 scalars (mask and body).
+    // o[m] = c[n] (Algorithm 2, line 2), then every input coefficient.
     for (size_t b = 0; b < count; ++b) {
         panicIfNot(cts[b].dim() == ksk.inDim(), "keySwitch: dim mismatch");
         out[b] = LweCiphertext::trivial(ksk.outDim(), cts[b].b());
     }
+    keySwitchBlock(out, cts, count, ksk, 0, ksk.inDim());
+}
+
+void
+keySwitchBlock(LweCiphertext *acc, const LweCiphertext *cts, size_t count,
+               const KeySwitchKey &ksk, uint32_t first, uint32_t last)
+{
+    const GadgetParams &g = ksk.gadget();
+    const PolyKernels &kernels = activeKernels();
+    // Subtract digit * row for every nonzero digit of the decomposed
+    // mask, in one pass per row over all n+1 scalars (mask and body).
     const size_t len = size_t(ksk.outDim()) + 1;
     // Row-outer: each KSK row is applied to every ciphertext before the
     // next row is read. The sums are mod 2^32, so the order cannot
     // change them.
     std::vector<int32_t> digits(count * g.levels);
-    for (uint32_t i = 0; i < ksk.inDim(); ++i) {
+    for (uint32_t i = first; i < last; ++i) {
         for (size_t b = 0; b < count; ++b)
             gadgetDecompose(digits.data() + b * g.levels, cts[b].a(i), g);
         for (uint32_t j = 0; j < g.levels; ++j) {
@@ -87,7 +93,7 @@ keySwitch(LweCiphertext *out, const LweCiphertext *cts, size_t count,
                 const int32_t digit = digits[b * g.levels + j];
                 if (digit == 0)
                     continue;
-                kernels.subScaledRow(out[b].raw().data(), row,
+                kernels.subScaledRow(acc[b].raw().data(), row,
                                      static_cast<uint32_t>(digit), len);
             }
         }

@@ -84,6 +84,18 @@ class KeySwitchKey
 void keySwitch(LweCiphertext *out, const LweCiphertext *cts, size_t count,
                const KeySwitchKey &ksk);
 
+/**
+ * One block of keySwitch, for a lane pair: subtract digit * row from
+ * acc[b] for every input coefficient i in [@p first, @p last) of
+ * cts[b], row-outer like keySwitch. The caller sets acc[b] up (the
+ * trivial body for the block that starts at 0, zero for the others)
+ * and adds the blocks' partials together. Every sum is mod 2^32, so
+ * partials added in any order equal keySwitch bit for bit.
+ */
+void keySwitchBlock(LweCiphertext *acc, const LweCiphertext *cts,
+                    size_t count, const KeySwitchKey &ksk, uint32_t first,
+                    uint32_t last);
+
 /** Switch one ciphertext: a batch of 1. */
 LweCiphertext keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk);
 

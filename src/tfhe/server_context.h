@@ -36,6 +36,70 @@
 
 namespace strix {
 
+struct PairedEpoch;
+
+/**
+ * A partner's share of one epoch, handed out by bootstrapKeySwitch
+ * through PartnerLanes::offer.
+ */
+class PartnerJob
+{
+  public:
+    explicit PartnerJob(std::shared_ptr<PairedEpoch> epoch);
+
+    /**
+     * Ask to join the epoch at its owner's next step boundary. False
+     * once the epoch has ended; run() must then not be called.
+     */
+    bool ask() const;
+
+    /**
+     * After ask(): wait for the owner to admit this thread, then run
+     * the partner's half of every step until PartnerLanes::recall
+     * says to give the lane back or the epoch ends. Never throws: a
+     * partner that cannot size its scratch leaves at once.
+     */
+    void run() const;
+
+  private:
+    std::shared_ptr<PairedEpoch> epoch_;
+};
+
+/**
+ * Where an epoch finds a partner lane, and when the partner gives it
+ * back (README "Lane pairs"). The pool-backed rule: an owner without
+ * a partner offers at each step boundary through
+ * ThreadPool::postIfIdle, so only an idle lane of a pool with no
+ * queued job and spare capacity ever joins; a partner gives its lane
+ * back at its next step boundary once ThreadPool::queued() > 0.
+ * Tests derive from this class to attach and detach partners at
+ * chosen steps.
+ */
+class PartnerLanes
+{
+  public:
+    /** Partners come from idle lanes of @p pool. */
+    explicit PartnerLanes(ThreadPool &pool) : pool_(&pool) {}
+    virtual ~PartnerLanes() = default;
+    PartnerLanes(const PartnerLanes &) = delete;
+    PartnerLanes &operator=(const PartnerLanes &) = delete;
+
+    /**
+     * Owner, alone at the boundary before @p step: hand @p job on to a
+     * thread that calls job.ask(), then job.run(). True if handed on.
+     */
+    virtual bool offer(uint64_t step, PartnerJob job);
+
+    /** Partner, at the boundary before @p step: give the lane back? */
+    virtual bool recall(uint64_t step);
+
+  protected:
+    PartnerLanes() = default; //!< a source that is not a pool
+
+  private:
+    ThreadPool *pool_ = nullptr;
+};
+
 /**
  * PBS+KS of a sub-batch under @p keys, with caller-owned scratch:
  * out[b] is cts[b] bootstrapped against *tvs[b] and keyswitched back
@@ -46,10 +110,20 @@ namespace strix {
  * each out[b] is bit-identical to a count-1 call. Every bootstrap
  * entry point and the BatchExecutor's lanes run this one function,
  * so their outputs are bit-identical by construction.
+ *
+ * With @p lanes, a partner lane may join the epoch at any step
+ * boundary and leave at a later one (Strix's PLP and CoLP on two
+ * lanes). In each CMux step, lane c forward-transforms GLWE component
+ * c's digits and, after one meeting, MACs, inverse-transforms and
+ * accumulates output column c; the keyswitch splits by input
+ * coefficient block, and the owner adds the two mod-2^32 partials.
+ * Every floating-point operation keeps its operands and order, so
+ * out[] is bit-identical whether, when and how often a partner helps.
  */
 void bootstrapKeySwitch(const EvalKeys &keys, const LweCiphertext *cts,
                         const TorusPolynomial *const *tvs, size_t count,
-                        LweCiphertext *out, PbsScratch &scratch);
+                        LweCiphertext *out, PbsScratch &scratch,
+                        PartnerLanes *lanes = nullptr);
 
 /** PBS evaluation engine over a shared public-key bundle. */
 class ServerContext
@@ -61,7 +135,8 @@ class ServerContext
      * @p threads lanes (0: ThreadPool::defaultThreadCount(), so
      * STRIX_THREADS), built by the first batch call, so sequential
      * users never pay for idle threads. A batch runs on at most
-     * @p threads workers, its caller included; 1 runs it inline.
+     * @p threads threads, its caller and any partner lanes included;
+     * 1 runs it inline with no partner.
      */
     explicit ServerContext(std::shared_ptr<const EvalKeys> keys,
                            unsigned threads = 0);
@@ -100,7 +175,10 @@ class ServerContext
      * may be shorter); each worker runs one at a time through
      * bootstrapKeySwitch with its own scratch, so every BSK bit and
      * KSK row it reads serves B ciphertexts. Width 16 on 4 lanes gives
-     * B = 4; a width no larger than the lane count gives B = 1.
+     * B = 4; a width no larger than the lane count gives B = 1. While
+     * fewer epochs than lanes run, an idle lane joins a running epoch
+     * as its partner (bootstrapKeySwitch with PartnerLanes), so widths
+     * 1 and 2 use up to 2 and 4 threads; width 16 leaves no lane idle.
      * out[i] always corresponds to cts[i] and is bit-identical to
      * bootstrap(cts[i], test_vector) at any width and thread count.
      */

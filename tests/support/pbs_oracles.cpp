@@ -89,10 +89,8 @@ blindRotateUnrolled(GlweCiphertext &acc, const LweCiphertext &ct,
         acc = std::move(rotated);
     }
 
-    GlweCiphertext &d = scratch.diff;
-    GlweCiphertext &prod = scratch.prod;
-    if (d.k() != p.k || d.ringDim() != p.N)
-        d = GlweCiphertext(p.k, p.N);
+    GlweCiphertext d(p.k, p.N);
+    GlweCiphertext prod(p.k, p.N);
     GlweCiphertext sum(p.k, p.N);
     TorusPolynomial tmp(p.N);
 

@@ -78,8 +78,8 @@ class UnrolledBootstrappingKey
 
 /**
  * Blind rotation with the 2x-unrolled key: ceil(n/2) iterations. The
- * external products and the pair difference use @p scratch, so one
- * scratch may serve this path and the regular PBS in turn.
+ * external products use @p scratch, so one scratch may serve this
+ * path and the regular PBS in turn.
  */
 void blindRotateUnrolled(GlweCiphertext &acc, const LweCiphertext &ct,
                          const UnrolledBootstrappingKey &ubsk,

@@ -244,5 +244,45 @@ TEST(KeySwitch, RowOuterBatchMatchesPerCiphertext)
               LweCiphertext::trivial(p.n, cts[1].b()).raw());
 }
 
+TEST(KeySwitch, BlockPartialsMatchRowOuter)
+{
+    // A lane pair's keyswitch: one lane switches the first half of the
+    // input coefficients onto the trivial body, the other the rest onto
+    // zero, and the two partials summed (mod 2^32) equal keySwitch at
+    // batches of 1 to 5, at every split point tried.
+    const TfheParams &p = paramsSetI();
+    Rng rng(22);
+    LweKey from(p.k * p.N, rng);
+    LweKey to(p.n, rng);
+    KeySwitchKey ksk =
+        KeySwitchKey::generateSeeded(from, to, p, rng.next64(), rng);
+    std::vector<LweCiphertext> cts;
+    for (size_t b = 0; b < 5; ++b) {
+        LweCiphertext ct(p.k * p.N);
+        for (Torus32 &v : ct.raw())
+            v = rng.uniformTorus32();
+        cts.push_back(std::move(ct));
+    }
+    const uint32_t in = ksk.inDim();
+    for (size_t count = 1; count <= cts.size(); ++count) {
+        std::vector<LweCiphertext> want(count);
+        keySwitch(want.data(), cts.data(), count, ksk);
+        for (uint32_t split : {0u, 1u, in / 2, in - 1, in}) {
+            std::vector<LweCiphertext> first(count), second(count);
+            for (size_t b = 0; b < count; ++b) {
+                first[b] = LweCiphertext::trivial(p.n, cts[b].b());
+                second[b] = LweCiphertext(p.n);
+            }
+            keySwitchBlock(first.data(), cts.data(), count, ksk, 0, split);
+            keySwitchBlock(second.data(), cts.data(), count, ksk, split, in);
+            for (size_t b = 0; b < count; ++b) {
+                first[b].addAssign(second[b]);
+                EXPECT_EQ(first[b].raw(), want[b].raw())
+                    << "count=" << count << " split=" << split << " b=" << b;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace strix

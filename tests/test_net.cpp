@@ -61,6 +61,28 @@ TEST(Msg1, EncodeDecodeRoundTrip)
     EXPECT_EQ(dec.buffered(), 0u);
 }
 
+TEST(Msg1, EncodedFrameBytesArePinned)
+{
+    // The 44-byte little-endian header, then the payload verbatim.
+    WireMessage m;
+    m.type = static_cast<MsgType>(0x05040302);
+    m.tenant = 0x1112131415161718ull;
+    m.request_id = 0x2122232425262728ull;
+    m.deadline_us = 0x3132333435363738ull;
+    m.payload = {0xAA, 0xBB, 0xCC};
+    const std::vector<uint8_t> want = {
+        0x4D, 0x53, 0x47, 0x31,                         // "MSG1"
+        0x01, 0x00, 0x00, 0x00,                         // version 1
+        0x02, 0x03, 0x04, 0x05,                         // type
+        0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // tenant
+        0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21, // request id
+        0x38, 0x37, 0x36, 0x35, 0x34, 0x33, 0x32, 0x31, // deadline
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload bytes
+        0xAA, 0xBB, 0xCC};
+    EXPECT_EQ(encodeMessage(m), want);
+    EXPECT_EQ(want.size(), kMsg1HeaderBytes + 3);
+}
+
 TEST(Msg1, OneByteDripDecode)
 {
     const WireMessage m = sampleMessage();

@@ -252,6 +252,72 @@ TEST(ThreadPool, AtMostLanesWorkersAtOnce)
 }
 
 /**
+ * postIfIdle: an offer runs only on a lane that is waiting for work,
+ * never waits behind a posted job, and is not counted by queued().
+ */
+TEST(ThreadPool, PostIfIdleTakesOnlyAnIdleLane)
+{
+    ThreadPool pool(2);
+    std::promise<void> ran;
+    // Lanes reach their wait shortly after construction.
+    bool posted = false;
+    for (int i = 0; i < 2000 && !posted; ++i) {
+        posted = pool.postIfIdle([&](unsigned) { ran.set_value(); });
+        if (!posted)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(posted);
+    ran.get_future().get();
+
+    // Both lanes busy, then a posted job queued behind them: no offer.
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::atomic<int> started{0};
+    for (int i = 0; i < 3; ++i)
+        pool.post([&, gate](unsigned) {
+            started.fetch_add(1);
+            gate.wait();
+        });
+    while (started.load() < 2)
+        std::this_thread::yield();
+    EXPECT_EQ(pool.queued(), 1u);
+    EXPECT_FALSE(pool.postIfIdle([](unsigned) { FAIL(); }));
+    EXPECT_EQ(pool.queued(), 1u) << "a refused offer is not queued";
+    release.set_value();
+}
+
+/**
+ * A pool runs at most lanes() threads of pool work, a parallelFor
+ * caller included: the caller of a 1-lane pool leaves no lane to
+ * offer, and with 2 lanes exactly one offer fits beside it.
+ */
+TEST(ThreadPool, OffersCountTheParallelForCaller)
+{
+    for (unsigned lanes : {1u, 2u}) {
+        SCOPED_TRACE(lanes);
+        ThreadPool pool(lanes);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        std::promise<void> release;
+        std::shared_future<void> gate = release.get_future().share();
+        std::atomic<int> offers_run{0};
+        bool first = false, second = false;
+        pool.parallelFor(1, [&](size_t, unsigned) {
+            // The first offer holds its lane until the second is tried.
+            first = pool.postIfIdle([&, gate](unsigned) {
+                gate.wait();
+                offers_run++;
+            });
+            second = pool.postIfIdle([&](unsigned) { offers_run++; });
+        });
+        release.set_value();
+        EXPECT_EQ(first, lanes == 2);
+        EXPECT_FALSE(second) << "the one idle lane is reserved already";
+        while (offers_run.load() < (first ? 1 : 0) + (second ? 1 : 0))
+            std::this_thread::yield();
+    }
+}
+
+/**
  * STRIX_THREADS parsing fixture: snapshots and restores the variable
  * around each case so the suite leaves the environment untouched.
  */
@@ -482,6 +548,130 @@ TEST_F(BatchPbs, EpochWidthsMatchPerCiphertext)
                   int64_t((i % kSpace) * (i % 3 + 1) + i) %
                       int64_t(kSpace))
             << "ciphertext " << i;
+}
+
+namespace {
+
+/**
+ * A partner source for the lane-pair seam: partner k joins at the
+ * first owner step boundary at or after joins[k] and gives its lane
+ * back at its first boundary at or after leaves[k]. offer() asks on
+ * the owner's thread before the partner's thread starts, so the owner
+ * admits the partner at that very boundary.
+ */
+class ScriptedLanes : public PartnerLanes
+{
+  public:
+    ScriptedLanes(std::vector<uint64_t> joins, std::vector<uint64_t> leaves)
+        : joins_(std::move(joins)), leaves_(std::move(leaves))
+    {
+    }
+
+    ~ScriptedLanes() override { joinThreads(); }
+
+    bool offer(uint64_t step, PartnerJob job) override
+    {
+        if (next_ >= joins_.size() || step < joins_[next_])
+            return false;
+        leave_at_.store(leaves_[next_++]);
+        if (!job.ask())
+            return false;
+        threads_.emplace_back([job] { job.run(); });
+        return true;
+    }
+
+    bool recall(uint64_t step) override
+    {
+        partner_boundaries_.fetch_add(1);
+        return step >= leave_at_.load();
+    }
+
+    /** Join every partner thread (each returns as its epoch ends). */
+    void joinThreads()
+    {
+        for (std::thread &t : threads_)
+            t.join();
+        threads_.clear();
+    }
+
+    size_t partners() const { return next_; }
+    uint64_t partnerBoundaries() const { return partner_boundaries_.load(); }
+
+  private:
+    const std::vector<uint64_t> joins_, leaves_;
+    size_t next_ = 0; //!< the owner thread's alone
+    std::atomic<uint64_t> leave_at_{0};
+    std::atomic<uint64_t> partner_boundaries_{0};
+    std::vector<std::thread> threads_;
+};
+
+} // namespace
+
+/**
+ * The lane-pair seam: partners attach and detach at chosen steps of
+ * epochs of widths 1, 2, 3, 5 and 17 -- from the first CMux, across
+ * the middle, at the last CMux, the extraction, the keyswitch, and
+ * several times in one epoch -- and every output is == the solo one.
+ * Epoch steps are 1 + i * width + b for CMux (i, b), then the
+ * extraction at 1 + n * width and the keyswitch one after it. Run on
+ * the forced-scalar table too (the CI filter matches BatchPbs).
+ */
+TEST_F(BatchPbs, PartnerJoinsAndLeavesAtChosenStepsMatchesSolo)
+{
+    constexpr uint64_t kNever = UINT64_MAX;
+    const size_t kMaxWidth = 17;
+    auto cts = encryptRange(kMaxWidth);
+    std::vector<TorusPolynomial> luts;
+    std::vector<const TorusPolynomial *> tvs;
+    for (size_t i = 0; i < kMaxWidth; ++i)
+        luts.push_back(makeIntTestVector(
+            server().params().N, kSpace, [i](int64_t v) {
+                return (v + int64_t(i)) % int64_t(kSpace);
+            }));
+    for (const TorusPolynomial &tv : luts)
+        tvs.push_back(&tv);
+    const EvalKeys &keys = *client().evalKeys();
+    const uint64_t n = server().params().n;
+
+    for (size_t width : {1, 2, 3, 5, 17}) {
+        std::vector<LweCiphertext> solo(width);
+        PbsScratch solo_scratch;
+        bootstrapKeySwitch(keys, cts.data(), tvs.data(), width, solo.data(),
+                           solo_scratch);
+        const uint64_t extract = 1 + n * width;
+        const std::vector<std::pair<std::vector<uint64_t>,
+                                    std::vector<uint64_t>>>
+            scripts = {
+                {{1}, {kNever}},                       // the whole epoch
+                {{1}, {2}},                            // one step
+                {{extract / 3, extract * 2 / 3},       // twice, leaving
+                 {extract / 2, extract}},              //  at extraction
+                {{extract - width}, {kNever}},         // last CMux row
+                {{extract}, {kNever}},                 // extraction on
+                {{extract + 1}, {kNever}},             // keyswitch only
+                {{1, extract / 2, extract + 1},        // three partners
+                 {extract / 4, extract, kNever}},
+            };
+        for (size_t k = 0; k < scripts.size(); ++k) {
+            SCOPED_TRACE("width=" + std::to_string(width) +
+                         " script=" + std::to_string(k));
+            ScriptedLanes lanes(scripts[k].first, scripts[k].second);
+            std::vector<LweCiphertext> got(width);
+            PbsScratch scratch;
+            bootstrapKeySwitch(keys, cts.data(), tvs.data(), width,
+                               got.data(), scratch, &lanes);
+            lanes.joinThreads();
+            EXPECT_EQ(lanes.partners(), scripts[k].first.size());
+            EXPECT_GT(lanes.partnerBoundaries(), 0u);
+            for (size_t i = 0; i < width; ++i)
+                EXPECT_TRUE(got[i].raw() == solo[i].raw())
+                    << "ciphertext " << i;
+        }
+    }
+    for (size_t i = 0; i < kMaxWidth; ++i)
+        EXPECT_EQ(client().decryptInt(server().bootstrap(cts[i], luts[i]),
+                                      kSpace),
+                  int64_t((i % kSpace + i) % kSpace));
 }
 
 /**
