@@ -172,9 +172,9 @@ ThreadPool::post(std::function<void(unsigned lane)> job)
 bool
 ThreadPool::postIfIdle(std::function<void(unsigned lane)> job)
 {
-    // Lock-free refusal first: owners ask at every step boundary, and
-    // a full pool must cost them two loads, not a contended lock.
-    if (queued() != 0 || busy_.load(std::memory_order_relaxed) >= lanes())
+    // Lock-free refusal first: a full pool must not cost a contended
+    // lock.
+    if (!hasSpareLane())
         return false;
     {
         MutexLock lock(m_);

@@ -52,9 +52,9 @@ namespace strix {
  * postIfIdle(job) runs job(lane) on an idle lane only if the pool has
  * one to spare; lane pairs use it to find a partner (see LanePair).
  *
- * Thread safety: post, postIfIdle, queued and parallelFor are safe to
- * call concurrently from any thread; concurrent parallelFor calls
- * share the lanes.
+ * Thread safety: post, postIfIdle, hasSpareLane, queued and
+ * parallelFor are safe to call concurrently from any thread;
+ * concurrent parallelFor calls share the lanes.
  *
  * Error contract: if fn throws, the loop stops handing out new
  * indices, in-flight indices on other workers still complete, and the
@@ -100,6 +100,18 @@ class ThreadPool
      */
     bool postIfIdle(std::function<void(unsigned lane)> job)
         STRIX_EXCLUDES(m_);
+
+    /**
+     * Lock-free: false if postIfIdle would refuse now because a job is
+     * queued or lanes() threads run pool work. True promises no lane
+     * (postIfIdle checks again under its lock); a caller that must
+     * build its job first asks this before paying for it.
+     */
+    bool hasSpareLane() const
+    {
+        return queued() == 0 &&
+               busy_.load(std::memory_order_relaxed) < lanes();
+    }
 
     /** Posted jobs not yet started (offers excluded); lock-free. */
     size_t queued() const { return queued_.load(std::memory_order_relaxed); }

@@ -32,8 +32,6 @@ WakePipe::~WakePipe()
 void
 WakePipe::signal()
 {
-    if (pending_.exchange(true))
-        return; // the byte of an earlier signal is still unread
     const char byte = 1;
     // A full pipe (EAGAIN) is readable already; nothing else can fail.
     while (::write(write_fd_, &byte, 1) < 0 && errno == EINTR) {
@@ -43,8 +41,6 @@ WakePipe::signal()
 void
 WakePipe::drain()
 {
-    // The exchange reads the last signal's, so its writes are visible.
-    pending_.exchange(false);
     char buf[64];
     while (::read(read_fd_, buf, sizeof buf) > 0) {
     }

@@ -6,15 +6,13 @@
  * its own, so a loop that polls sockets would have to poll for it on
  * a timer. Instead the worker signals the pipe after publishing its
  * result, and the loop watches the read end beside its sockets. Both
- * ends are non-blocking, and a signal while one is already pending
- * writes nothing, so signalling costs a system call only when the
- * loop may be asleep.
+ * ends are non-blocking. Every signal writes one byte, so a signal
+ * can never be lost between a drain's reads; at one write per
+ * completed PBS (milliseconds of work each) that costs nothing.
  */
 
 #ifndef STRIX_COMMON_WAKE_PIPE_H
 #define STRIX_COMMON_WAKE_PIPE_H
-
-#include <atomic>
 
 namespace strix {
 
@@ -33,8 +31,8 @@ class WakePipe
     int fd() const { return read_fd_; }
 
     /**
-     * Make fd() readable. Everything this thread wrote before the call
-     * is visible to a thread that then calls drain().
+     * Make fd() readable. The pipe only wakes: publish the result
+     * itself through something that synchronizes (a future).
      */
     void signal();
 
@@ -48,7 +46,6 @@ class WakePipe
   private:
     int read_fd_ = -1;
     int write_fd_ = -1;
-    std::atomic<bool> pending_{false}; //!< a byte is (about to be) unread
 };
 
 } // namespace strix

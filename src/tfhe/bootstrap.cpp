@@ -135,33 +135,13 @@ blindRotateInit(GlweCiphertext *accs, const LweCiphertext *cts,
 }
 
 void
-blindRotate(GlweCiphertext *accs, const LweCiphertext *cts, size_t count,
-            const BootstrappingKey &bsk, PbsScratch &scratch)
-{
-    const TfheParams &p = bsk.params();
-    const ModSwitch ms(p.N);
-    blindRotateInit(accs, cts, count, bsk, scratch);
-
-    // n CMux iterations (lines 5-12), key-stationary: bit i's GGSW
-    // serves every accumulator of the epoch before bit i+1 is read.
-    // Each accumulator still skips its own zero a~_i, so it sees the
-    // CMux sequence of a blind rotation of its own.
-    for (uint32_t i = 0; i < p.n; ++i) {
-        const GgswFft &bit = bsk.bit(i);
-        for (size_t b = 0; b < count; ++b) {
-            const uint32_t a_tilde = ms(cts[b].a(i));
-            if (a_tilde == 0)
-                continue; // rotation by X^0 - 1 = 0 contributes nothing
-            bit.cmuxRotate(accs[b], a_tilde, scratch);
-        }
-    }
-}
-
-void
 blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
             const BootstrappingKey &bsk, PbsScratch &scratch)
 {
-    blindRotate(&acc, &ct, 1, bsk, scratch);
+    blindRotateInit(&acc, &ct, 1, bsk, scratch);
+    const CmuxSteps steps(bsk, &acc, &ct, 1);
+    for (uint64_t s = steps.next(0); s < steps.end(); s = steps.next(s))
+        steps.run(s, scratch);
 }
 
 LweCiphertext

@@ -103,37 +103,90 @@ class ModSwitch
 uint32_t modulusSwitch(Torus32 a, uint32_t big_n);
 
 /**
- * Blind rotation (Algorithm 1, lines 4-12) of @p count accumulators as
- * one key-stationary epoch: rotate each accs[b] by -b~ of cts[b], then
- * run n CMux iterations accumulating X^{a~_i * s_i}, applying BSK bit
- * i to every accumulator before any takes bit i+1. Each GGSW is thus
- * read once per epoch rather than once per ciphertext (Strix's second
- * batching level). Every accumulator still skips its own zero a~_i and
- * sees the CMux sequence of a rotation of its own, so each result is
- * bit-identical to a width-1 call.
- *
- * @param accs    in: trivial GLWEs of the test vectors (shape (k, N));
- *                out: rotated GLWEs
- * @param cts     the LWE ciphertexts being bootstrapped (dimension n)
- * @param count   the epoch width
- * @param bsk     bootstrapping key
- * @param scratch per-thread working buffers reused across iterations
- */
-void blindRotate(GlweCiphertext *accs, const LweCiphertext *cts,
-                 size_t count, const BootstrappingKey &bsk,
-                 PbsScratch &scratch);
-
-/**
- * The first stage of blindRotate (Algorithm 1, line 4): check every
- * shape, then rotate each accs[b] by -b~ of cts[b]. The n CMux
- * iterations follow; a lane-paired epoch (bootstrapKeySwitch) runs
- * them itself, split between its lanes.
+ * The first stage of blind rotation (Algorithm 1, line 4) of @p count
+ * accumulators: check every shape, then rotate each accs[b] by -b~ of
+ * cts[b]. The CMux steps (CmuxSteps) follow.
  */
 void blindRotateInit(GlweCiphertext *accs, const LweCiphertext *cts,
                      size_t count, const BootstrappingKey &bsk,
                      PbsScratch &scratch);
 
-/** Blind rotation of one accumulator: an epoch of width 1. */
+/**
+ * The CMux steps (Algorithm 1, lines 5-12) of a key-stationary epoch
+ * of @p count accumulators, numbered from 1: step 1 + i*count + b
+ * applies BSK bit i to accs[b], accumulating X^{a~_i * s_i}, so bit
+ * i's GGSW serves every accumulator before bit i+1 is read (Strix's
+ * second batching level). A step whose a~_i is zero contributes
+ * nothing and is skipped, so each accumulator sees the CMux sequence
+ * of a rotation of its own and every result is bit-identical to a
+ * width-1 epoch. blindRotate runs the steps alone; bootstrapKeySwitch
+ * runs the same steps, split between two lanes while a partner helps.
+ */
+class CmuxSteps
+{
+  public:
+    /** Borrows every argument: the caller keeps them alive. */
+    CmuxSteps(const BootstrappingKey &bsk, GlweCiphertext *accs,
+              const LweCiphertext *cts, size_t count)
+        : bsk_(bsk), accs_(accs), cts_(cts), count_(count),
+          ms_(bsk.params().N)
+    {
+    }
+
+    /** One past the last step. */
+    uint64_t end() const { return 1 + uint64_t(bsk_.n()) * count_; }
+
+    /** The first step after @p s that runs, or end(); next(0) starts. */
+    uint64_t next(uint64_t s) const
+    {
+        do
+            ++s;
+        while (s < end() && power(s) == 0);
+        return s;
+    }
+
+    /** The rotation power a~ of step @p s; 0 skips the step. */
+    uint32_t power(uint64_t s) const
+    {
+        return ms_(cts_[(s - 1) % count_].a((s - 1) / count_));
+    }
+
+    /** The BSK bit of step @p s. */
+    const GgswFft &bit(uint64_t s) const
+    {
+        return bsk_.bit((s - 1) / count_);
+    }
+
+    /** The accumulator step @p s updates. */
+    GlweCiphertext &acc(uint64_t s) const
+    {
+        return accs_[(s - 1) % count_];
+    }
+
+    /** Run step @p s on this thread alone. */
+    void run(uint64_t s, PbsScratch &scratch) const
+    {
+        bit(s).cmuxRotate(acc(s), power(s), scratch);
+    }
+
+  private:
+    const BootstrappingKey &bsk_;
+    GlweCiphertext *const accs_;
+    const LweCiphertext *const cts_;
+    const size_t count_;
+    const ModSwitch ms_;
+};
+
+/**
+ * Blind rotation (Algorithm 1, lines 4-12) of one accumulator:
+ * blindRotateInit, then every CmuxSteps step on this thread.
+ *
+ * @param acc     in: trivial GLWE of the test vector (shape (k, N));
+ *                out: the rotated GLWE
+ * @param ct      the LWE ciphertext being bootstrapped (dimension n)
+ * @param bsk     bootstrapping key
+ * @param scratch per-thread working buffers reused across iterations
+ */
 void blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
                  const BootstrappingKey &bsk, PbsScratch &scratch);
 

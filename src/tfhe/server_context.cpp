@@ -25,48 +25,38 @@ checkedParams(const std::shared_ptr<const EvalKeys> &keys)
 
 /**
  * One epoch as a sequence of steps that an owner and, while one is
- * attached, a partner lane split between them. Step 1 + i*count + b
- * is the CMux of BSK bit i on accs[b], run only when its a~ is
- * nonzero; then the owner sample-extracts (extractStep()), both lanes
- * keyswitch a block of input coefficients (keySwitchStep()), and the
- * owner adds the partner's partials (sumStep()). Side 0, the owner,
- * takes the even GLWE components and columns, side 1 the odd ones.
+ * attached, a partner lane split between them. The CmuxSteps come
+ * first, each run only when its a~ is nonzero; then the owner
+ * sample-extracts (extractStep()), both lanes keyswitch a block of
+ * input coefficients (keySwitchStep()), and the owner adds the
+ * partner's partials (sumStep()). Side 0, the owner, takes the even
+ * GLWE components and columns, side 1 the odd ones. The partner holds
+ * the epoch by shared_ptr, so what lives here stays valid for it while
+ * a failed owner unwinds; the owner's scratch and inputs, which the
+ * epoch only points to, are kept for it by LanePair::close.
  */
 struct PairedEpoch
 {
-    PairedEpoch(const EvalKeys &k, const LweCiphertext *c, size_t n,
-                GlweCiphertext *a, Cplx *sp, PartnerLanes *l)
-        : keys(k), cts(c), count(n), accs(a), spectra(sp), lanes(l),
-          ms(k.params().N),
+    PairedEpoch(const EvalKeys &k, const LweCiphertext *cts, size_t n,
+                GlweCiphertext *accs, Cplx *sp, PartnerLanes *l)
+        : keys(k), cmux(k.bsk(), accs, cts, n), count(n), spectra(sp),
+          lanes(l),
           stride((size_t(k.params().k) + 1) * k.params().l_bsk *
                  (k.params().N / 2))
     {
     }
 
-    uint64_t extractStep() const
-    {
-        return 1 + uint64_t(keys.params().n) * count;
-    }
+    uint64_t extractStep() const { return cmux.end(); }
     uint64_t keySwitchStep() const { return extractStep() + 1; }
     uint64_t sumStep() const { return extractStep() + 2; }
 
     /** The first keyswitch input coefficient of the partner's block. */
     uint32_t keySwitchSplit() const { return keys.ksk().inDim() / 2; }
 
-    /** The rotation power of CMux step @p s; 0 skips the step. */
-    uint32_t power(uint64_t s) const
-    {
-        return ms(cts[(s - 1) % count].a((s - 1) / count));
-    }
-
     /** The step after @p s that runs (0: the first). */
     uint64_t next(uint64_t s) const
     {
-        const uint64_t extract = extractStep();
-        do
-            ++s;
-        while (s < extract && power(s) == 0);
-        return s;
+        return s < extractStep() ? cmux.next(s) : s + 1;
     }
 
     /**
@@ -84,27 +74,28 @@ struct PairedEpoch
     void cmuxHalf(uint64_t s, uint32_t side, bool second, Cplx *buf,
                   PbsScratch &scratch) const
     {
-        const GgswFft &bit = keys.bsk().bit((s - 1) / count);
-        GlweCiphertext &acc = accs[(s - 1) % count];
+        const GgswFft &bit = cmux.bit(s);
+        GlweCiphertext &acc = cmux.acc(s);
         for (uint32_t c = side; c <= keys.params().k; c += 2) {
             if (second)
                 bit.cmuxAccumulate(acc, c, buf, scratch);
             else
-                bit.cmuxForward(acc, power(s), c, buf, scratch);
+                bit.cmuxForward(acc, cmux.power(s), c, buf, scratch);
         }
     }
 
     LanePair link;
     const EvalKeys &keys;
-    const LweCiphertext *const cts;
+    const CmuxSteps cmux;
     const size_t count;
-    GlweCiphertext *const accs;
     Cplx *const spectra; //!< the owner's two spectra buffers
     PartnerLanes *const lanes;
-    const ModSwitch ms;
     const size_t stride; //!< Cplx per spectra buffer
-    /** The extracted LWEs: the owner writes them in extractStep(). */
-    const LweCiphertext *big = nullptr;
+    /**
+     * The extracted LWEs: the owner fills them in extractStep(), and
+     * both lanes read them in keySwitchStep().
+     */
+    std::vector<LweCiphertext> big;
     /** The partner's keyswitch block, read by the owner in sumStep(). */
     std::vector<LweCiphertext> partials;
     bool partials_done = false;
@@ -151,7 +142,7 @@ PartnerJob::run() const
             e.cmuxHalf(s, 1, true, e.buffer(parity), scratch);
         } else if (s == e.keySwitchStep()) {
             try {
-                keySwitchBlock(e.partials.data(), e.big, e.count,
+                keySwitchBlock(e.partials.data(), e.big.data(), e.count,
                                e.keys.ksk(), e.keySwitchSplit(),
                                e.keys.ksk().inDim());
                 e.partials_done = true;
@@ -163,9 +154,14 @@ PartnerJob::run() const
 }
 
 bool
-PartnerLanes::offer(uint64_t, PartnerJob job)
+PartnerLanes::offer(uint64_t, const PartnerJob &job)
 {
-    return pool_->postIfIdle([job = std::move(job)](unsigned) {
+    // Refuse before the job is copied into a std::function (a heap
+    // allocation): an owner without a partner offers at every step
+    // boundary, and a full pool must cost it two loads.
+    if (!pool_->hasSpareLane())
+        return false;
+    return pool_->postIfIdle([job](unsigned) {
         if (job.ask())
             job.run();
     });
@@ -204,6 +200,7 @@ bootstrapKeySwitch(const EvalKeys &keys, const LweCiphertext *cts,
     const auto shared = std::make_shared<PairedEpoch>(
         keys, cts, count, accs.data(), scratch.spectra.data(), lanes);
     PairedEpoch &e = *shared;
+    const PartnerJob job(shared);
 
     // Whatever ends the epoch, a partner is out of this scratch first.
     bool paired = false;
@@ -217,7 +214,6 @@ bootstrapKeySwitch(const EvalKeys &keys, const LweCiphertext *cts,
         ~Closer() { e.link.close(until); }
     } closer{e, until};
 
-    std::vector<LweCiphertext> big;
     const uint64_t extract = e.extractStep();
     const uint64_t keyswitch = e.keySwitchStep();
     bool split_keyswitch = false;
@@ -226,7 +222,7 @@ bootstrapKeySwitch(const EvalKeys &keys, const LweCiphertext *cts,
             // One offer at a time; its lane joins at the first boundary
             // after it asks.
             if (!offered)
-                offered = lanes->offer(s, PartnerJob(shared));
+                offered = lanes->offer(s, job);
             if (e.link.pending()) {
                 e.link.admit(s);
                 paired = true;
@@ -251,27 +247,25 @@ bootstrapKeySwitch(const EvalKeys &keys, const LweCiphertext *cts,
                 continue;
             }
         } else if (s < extract) {
-            keys.bsk().bit((s - 1) / count).cmuxRotate(
-                accs[(s - 1) % count], e.power(s), scratch);
+            e.cmux.run(s, scratch);
             continue;
         }
         if (s == extract) {
-            big.reserve(count);
+            e.big.reserve(count);
             for (size_t b = 0; b < count; ++b)
-                big.push_back(sampleExtract(accs[b], 0));
-            e.big = big.data();
+                e.big.push_back(sampleExtract(accs[b], 0));
         } else if (s == keyswitch) {
             split_keyswitch = paired;
             const uint32_t last =
                 paired ? e.keySwitchSplit() : keys.ksk().inDim();
             for (size_t b = 0; b < count; ++b)
                 out[b] = LweCiphertext::trivial(keys.ksk().outDim(),
-                                                big[b].b());
-            keySwitchBlock(out, big.data(), count, keys.ksk(), 0, last);
+                                                e.big[b].b());
+            keySwitchBlock(out, e.big.data(), count, keys.ksk(), 0, last);
         } else if (split_keyswitch) {
             // sumStep(): the partner has left, every step before done.
             if (!e.partials_done)
-                keySwitchBlock(out, big.data(), count, keys.ksk(),
+                keySwitchBlock(out, e.big.data(), count, keys.ksk(),
                                e.keySwitchSplit(), keys.ksk().inDim());
             else
                 for (size_t b = 0; b < count; ++b)

@@ -85,10 +85,12 @@ class PartnerLanes
     PartnerLanes &operator=(const PartnerLanes &) = delete;
 
     /**
-     * Owner, alone at the boundary before @p step: hand @p job on to a
-     * thread that calls job.ask(), then job.run(). True if handed on.
+     * Owner, alone at the boundary before @p step: hand a copy of
+     * @p job on to a thread that calls job.ask(), then job.run(). True
+     * if handed on. Called at every boundary the owner runs alone, so
+     * a refusal should cost no allocation.
      */
-    virtual bool offer(uint64_t step, PartnerJob job);
+    virtual bool offer(uint64_t step, const PartnerJob &job);
 
     /** Partner, at the boundary before @p step: give the lane back? */
     virtual bool recall(uint64_t step);
@@ -104,7 +106,7 @@ class PartnerLanes
  * PBS+KS of a sub-batch under @p keys, with caller-owned scratch:
  * out[b] is cts[b] bootstrapped against *tvs[b] and keyswitched back
  * to dimension n, for b < @p count. The sub-batch runs as one
- * key-stationary epoch -- blindRotate applies each BSK bit to all
+ * key-stationary epoch -- its CmuxSteps apply each BSK bit to all
  * @p count accumulators (held in @p scratch) before the next, and the
  * keyswitch applies each KSK row to all of them before the next -- so
  * each out[b] is bit-identical to a count-1 call. Every bootstrap

@@ -655,6 +655,79 @@ TEST_F(BatchExecutorTest, CompletionPipeSignalledWhenFutureReady)
 }
 
 /**
+ * An owner that fails in its keyswitch step keeps the extracted LWEs
+ * alive until its partner has switched its block of them; the ASan
+ * leg reports a use-after-free otherwise. The partner joins at the
+ * first step and, at the keyswitch boundary, arms a one-shot failure
+ * of the next allocation of an output LWE: the owner's out[0], made
+ * while the partner runs its block.
+ */
+TEST_F(BatchExecutorTest, OwnerFailingInPairedKeySwitchWaitsForPartner)
+{
+    class FailOwnerAtKeySwitch : public PartnerLanes
+    {
+      public:
+        FailOwnerAtKeySwitch(uint64_t keyswitch, size_t bytes)
+            : keyswitch_(keyswitch), bytes_(bytes)
+        {
+        }
+        ~FailOwnerAtKeySwitch() override { join(); }
+
+        bool offer(uint64_t, const PartnerJob &job) override
+        {
+            if (partner_.joinable() || !job.ask())
+                return false;
+            partner_ = std::thread([job] { job.run(); });
+            return true;
+        }
+
+        bool recall(uint64_t step) override
+        {
+            if (step == keyswitch_) {
+                g_fail_alloc_bytes = bytes_;
+                armed_ = true;
+            }
+            return false;
+        }
+
+        void join()
+        {
+            if (partner_.joinable())
+                partner_.join();
+        }
+
+        bool armed() const { return armed_; }
+
+      private:
+        const uint64_t keyswitch_;
+        const size_t bytes_;
+        std::atomic<bool> armed_{false};
+        std::thread partner_;
+    };
+
+    const EvalKeys &keys = *keys_.client.evalKeys();
+    const LweCiphertext ct = encrypt(3);
+    const TorusPolynomial tv = shiftLut(2);
+    const TorusPolynomial *const tvs[] = {&tv};
+    // A width-1 epoch: n CMux steps, the extraction, the keyswitch.
+    const uint64_t keyswitch = uint64_t(keys.params().n) + 2;
+    FailOwnerAtKeySwitch lanes(
+        keyswitch, (size_t(keys.ksk().outDim()) + 1) * sizeof(Torus32));
+    LweCiphertext out;
+    PbsScratch scratch;
+    EXPECT_THROW(
+        bootstrapKeySwitch(keys, &ct, tvs, 1, &out, scratch, &lanes),
+        std::bad_alloc);
+    lanes.join();
+    EXPECT_TRUE(lanes.armed()) << "the partner left before the keyswitch";
+    EXPECT_EQ(g_fail_alloc_bytes.exchange(0), 0u) << "the owner did not fail";
+
+    // The scratch serves the next epoch as usual.
+    bootstrapKeySwitch(keys, &ct, tvs, 1, &out, scratch);
+    EXPECT_EQ(keys_.client.decryptInt(out, kSpace), 5);
+}
+
+/**
  * A request queued while both lanes of a 2-lane executor run one PBS
  * as a pair takes the partner's lane within one step: it finishes
  * long before the paired PBS, which takes ~20x as many CMux steps. If

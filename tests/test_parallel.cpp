@@ -569,7 +569,7 @@ class ScriptedLanes : public PartnerLanes
 
     ~ScriptedLanes() override { joinThreads(); }
 
-    bool offer(uint64_t step, PartnerJob job) override
+    bool offer(uint64_t step, const PartnerJob &job) override
     {
         if (next_ >= joins_.size() || step < joins_[next_])
             return false;
