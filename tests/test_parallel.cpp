@@ -1,10 +1,11 @@
 /**
  * @file
  * Thread-parallel PBS: the ThreadPool primitive (posted jobs and
- * parallelFor), the lock-free FFT plan caches under concurrent first
- * touch, and the batched bootstrap path -- including the
- * N-threads-x-M-bootstraps stress test that asserts bit-exact
- * agreement with the single-threaded path on one shared context.
+ * parallelFor), the WakePipe under a racing drain, the lock-free FFT
+ * plan caches under concurrent first touch, and the batched bootstrap
+ * path -- including the N-threads-x-M-bootstraps stress test that
+ * asserts bit-exact agreement with the single-threaded path on one
+ * shared context.
  * Labeled `slow`; this suite is what the TSan CI job exists to watch.
  */
 
@@ -20,7 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include "common/parallel.h"
+#include "common/wake_pipe.h"
 #include "poly/complex_fft.h"
 #include "poly/negacyclic_fft.h"
 #include "support/test_util.h"
@@ -315,6 +319,47 @@ TEST(ThreadPool, OffersCountTheParallelForCaller)
         while (offers_run.load() < (first ? 1 : 0) + (second ? 1 : 0))
             std::this_thread::yield();
     }
+}
+
+/**
+ * A signal that races a drain is never lost: once both are done, the
+ * next signal makes the pipe readable. Each round the signal is
+ * delayed by a different amount, so across the rounds it lands before,
+ * inside and after the drainer's drain. A "signal pending" flag that
+ * skipped the write lost about 1% of these rounds on 4 cores: a signal
+ * landing between the drain's flag reset and its reads left the flag
+ * set over an empty pipe.
+ */
+TEST(WakePipe, SignalRacingADrainIsNeverLost)
+{
+    constexpr int kRounds = 20000;
+    WakePipe pipe;
+    std::atomic<int> round{0};   //!< the round the signaller is in
+    std::atomic<int> drained{0}; //!< the last round the drainer drained
+    std::thread drainer([&] {
+        for (int r = 1; r <= kRounds; ++r) {
+            while (round.load() < r)
+                std::this_thread::yield();
+            pipe.drain();
+            drained.store(r);
+        }
+    });
+    int lost = 0;
+    for (int r = 1; r <= kRounds; ++r) {
+        round.store(r);
+        for (volatile int i = 0; i < (r * 7919) % 4000; ++i) {
+        }
+        pipe.signal();
+        while (drained.load() < r)
+            std::this_thread::yield();
+        pipe.signal();
+        struct pollfd p = {pipe.fd(), POLLIN, 0};
+        if (::poll(&p, 1, 0) != 1)
+            ++lost;
+        pipe.drain();
+    }
+    drainer.join();
+    EXPECT_EQ(lost, 0);
 }
 
 /**
