@@ -8,8 +8,9 @@
  * `--json <file>` (or `--json=<file>`) writes the results as Google
  * Benchmark's JSON to <file>; CI's bench job uploads that file in the
  * `bench-results` artifact. The BM_FftForward/<kernel>,
- * BM_NegacyclicForwardBatchKernel/<kernel> and
- * BM_NegacyclicInverseKernel/<kernel> rows run the scalar and AVX2
+ * BM_NegacyclicForwardBatchKernel/<kernel>,
+ * BM_NegacyclicInverseKernel/<kernel> and BM_BinaryKeyProduct/<kernel>
+ * rows run the scalar and AVX2
  * kernel tables explicitly, so one run records the dispatch speedup;
  * every other row uses whatever activeKernels()
  * selected (see the `fft_kernel` context key, and STRIX_FORCE_SCALAR
@@ -347,6 +348,23 @@ BM_KeygenCold(benchmark::State &state)
 BENCHMARK(BM_KeygenCold)->Unit(benchmark::kMillisecond);
 
 /**
+ * Keygen at paper set I, a fresh seed each iteration: 2000 GLWE rows
+ * of binary-key products and forward transforms for the BSK, 8192 LWE
+ * rows for the KSK, split over a pool of STRIX_THREADS lanes.
+ */
+void
+BM_KeygenSetI(benchmark::State &state)
+{
+    uint64_t seed = 0x5eed;
+    for (auto _ : state) {
+        ClientKeyset keyset(paramsSetI(), seed++);
+        benchmark::DoNotOptimize(&keyset);
+    }
+    state.SetLabel("full keygen, parameter set I");
+}
+BENCHMARK(BM_KeygenSetI)->Unit(benchmark::kMillisecond);
+
+/**
  * Naive-vs-planned circuit evaluation A/B on the 8-bit ripple-carry
  * adder: the naive row bootstraps all 37 gates sequentially; the
  * planned row runs the CircuitAnalyzer plan (majority fusion + XOR
@@ -479,6 +497,32 @@ BM_SeededExpand(benchmark::State &state)
 }
 BENCHMARK(BM_SeededExpand)->Unit(benchmark::kMillisecond);
 
+/**
+ * One exact key product of GLWE encryption at ring dimension @p n: a
+ * binary key times a uniform mask, through one table's
+ * binaryKeyProduct. Compare with BM_PolyMulKaratsuba, the general
+ * exact product it replaced there.
+ */
+void
+BM_BinaryKeyProductKernel(benchmark::State &state, const PolyKernels *kernels,
+                          size_t n)
+{
+    Rng rng(5);
+    IntPolynomial key(n);
+    TorusPolynomial mask(n), out(n);
+    for (size_t i = 0; i < n; ++i) {
+        key[i] = rng.uniformBit();
+        mask[i] = rng.uniformTorus32();
+    }
+    std::vector<uint32_t> work(3 * n);
+    for (auto _ : state) {
+        kernels->binaryKeyProduct(out.data(), key.data(), mask.data(),
+                                  work.data(), n);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+}
+
 void
 registerKernelBenchmarks()
 {
@@ -513,6 +557,12 @@ registerKernelBenchmarks()
                     });
             }
         }
+    for (const Entry &e : tables)
+        benchmark::RegisterBenchmark(
+            (std::string("BM_BinaryKeyProduct/") + e.name + "/1024").c_str(),
+            [kernels = e.kernels](benchmark::State &st) {
+                BM_BinaryKeyProductKernel(st, kernels, 1024);
+            });
     for (const Entry &e : tables)
         for (size_t n : {size_t{1024}, size_t{2048}, size_t{16384}}) {
             const std::string tail =

@@ -28,7 +28,11 @@ FrameWriter::FrameWriter(std::ostream &os, uint32_t tag,
 void
 FrameWriter::bytes(const void *data, size_t len)
 {
-    if (in_section_) {
+    if (streaming_) {
+        if (len > unwritten_)
+            throw std::logic_error("FrameWriter: section overrun");
+        unwritten_ -= len;
+    } else if (in_section_) {
         const auto *p = static_cast<const unsigned char *>(data);
         buf_.insert(buf_.end(), p, p + len);
         return;
@@ -75,11 +79,29 @@ FrameWriter::beginSection(uint32_t id)
 }
 
 void
+FrameWriter::beginSection(uint32_t id, uint64_t len)
+{
+    if (in_section_)
+        throw std::logic_error("FrameWriter: nested section");
+    u32(id);
+    u64(len);
+    in_section_ = true;
+    streaming_ = true;
+    unwritten_ = len;
+}
+
+void
 FrameWriter::endSection()
 {
     if (!in_section_)
         throw std::logic_error("FrameWriter: no open section");
     in_section_ = false;
+    if (streaming_) {
+        streaming_ = false;
+        if (unwritten_ != 0)
+            throw std::logic_error("FrameWriter: section short");
+        return;
+    }
     u32(section_id_);
     u64(buf_.size());
     bytes(buf_.data(), buf_.size());

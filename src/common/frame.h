@@ -32,7 +32,8 @@ namespace strix {
  * length-prefixed sections ([id u32][length u64][payload]): the
  * section payload is staged in memory by beginSection()/endSection()
  * so the length prefix is exact, giving readers a checkable frame
- * skeleton. Primitives outside a section write straight through --
+ * skeleton; a section whose length the caller knows streams through
+ * instead. Primitives outside a section write straight through --
  * the v1 frames use only that raw mode, which keeps their byte layout
  * identical to the historical ad-hoc writers.
  */
@@ -58,12 +59,21 @@ class FrameWriter
 
     /** Open section @p id; payload is staged until endSection(). */
     void beginSection(uint32_t id);
-    /** Flush the staged section: id, byte length, payload. */
+    /**
+     * Open section @p id of a length the caller knows: the id and
+     * @p len go out now and the payload writes straight through, with
+     * no staging copy. Writing past @p len, or closing the section
+     * short of it, throws std::logic_error.
+     */
+    void beginSection(uint32_t id, uint64_t len);
+    /** Close the section: flush a staged one (id, byte length, payload). */
     void endSection();
 
   private:
     std::ostream &os_;
     bool in_section_ = false;
+    bool streaming_ = false; //!< a known-length section is open
+    uint64_t unwritten_ = 0; //!< bytes it still expects
     uint32_t section_id_ = 0;
     std::vector<unsigned char> buf_;
 };

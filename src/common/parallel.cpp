@@ -102,6 +102,18 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
+void
+parallelFor(ThreadPool *pool, size_t count,
+            const std::function<void(size_t, unsigned)> &fn)
+{
+    if (pool != nullptr) {
+        pool->parallelFor(count, fn);
+        return;
+    }
+    for (size_t i = 0; i < count; ++i)
+        fn(i, 0);
+}
+
 unsigned
 ThreadPool::defaultThreadCount()
 {

@@ -146,6 +146,15 @@ class ThreadPool
 };
 
 /**
+ * pool->parallelFor(count, fn), or, with no pool, fn(index, 0) for
+ * every index in order on the caller. For work whose result is the
+ * same at any lane count (split key expansion), so a caller without a
+ * pool runs the same loop body.
+ */
+void parallelFor(ThreadPool *pool, size_t count,
+                 const std::function<void(size_t, unsigned)> &fn);
+
+/**
  * The two-party handshake of a lane pair: an owner runs a numbered
  * sequence of steps (numbered from 1, increasing, not necessarily
  * consecutive) and splits each with a partner lane while one is

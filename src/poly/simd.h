@@ -6,7 +6,9 @@
  * forward transform (fold+twist, then the FFT butterfly stages), its
  * inverse (the stages, then untwist+round), the frequency-domain
  * multiply-accumulate of the external product, and the row
- * subtraction of the keyswitch. This header exposes them as a table of
+ * subtraction of the keyswitch -- plus the one product keygen and
+ * decryption spend their time in, a binary GLWE key times a torus
+ * polynomial. This header exposes them as a table of
  * C function pointers so that one CPUID check at startup -- not an
  * #ifdef at build time -- decides whether the AVX2+FMA implementations
  * or the portable scalar reference runs.
@@ -32,7 +34,7 @@
  *    reference; the vector backends must match it to floating-point
  *    rounding (tests/test_fft.cpp cross-checks every table entry over
  *    every plan size the parameter sets use) and exactly on the
- *    integer entry (subScaledRow).
+ *    integer entries (subScaledRow, binaryKeyProduct).
  *  - avx2Kernels() returns nullptr unless the binary was built with
  *    STRIX_SIMD=ON *and* the running CPU reports AVX2 and FMA.
  *  - activeKernels() picks the best available table once (latched on
@@ -181,6 +183,19 @@ struct PolyKernels
      */
     void (*subScaledRow)(uint32_t *out, const uint32_t *row,
                          uint32_t digit, size_t len);
+
+    /**
+     * Exact negacyclic product of a 0/1 polynomial by a torus
+     * polynomial: out = key * mask mod (X^n + 1), every sum mod 2^32,
+     * for the key products of GLWE encryption and decryption. Integer
+     * arithmetic, so every backend equals (==) negacyclicMulKaratsuba.
+     * Each key[j] must be 0 or 1. @p work is 3n words of scratch the
+     * caller owns, so the entry allocates nothing; @p out aliases
+     * neither @p mask nor @p work.
+     */
+    void (*binaryKeyProduct)(uint32_t *out, const int32_t *key,
+                             const uint32_t *mask, uint32_t *work,
+                             size_t n);
 };
 
 /** Portable reference table; always built, never null. */

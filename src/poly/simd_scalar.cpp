@@ -7,6 +7,7 @@
  * produced, because scaling an angle by a power of two is exact).
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include "poly/simd.h"
@@ -147,6 +148,23 @@ subScaledRowScalar(uint32_t *out, const uint32_t *row, uint32_t digit,
         out[i] -= digit * row[i];
 }
 
+/** The schoolbook sum: out = sum over key[j] = 1 of X^j * mask. */
+void
+binaryKeyProductScalar(uint32_t *out, const int32_t *key,
+                       const uint32_t *mask, uint32_t *, size_t n)
+{
+    std::fill(out, out + n, 0u);
+    for (size_t j = 0; j < n; ++j) {
+        if (key[j] == 0)
+            continue;
+        // X^j wraps coefficient p - j below zero around to -mask[n+p-j].
+        for (size_t p = 0; p < j; ++p)
+            out[p] -= mask[n + p - j];
+        for (size_t p = j; p < n; ++p)
+            out[p] += mask[p - j];
+    }
+}
+
 const PolyKernels kScalarKernels = {
     "scalar",
     fftForwardScalar,
@@ -157,6 +175,7 @@ const PolyKernels kScalarKernels = {
     mulAccumulateScalar,
     mulAccumulateColumnsScalar,
     subScaledRowScalar,
+    binaryKeyProductScalar,
 };
 
 } // namespace

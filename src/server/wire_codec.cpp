@@ -2,17 +2,22 @@
  * @file
  * MSG1 payload codec implementation.
  *
- * Every decoder reads from an istringstream over the payload bytes
- * through the validating FrameReader layer and the hardened
+ * Every decoder reads the payload bytes in place, through an istream
+ * over the vector, the validating FrameReader layer and the hardened
  * serialize.h readers, and finishes by checking the payload was
  * consumed exactly (no trailing garbage rides along). All failures
- * throw std::runtime_error.
+ * throw std::runtime_error. Every encoder writes through an ostream
+ * straight into the vector it returns, so a 16 MB EVK2 frame is
+ * neither copied on the way in nor on the way out.
  */
 
 #include "server/wire_codec.h"
 
-#include <sstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
+#include <streambuf>
+#include <utility>
 
 namespace strix {
 
@@ -23,18 +28,55 @@ constexpr uint32_t kTagLutRequest = 0x3151554C;     // "LUQ1"
 constexpr uint32_t kTagCircuitRequest = 0x31514943; // "CIQ1"
 constexpr uint32_t kTagCiphertexts = 0x31535443;    // "CTS1"
 
-std::vector<uint8_t>
-streamBytes(const std::ostringstream &os)
+/**
+ * The stream the encoders write a payload through: every byte goes
+ * straight into the vector take() returns, with no buffer between.
+ */
+class PayloadOut : private std::streambuf, public std::ostream
 {
-    const std::string s = os.str();
-    return std::vector<uint8_t>(s.begin(), s.end());
-}
+  public:
+    PayloadOut() : std::ostream(this) {}
+    PayloadOut(const PayloadOut &) = delete;
+    PayloadOut &operator=(const PayloadOut &) = delete;
 
-std::string
-payloadString(const std::vector<uint8_t> &payload)
+    /** The payload written so far, moved out. */
+    std::vector<uint8_t> take() { return std::move(bytes_); }
+
+  private:
+    using Traits = std::streambuf::traits_type;
+
+    std::streambuf::int_type overflow(std::streambuf::int_type c) override
+    {
+        if (!Traits::eq_int_type(c, Traits::eof()))
+            bytes_.push_back(static_cast<uint8_t>(c));
+        return Traits::not_eof(c);
+    }
+
+    std::streamsize xsputn(const char *s, std::streamsize n) override
+    {
+        bytes_.insert(bytes_.end(), s, s + n);
+        return n;
+    }
+
+    std::vector<uint8_t> bytes_;
+};
+
+/** The stream the decoders read a payload through, in place. */
+class PayloadIn : private std::streambuf, public std::istream
 {
-    return std::string(payload.begin(), payload.end());
-}
+  public:
+    explicit PayloadIn(const std::vector<uint8_t> &payload)
+        : std::istream(this)
+    {
+        // The get area is only read: streambuf's interface takes a
+        // mutable pointer, but nothing here writes through it.
+        char *begin = const_cast<char *>(
+            reinterpret_cast<const char *>(payload.data()));
+        setg(begin, begin, begin + payload.size());
+    }
+    PayloadIn(const PayloadIn &) = delete;
+    PayloadIn &operator=(const PayloadIn &) = delete;
+};
 
 void
 expectFullyConsumed(std::istream &is)
@@ -52,16 +94,16 @@ std::vector<uint8_t>
 encodeBootstrapPayload(const LweCiphertext &ct,
                        const TorusPolynomial &tv)
 {
-    std::ostringstream os;
+    PayloadOut os;
     serialize(os, ct);
     serialize(os, tv);
-    return streamBytes(os);
+    return os.take();
 }
 
 BootstrapRequest
 decodeBootstrapPayload(const std::vector<uint8_t> &payload)
 {
-    std::istringstream is(payloadString(payload));
+    PayloadIn is(payload);
     BootstrapRequest req{deserializeLweCiphertext(is),
                          deserializeTorusPolynomial(is)};
     expectFullyConsumed(is);
@@ -74,20 +116,20 @@ std::vector<uint8_t>
 encodeApplyLutPayload(const LweCiphertext &ct, uint64_t msg_space,
                       const std::vector<int64_t> &table)
 {
-    std::ostringstream os;
+    PayloadOut os;
     FrameWriter w(os, kTagLutRequest, 1);
     w.u64(msg_space);
     w.u64(table.size());
     for (int64_t v : table)
         w.u64(static_cast<uint64_t>(v)); // two's-complement round trip
     serialize(os, ct);
-    return streamBytes(os);
+    return os.take();
 }
 
 ApplyLutRequest
 decodeApplyLutPayload(const std::vector<uint8_t> &payload)
 {
-    std::istringstream is(payloadString(payload));
+    PayloadIn is(payload);
     FrameReader r(is, kTagLutRequest, 1, "LUT request");
     ApplyLutRequest req;
     req.msg_space = r.u64();
@@ -111,7 +153,7 @@ std::vector<uint8_t>
 encodeCircuitPayload(const Circuit &circuit,
                      const std::vector<LweCiphertext> &inputs)
 {
-    std::ostringstream os;
+    PayloadOut os;
     FrameWriter w(os, kTagCircuitRequest, 1);
     w.u64(circuit.numNodes());
     for (Wire i = 0; i < circuit.numNodes(); ++i) {
@@ -128,13 +170,13 @@ encodeCircuitPayload(const Circuit &circuit,
     w.u64(inputs.size());
     for (const LweCiphertext &ct : inputs)
         serialize(os, ct);
-    return streamBytes(os);
+    return os.take();
 }
 
 CircuitRequest
 decodeCircuitPayload(const std::vector<uint8_t> &payload)
 {
-    std::istringstream is(payloadString(payload));
+    PayloadIn is(payload);
     FrameReader r(is, kTagCircuitRequest, 1, "circuit request");
     const uint64_t num_nodes = r.u64();
     if (num_nodes > kMaxCircuitNodes)
@@ -209,18 +251,18 @@ decodeCircuitPayload(const std::vector<uint8_t> &payload)
 std::vector<uint8_t>
 encodeCiphertexts(const std::vector<LweCiphertext> &cts)
 {
-    std::ostringstream os;
+    PayloadOut os;
     FrameWriter w(os, kTagCiphertexts, 1);
     w.u64(cts.size());
     for (const LweCiphertext &ct : cts)
         serialize(os, ct);
-    return streamBytes(os);
+    return os.take();
 }
 
 std::vector<LweCiphertext>
 decodeCiphertexts(const std::vector<uint8_t> &payload)
 {
-    std::istringstream is(payloadString(payload));
+    PayloadIn is(payload);
     FrameReader r(is, kTagCiphertexts, 1, "ciphertext vector");
     const uint64_t count = r.u64();
     if (count > kMaxWireCiphertexts)
@@ -239,15 +281,15 @@ decodeCiphertexts(const std::vector<uint8_t> &payload)
 std::vector<uint8_t>
 encodeEvalKeysPayload(const EvalKeys &keys, EvalKeysFormat format)
 {
-    std::ostringstream os;
+    PayloadOut os;
     serialize(os, keys, format);
-    return streamBytes(os);
+    return os.take();
 }
 
 std::shared_ptr<const EvalKeys>
 decodeEvalKeysPayload(const std::vector<uint8_t> &payload)
 {
-    std::istringstream is(payloadString(payload));
+    PayloadIn is(payload);
     std::shared_ptr<const EvalKeys> keys = deserializeEvalKeys(is);
     expectFullyConsumed(is);
     return keys;

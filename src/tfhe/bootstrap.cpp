@@ -5,44 +5,103 @@
 
 #include "tfhe/bootstrap.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace strix {
+
+namespace {
+
+/**
+ * Key bits per fan-out of generateSeeded. A block's noise, 16 x
+ * (k+1)*l*N values (256 KiB at set I), is drawn before the lanes
+ * encrypt its bits.
+ */
+constexpr uint32_t kBitsPerBlock = 16;
+
+/** One expansion worker's time-domain GLWE row and product scratch. */
+struct RowScratch
+{
+    RowScratch(uint32_t k, uint32_t big_n) : row(k, big_n), keys(big_n) {}
+
+    GlweCiphertext row;
+    GlweKeyScratch keys;
+};
+
+/** Worker slots of parallelFor(@p pool, ...). */
+size_t
+workerSlots(const ThreadPool *pool)
+{
+    return pool != nullptr ? pool->lanes() + 1 : 1;
+}
+
+} // namespace
 
 BootstrappingKey
 BootstrappingKey::generateSeeded(const LweKey &lwe_key,
                                  const GlweKey &glwe_key,
                                  const TfheParams &params,
-                                 uint64_t mask_seed, Rng &noise_rng)
+                                 uint64_t mask_seed, Rng &noise_rng,
+                                 ThreadPool *pool)
 {
     panicIfNot(lwe_key.dim() == params.n, "bsk: LWE key dim mismatch");
     panicIfNot(glwe_key.k() == params.k &&
                    glwe_key.ringDim() == params.N,
                "bsk: GLWE key shape mismatch");
 
+    const uint32_t k = params.k;
+    const uint32_t big_n = params.N;
+    const GadgetParams g{params.bg_bits, params.l_bsk};
+    const uint32_t rows_per_bit = (k + 1) * g.levels;
+    // The calling thread allocates every key row, so the lanes only
+    // fill memory and no row lands in a lane thread's malloc arena.
+    std::vector<std::vector<FreqPolynomial>> rows(
+        params.n, std::vector<FreqPolynomial>(size_t(rows_per_bit) * (k + 1),
+                                              FreqPolynomial(big_n / 2)));
+    std::vector<RowScratch> scratch(workerSlots(pool), RowScratch(k, big_n));
+    const size_t noise_per_bit = size_t(rows_per_bit) * big_n;
+    std::vector<Torus32> noise(kBitsPerBlock * noise_per_bit);
+    const auto &eng = NegacyclicFft::get(big_n);
+    const Rng mask_root(mask_seed);
+    for (uint32_t first = 0; first < params.n; first += kBitsPerBlock) {
+        const uint32_t count = std::min(kBitsPerBlock, params.n - first);
+        // One noise stream in bit, row, coefficient order, whatever
+        // the lanes: the key is the same bits at any lane count.
+        noise_rng.fillGaussianTorus32(noise.data(), count * noise_per_bit,
+                                      params.glwe_noise, pool);
+        parallelFor(pool, count, [&](size_t b, unsigned worker) {
+            const uint32_t i = first + static_cast<uint32_t>(b);
+            RowScratch &s = scratch[worker];
+            for (uint32_t r = 0; r < rows_per_bit; ++r) {
+                Rng mask_rng =
+                    mask_root.fork(uint64_t(i) * rows_per_bit + r);
+                ggswEncryptSeededRow(s.row, glwe_key, lwe_key.bit(i), g,
+                                     r, mask_rng,
+                                     noise.data() + b * noise_per_bit +
+                                         size_t(r) * big_n,
+                                     s.keys);
+                for (uint32_t c = 0; c <= k; ++c)
+                    eng.forward(rows[i][r * (k + 1) + c], s.row.poly(c));
+            }
+        });
+    }
     BootstrappingKey bsk;
     bsk.params_ = params;
-    const GadgetParams g{params.bg_bits, params.l_bsk};
-    const Rng mask_root(mask_seed);
-    const uint64_t rows_per_bit =
-        uint64_t(params.k + 1) * params.l_bsk;
     bsk.ggsw_fft_.reserve(params.n);
-    for (uint32_t i = 0; i < params.n; ++i) {
-        GgswCiphertext ggsw =
-            ggswEncryptSeeded(glwe_key, lwe_key.bit(i), g,
-                              params.glwe_noise, mask_root,
-                              uint64_t(i) * rows_per_bit, noise_rng);
-        bsk.ggsw_fft_.emplace_back(ggsw);
-    }
+    for (auto &bit : rows)
+        bsk.ggsw_fft_.push_back(
+            GgswFft::fromRawRows(k, big_n, g, std::move(bit)));
     return bsk;
 }
 
 BootstrappingKey
 BootstrappingKey::fromSeededBodies(const TfheParams &params,
                                    uint64_t mask_seed,
-                                   std::vector<FreqPolynomial> freq_bodies)
+                                   std::vector<FreqPolynomial> freq_bodies,
+                                   ThreadPool *pool)
 {
     const uint32_t k = params.k;
     const uint32_t big_n = params.N;
@@ -51,33 +110,43 @@ BootstrappingKey::fromSeededBodies(const TfheParams &params,
     panicIfNot(freq_bodies.size() == size_t(params.n) * rows_per_bit,
                "bsk fromSeededBodies: body count mismatch");
 
-    const auto &eng = NegacyclicFft::get(big_n);
-    const Rng mask_root(mask_seed);
-    GlweCiphertext scratch(k, big_n);
-    BootstrappingKey bsk;
-    bsk.params_ = params;
-    bsk.ggsw_fft_.reserve(params.n);
+    // The calling thread allocates the mask rows and moves the bodies
+    // in; the lanes only fill the masks.
+    std::vector<std::vector<FreqPolynomial>> rows(params.n);
     for (uint32_t i = 0; i < params.n; ++i) {
-        std::vector<FreqPolynomial> rows(rows_per_bit * (k + 1));
+        rows[i].resize(rows_per_bit * (k + 1));
         for (size_t r = 0; r < rows_per_bit; ++r) {
-            // Identical fork id and draw order as ggswEncryptSeeded
-            // (stream_base + block*levels + level == flat row index),
-            // identical per-polynomial forward transform as the
-            // GgswFft constructor: the regenerated mask columns are
-            // bit-identical to the generated key's.
-            Rng mask_rng =
-                mask_root.fork(uint64_t(i) * rows_per_bit + r);
-            glweFillMask(scratch, mask_rng);
             for (uint32_t c = 0; c < k; ++c)
-                eng.forward(rows[r * (k + 1) + c], scratch.poly(c));
+                rows[i][r * (k + 1) + c].resize(big_n / 2);
             FreqPolynomial &body = freq_bodies[i * rows_per_bit + r];
             panicIfNot(body.size() == size_t(big_n) / 2,
                        "bsk fromSeededBodies: body size mismatch");
-            rows[r * (k + 1) + k] = std::move(body);
+            rows[i][r * (k + 1) + k] = std::move(body);
         }
-        bsk.ggsw_fft_.push_back(
-            GgswFft::fromRawRows(k, big_n, g, std::move(rows)));
     }
+    std::vector<GlweCiphertext> scratch(workerSlots(pool),
+                                        GlweCiphertext(k, big_n));
+    const auto &eng = NegacyclicFft::get(big_n);
+    const Rng mask_root(mask_seed);
+    parallelFor(pool, params.n, [&](size_t i, unsigned worker) {
+        GlweCiphertext &mask = scratch[worker];
+        for (size_t r = 0; r < rows_per_bit; ++r) {
+            // Identical fork id and draw order as generateSeeded,
+            // identical per-polynomial forward transform: the
+            // regenerated mask columns are bit-identical to the
+            // generated key's.
+            Rng mask_rng = mask_root.fork(uint64_t(i) * rows_per_bit + r);
+            glweFillMask(mask, mask_rng);
+            for (uint32_t c = 0; c < k; ++c)
+                eng.forward(rows[i][r * (k + 1) + c], mask.poly(c));
+        }
+    });
+    BootstrappingKey bsk;
+    bsk.params_ = params;
+    bsk.ggsw_fft_.reserve(params.n);
+    for (auto &bit : rows)
+        bsk.ggsw_fft_.push_back(
+            GgswFft::fromRawRows(k, big_n, g, std::move(bit)));
     return bsk;
 }
 

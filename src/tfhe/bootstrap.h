@@ -15,6 +15,8 @@
 
 namespace strix {
 
+class ThreadPool;
+
 /**
  * Bootstrapping key: one GGSW encryption (under the GLWE key) of each
  * LWE key bit, stored in the frequency domain as Strix does in its
@@ -30,20 +32,28 @@ class BootstrappingKey
     const TfheParams &params() const { return params_; }
 
     /**
-     * Generate from the input LWE key and output GLWE key, one
-     * ggswEncryptSeeded per key bit: every mask polynomial comes from
-     * the deterministic stream rooted at @p mask_seed -- GLWE row
-     * (bit i, block, level) forks stream id
-     * i*(k+1)*l_bsk + block*l_bsk + level -- and only noise draws
-     * from @p noise_rng. The key is fully determined by
-     * (mask_seed, bodies), which is what the compressed BSK2 frame
-     * ships; fromSeededBodies() reconstructs it bit-identically.
+     * Generate from the input LWE key and output GLWE key, one seeded
+     * GGSW per key bit (ggswEncryptSeededRow): every mask polynomial
+     * comes from the deterministic stream rooted at @p mask_seed --
+     * GLWE row r = block*l_bsk + level of bit i forks stream id
+     * i*(k+1)*l_bsk + r -- and only noise draws from @p noise_rng. The
+     * key is fully determined by (mask_seed, bodies), which is what
+     * the compressed BSK2 frame ships; fromSeededBodies() reconstructs
+     * it bit-identically.
+     *
+     * With a @p pool, the bits of each block of 16 are encrypted and
+     * transformed on its lanes. The block's noise is drawn first
+     * (Rng::fillGaussianTorus32: the calling thread takes the uniforms
+     * in stream order, the lanes transform them), the values a serial
+     * run draws, and the calling thread allocates every key row, so
+     * the key is the same bits at any lane count.
      */
     static BootstrappingKey generateSeeded(const LweKey &lwe_key,
                                            const GlweKey &glwe_key,
                                            const TfheParams &params,
                                            uint64_t mask_seed,
-                                           Rng &noise_rng);
+                                           Rng &noise_rng,
+                                           ThreadPool *pool = nullptr);
 
     /**
      * Rebuild a generateSeeded() key from its mask seed plus the
@@ -51,16 +61,19 @@ class BootstrappingKey
      * n*(k+1)*l_bsk polynomials of N/2 points, entry
      * i*(k+1)*l_bsk + r being column k of GLWE row r of bit i. Masks
      * are re-expanded from per-row forks of @p mask_seed and forward-
-     * transformed through the same per-polynomial FFT path the
-     * GgswFft constructor uses, so the rebuilt key is bit-identical
-     * to the generated one (same process / same FFT kernel; see
-     * README). Needs no secret key. Panics on shape mismatch --
-     * callers feeding untrusted bytes validate shapes first
-     * (serialize.cpp does).
+     * transformed through the same per-polynomial FFT path keygen
+     * uses, so the rebuilt key is bit-identical to the generated one
+     * (same process / same FFT kernel; see README). With a @p pool,
+     * the bits are expanded on its lanes, into rows the calling
+     * thread allocates; each bit's masks depend only on its forks, so
+     * the key is the same bits at any lane count. Needs no secret
+     * key. Panics on shape mismatch -- callers feeding untrusted bytes
+     * validate shapes first (serialize.cpp does).
      */
     static BootstrappingKey
     fromSeededBodies(const TfheParams &params, uint64_t mask_seed,
-                     std::vector<FreqPolynomial> freq_bodies);
+                     std::vector<FreqPolynomial> freq_bodies,
+                     ThreadPool *pool = nullptr);
 
   private:
     std::vector<GgswFft> ggsw_fft_;

@@ -5,6 +5,7 @@
 
 #include "tfhe/client_keyset.h"
 
+#include "common/parallel.h"
 #include "poly/negacyclic_fft.h"
 
 namespace strix {
@@ -34,11 +35,17 @@ ClientKeyset::ClientKeyset(const TfheParams &params, uint64_t seed)
     // so the EvalKeys bundle records them and can serialize as a
     // compressed EVK2 frame (seed + bodies, ~1/(k+1) the size; see
     // serialize.h) that re-expands bit-identically.
+    //
+    // The expansions run on a pool of STRIX_THREADS lanes that lives
+    // only for this constructor. Their noise comes from rng_ in the
+    // order a serial run draws it, so the keys are the same bits at
+    // any lane count.
     const EvalKeySeeds seeds{rng_.next64(), rng_.next64()};
+    ThreadPool pool;
     BootstrappingKey bsk = BootstrappingKey::generateSeeded(
-        lwe_key_, glwe_key_, params_, seeds.bsk_mask, rng_);
+        lwe_key_, glwe_key_, params_, seeds.bsk_mask, rng_, &pool);
     KeySwitchKey ksk = KeySwitchKey::generateSeeded(
-        extracted_key_, lwe_key_, params_, seeds.ksk_mask, rng_);
+        extracted_key_, lwe_key_, params_, seeds.ksk_mask, rng_, &pool);
     eval_keys_ = std::make_shared<const EvalKeys>(
         params_, std::move(bsk), std::move(ksk), seeds);
 }

@@ -41,10 +41,12 @@ class ClientKeyset
      * Generate all key material for @p params deterministically from
      * @p seed (fixed stream order: LWE key, GLWE key, mask seeds, BSK
      * noise, KSK noise -- a given (params, seed) pair always yields
-     * bit-identical keys) and prewarm the FFT plan caches for this
-     * ring dimension. The BSK/KSK are generated with seeded masks, so
-     * evalKeys() carries the mask seeds and serializes as the
-     * compressed EVK2 frame.
+     * bit-identical keys, at any STRIX_THREADS) and prewarm the FFT
+     * plan caches for this ring dimension. The BSK/KSK are generated
+     * with seeded masks, so evalKeys() carries the mask seeds and
+     * serializes as the compressed EVK2 frame. Their expansion runs on
+     * a ThreadPool of the default size that the constructor starts and
+     * joins.
      */
     // no_thread_safety_analysis: the member-initializer list draws the
     // key material from rng_ without rng_mutex_. Manual proof: a

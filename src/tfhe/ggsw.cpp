@@ -39,36 +39,24 @@ ggswEncrypt(const GlweKey &key, int32_t m, const GadgetParams &g,
     return out;
 }
 
-GgswCiphertext
-ggswEncryptSeeded(const GlweKey &key, int32_t m, const GadgetParams &g,
-                  double stddev, const Rng &mask_root,
-                  uint64_t stream_base, Rng &noise_rng)
+void
+ggswEncryptSeededRow(GlweCiphertext &row, const GlweKey &key, int32_t m,
+                     const GadgetParams &g, uint32_t r, Rng &mask_rng,
+                     const Torus32 *noise, GlweKeyScratch &scratch)
 {
-    const uint32_t k = key.k();
-    const uint32_t n = key.ringDim();
-    GgswCiphertext out(k, n, g);
-    const TorusPolynomial zero(n);
-    for (uint32_t block = 0; block <= k; ++block) {
-        for (uint32_t level = 0; level < g.levels; ++level) {
-            Rng mask_rng = mask_root.fork(
-                stream_base + uint64_t(block) * g.levels + level);
-            GlweCiphertext row =
-                glweEncryptSeeded(key, zero, stddev, mask_rng, noise_rng);
-            const Torus32 scale = g.levelScale(level + 1);
-            if (block == k) {
-                row.body()[0] += static_cast<uint32_t>(m) * scale;
-            } else {
-                // Body form (see header): body -= m*scale*z_block,
-                // exact mod-2^32 arithmetic over the binary key poly.
-                const IntPolynomial &z = key.poly(block);
-                for (uint32_t j = 0; j < n; ++j)
-                    row.body()[j] -= static_cast<uint32_t>(m) * scale *
-                                     static_cast<uint32_t>(z[j]);
-            }
-            out.row(size_t(block) * g.levels + level) = std::move(row);
-        }
+    glweEncryptZeroSeeded(row, key, mask_rng, noise, scratch);
+    const uint32_t block = r / g.levels;
+    const Torus32 scale = g.levelScale(r % g.levels + 1);
+    if (block == key.k()) {
+        row.body()[0] += static_cast<uint32_t>(m) * scale;
+        return;
     }
-    return out;
+    // Body form (see header): body -= m*scale*z_block, exact mod-2^32
+    // arithmetic over the binary key poly.
+    const IntPolynomial &z = key.poly(block);
+    for (uint32_t j = 0; j < key.ringDim(); ++j)
+        row.body()[j] -=
+            static_cast<uint32_t>(m) * scale * static_cast<uint32_t>(z[j]);
 }
 
 void

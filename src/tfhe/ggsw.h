@@ -49,11 +49,14 @@ GgswCiphertext ggswEncrypt(const GlweKey &key, int32_t m,
                            const GadgetParams &g, double stddev, Rng &rng);
 
 /**
- * Seeded GGSW encryption: every mask polynomial is pure PRNG output
- * from a per-row fork of the stream rooted at @p mask_root (row
- * (block, level) uses stream id @p stream_base + block*levels +
- * level), so a holder of the root seed regenerates all masks and only
- * the k+1 body polynomials per GGSW need shipping (the BSK2 frame).
+ * Row @p r = block * levels + level of a seeded GGSW encryption of
+ * @p m, into @p row: a glweEncryptZeroSeeded of the row's mask stream
+ * @p mask_rng and its N @p noise values, then the message. Every mask
+ * polynomial is pure PRNG output from a per-row fork of one shipped
+ * seed (BootstrappingKey::generateSeeded picks the stream ids), so a
+ * holder of the seed regenerates all masks and only the k+1 body
+ * polynomials per GGSW need shipping (the BSK2 frame). Allocates
+ * nothing.
  *
  * The message is placed in *body form*: ggswEncrypt adds m*scale to
  * mask component `block`, which is fine when masks travel with the
@@ -65,10 +68,10 @@ GgswCiphertext ggswEncrypt(const GlweKey &key, int32_t m,
  * row phase E - m*scale*z_block, hence identical external-product
  * semantics and noise; only the ciphertext representation differs.
  */
-GgswCiphertext ggswEncryptSeeded(const GlweKey &key, int32_t m,
-                                 const GadgetParams &g, double stddev,
-                                 const Rng &mask_root,
-                                 uint64_t stream_base, Rng &noise_rng);
+void ggswEncryptSeededRow(GlweCiphertext &row, const GlweKey &key,
+                          int32_t m, const GadgetParams &g, uint32_t r,
+                          Rng &mask_rng, const Torus32 *noise,
+                          GlweKeyScratch &scratch);
 
 /**
  * External product: out = ggsw [*] glwe, computed exactly (Karatsuba).

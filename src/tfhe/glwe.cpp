@@ -5,7 +5,10 @@
 
 #include "tfhe/glwe.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
+#include "poly/simd.h"
 
 namespace strix {
 
@@ -64,6 +67,29 @@ GlweCiphertext::trivial(uint32_t k, const TorusPolynomial &mu)
     return ct;
 }
 
+GlweKeyScratch::GlweKeyScratch(uint32_t big_n)
+    : prod(big_n), work(3 * size_t(big_n))
+{
+}
+
+namespace {
+
+/**
+ * scratch.prod = z_i * A_i. The key is binary, so the product is an
+ * exact integer sum (PolyKernels::binaryKeyProduct): zero-noise
+ * encryptions decrypt exactly, and the bits match Karatsuba's.
+ */
+void
+keyProduct(GlweKeyScratch &scratch, const GlweKey &key, uint32_t i,
+           const TorusPolynomial &mask)
+{
+    activeKernels().binaryKeyProduct(scratch.prod.data(),
+                                     key.poly(i).data(), mask.data(),
+                                     scratch.work.data(), key.ringDim());
+}
+
+} // namespace
+
 GlweCiphertext
 glweEncrypt(const GlweKey &key, const TorusPolynomial &mu, double stddev,
             Rng &rng)
@@ -73,15 +99,12 @@ glweEncrypt(const GlweKey &key, const TorusPolynomial &mu, double stddev,
     panicIfNot(mu.size() == n, "glweEncrypt: message size mismatch");
 
     GlweCiphertext ct(k, n);
-    TorusPolynomial prod(n);
+    GlweKeyScratch scratch(n);
     for (uint32_t i = 0; i < k; ++i) {
         for (uint32_t j = 0; j < n; ++j)
             ct.poly(i)[j] = rng.uniformTorus32();
-        // body += A_i * z_i. Karatsuba over int64 is exact (keys are
-        // binary), which keeps zero-noise encryptions exactly
-        // decryptable -- the FFT path would add rounding noise here.
-        negacyclicMulKaratsuba(prod, key.poly(i), ct.poly(i));
-        ct.body().addAssign(prod);
+        keyProduct(scratch, key, i, ct.poly(i));
+        ct.body().addAssign(scratch.prod);
     }
     for (uint32_t j = 0; j < n; ++j)
         ct.body()[j] += mu[j] + rng.gaussianTorus32(stddev);
@@ -105,26 +128,21 @@ glweFillMask(GlweCiphertext &ct, Rng &mask_rng)
             ct.poly(i)[j] = mask_rng.uniformTorus32();
 }
 
-GlweCiphertext
-glweEncryptSeeded(const GlweKey &key, const TorusPolynomial &mu,
-                  double stddev, Rng &mask_rng, Rng &noise_rng)
+void
+glweEncryptZeroSeeded(GlweCiphertext &ct, const GlweKey &key,
+                      Rng &mask_rng, const Torus32 *noise,
+                      GlweKeyScratch &scratch)
 {
-    const uint32_t k = key.k();
     const uint32_t n = key.ringDim();
-    panicIfNot(mu.size() == n, "glweEncryptSeeded: message size mismatch");
-
-    GlweCiphertext ct(k, n);
+    panicIfNot(ct.k() == key.k() && ct.ringDim() == n,
+               "glweEncryptZeroSeeded: key/ct mismatch");
     glweFillMask(ct, mask_rng);
-    TorusPolynomial prod(n);
-    for (uint32_t i = 0; i < k; ++i) {
-        // Exact Karatsuba for the same reason as glweEncrypt: the
-        // zero-noise algebraic tests must decrypt exactly.
-        negacyclicMulKaratsuba(prod, key.poly(i), ct.poly(i));
-        ct.body().addAssign(prod);
+    TorusPolynomial &body = ct.body();
+    std::copy(noise, noise + n, body.data());
+    for (uint32_t i = 0; i < key.k(); ++i) {
+        keyProduct(scratch, key, i, ct.poly(i));
+        body.addAssign(scratch.prod);
     }
-    for (uint32_t j = 0; j < n; ++j)
-        ct.body()[j] += mu[j] + noise_rng.gaussianTorus32(stddev);
-    return ct;
 }
 
 TorusPolynomial
@@ -133,10 +151,10 @@ glwePhase(const GlweKey &key, const GlweCiphertext &ct)
     panicIfNot(key.k() == ct.k() && key.ringDim() == ct.ringDim(),
                "glwePhase: key/ct mismatch");
     TorusPolynomial phase = ct.body();
-    TorusPolynomial acc(key.ringDim());
+    GlweKeyScratch scratch(key.ringDim());
     for (uint32_t i = 0; i < key.k(); ++i) {
-        negacyclicMulKaratsuba(acc, key.poly(i), ct.poly(i));
-        phase.subAssign(acc);
+        keyProduct(scratch, key, i, ct.poly(i));
+        phase.subAssign(scratch.prod);
     }
     return phase;
 }

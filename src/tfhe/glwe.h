@@ -86,25 +86,43 @@ GlweCiphertext glweEncrypt(const GlweKey &key, const TorusPolynomial &mu,
 GlweCiphertext glweEncryptZero(const GlweKey &key, double stddev, Rng &rng);
 
 /**
+ * Working storage of the exact key products sum_i A_i * z_i
+ * (PolyKernels::binaryKeyProduct): one product polynomial and the
+ * kernel's 3N scratch words. Split key expansion gives each worker
+ * one, so its rows allocate nothing.
+ */
+struct GlweKeyScratch
+{
+    explicit GlweKeyScratch(uint32_t big_n);
+
+    TorusPolynomial prod;
+    std::vector<uint32_t> work;
+};
+
+/**
  * Fill the k mask polynomials of @p ct from @p mask_rng: k*N
  * uniformTorus32 draws, component-major. The single source of truth
- * for the seeded mask stream layout -- glweEncryptSeeded draws masks
- * through this helper and seeded-key expansion
+ * for the seeded mask stream layout -- glweEncryptZeroSeeded draws
+ * masks through this helper and seeded-key expansion
  * (BootstrappingKey::fromSeededBodies) replays it with an identically
  * forked generator, so both sides see bit-identical masks.
  */
 void glweFillMask(GlweCiphertext &ct, Rng &mask_rng);
 
 /**
- * Encrypt with the k mask polynomials drawn from @p mask_rng
- * (glweFillMask order) and the noise from @p noise_rng. With the mask
- * stream forked from a shippable seed, the masks are pure PRNG output
- * regenerable by any holder of the seed; only the body polynomial
- * must travel (the seeded BSK2 frame).
+ * Encrypt zero into @p ct (shaped k, N) with the k mask polynomials
+ * drawn from @p mask_rng (glweFillMask order) and the body
+ * sum_i A_i * z_i + noise[j], @p noise holding the N noise values in
+ * coefficient order. With the mask stream forked from a shippable
+ * seed, the masks are pure PRNG output regenerable by any holder of
+ * the seed; only the body polynomial must travel (the seeded BSK2
+ * frame). The caller draws the noise, so rows of one key can be
+ * encrypted on several threads in any order with the same bits, and
+ * nothing here allocates.
  */
-GlweCiphertext glweEncryptSeeded(const GlweKey &key,
-                                 const TorusPolynomial &mu, double stddev,
-                                 Rng &mask_rng, Rng &noise_rng);
+void glweEncryptZeroSeeded(GlweCiphertext &ct, const GlweKey &key,
+                           Rng &mask_rng, const Torus32 *noise,
+                           GlweKeyScratch &scratch);
 
 /** Raw phase B - sum A_i z_i (message + noise polynomial). */
 TorusPolynomial glwePhase(const GlweKey &key, const GlweCiphertext &ct);

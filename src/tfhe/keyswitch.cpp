@@ -5,57 +5,88 @@
 
 #include "tfhe/keyswitch.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "poly/simd.h"
 
 namespace strix {
 
+namespace {
+
+/** KSK rows per index of the expansions' parallelFor. */
+constexpr size_t kRowsPerBlock = 256;
+
+/** parallelFor over [0, rows) in blocks of kRowsPerBlock rows. */
+void
+forEachRowBlock(ThreadPool *pool, size_t rows,
+                const std::function<void(size_t first, size_t last)> &fn)
+{
+    const size_t blocks = (rows + kRowsPerBlock - 1) / kRowsPerBlock;
+    parallelFor(pool, blocks, [&](size_t b, unsigned) {
+        fn(b * kRowsPerBlock, std::min(rows, (b + 1) * kRowsPerBlock));
+    });
+}
+
+} // namespace
+
 KeySwitchKey
 KeySwitchKey::generateSeeded(const LweKey &from, const LweKey &to,
                              const TfheParams &params,
-                             uint64_t mask_seed, Rng &noise_rng)
+                             uint64_t mask_seed, Rng &noise_rng,
+                             ThreadPool *pool)
 {
     KeySwitchKey ksk;
     ksk.in_dim_ = from.dim();
     ksk.out_dim_ = to.dim();
     ksk.g_ = GadgetParams{params.ks_base_bits, params.l_ksk};
+    const uint32_t levels = params.l_ksk;
+    const size_t rows = size_t(from.dim()) * levels;
+    // The calling thread allocates every row, and the noise is drawn
+    // in row order; the lanes then fill the rows by block, so the key
+    // is the same bits at any lane count.
+    ksk.rows_.assign(rows, LweCiphertext(to.dim()));
+    std::vector<Torus32> noise(rows);
+    noise_rng.fillGaussianTorus32(noise.data(), rows, params.lwe_noise, pool);
     const Rng mask_root(mask_seed);
-    ksk.rows_.reserve(size_t(from.dim()) * params.l_ksk);
-    for (uint32_t i = 0; i < from.dim(); ++i) {
-        for (uint32_t j = 1; j <= params.l_ksk; ++j) {
-            Torus32 msg = static_cast<uint32_t>(from.bit(i)) *
-                          ksk.g_.levelScale(j);
-            Rng mask_rng = mask_root.fork(
-                uint64_t(i) * params.l_ksk + (j - 1));
-            ksk.rows_.push_back(lweEncryptSeeded(
-                to, msg, params.lwe_noise, mask_rng, noise_rng));
+    forEachRowBlock(pool, rows, [&](size_t first, size_t last) {
+        for (size_t r = first; r < last; ++r) {
+            // Row r = i*levels + level encrypts z_i * q/B^(level+1).
+            const auto i = static_cast<uint32_t>(r / levels);
+            const Torus32 msg = static_cast<uint32_t>(from.bit(i)) *
+                                ksk.g_.levelScale(r % levels + 1);
+            Rng mask_rng = mask_root.fork(r);
+            lweEncryptSeeded(ksk.rows_[r], to, msg, mask_rng, noise[r]);
         }
-    }
+    });
     return ksk;
 }
 
 KeySwitchKey
 KeySwitchKey::fromSeededBodies(uint32_t in_dim, uint32_t out_dim,
                                const GadgetParams &g, uint64_t mask_seed,
-                               const std::vector<Torus32> &bodies)
+                               const std::vector<Torus32> &bodies,
+                               ThreadPool *pool)
 {
     panicIfNot(bodies.size() == size_t(in_dim) * g.levels,
                "ksk fromSeededBodies: body count mismatch");
-    const Rng mask_root(mask_seed);
     KeySwitchKey ksk;
     ksk.in_dim_ = in_dim;
     ksk.out_dim_ = out_dim;
     ksk.g_ = g;
-    ksk.rows_.reserve(bodies.size());
-    for (uint64_t r = 0; r < bodies.size(); ++r) {
-        LweCiphertext ct(out_dim);
-        // Same fork id as generateSeeded (i*levels + level == r) and
-        // the same mask draw order as lweEncryptSeeded.
-        Rng mask_rng = mask_root.fork(r);
-        lweFillMask(ct, mask_rng);
-        ct.b() = bodies[r];
-        ksk.rows_.push_back(std::move(ct));
-    }
+    ksk.rows_.assign(bodies.size(), LweCiphertext(out_dim));
+    const Rng mask_root(mask_seed);
+    forEachRowBlock(pool, bodies.size(), [&](size_t first, size_t last) {
+        for (size_t r = first; r < last; ++r) {
+            // Same fork id as generateSeeded and the same mask draw
+            // order as lweEncryptSeeded.
+            Rng mask_rng = mask_root.fork(r);
+            lweFillMask(ksk.rows_[r], mask_rng);
+            ksk.rows_[r].b() = bodies[r];
+        }
+    });
     return ksk;
 }
 

@@ -20,6 +20,8 @@
 
 namespace strix {
 
+class ThreadPool;
+
 /** Keyswitching key: rows ksk[i][j] = LWE_s(z_i * q / base^{j+1}). */
 class KeySwitchKey
 {
@@ -40,29 +42,36 @@ class KeySwitchKey
      * typically GlweKey::extractedLweKey()) to @p to (dimension n),
      * one lweEncryptSeeded per row: the mask of row (i, level) comes
      * from fork i*l_ksk + level of the stream rooted at @p mask_seed;
-     * only noise draws from @p noise_rng. The key is fully determined
-     * by (mask_seed, bodies) -- the KSK2 frame ships exactly that and
-     * fromSeededBodies() reconstructs it bit-identically.
+     * only noise draws from @p noise_rng, one value per row in row
+     * order. The key is fully determined by (mask_seed, bodies) -- the
+     * KSK2 frame ships exactly that and fromSeededBodies()
+     * reconstructs it bit-identically. With a @p pool, blocks of rows
+     * are encrypted on its lanes once the noise is drawn
+     * (Rng::fillGaussianTorus32) and the calling thread has allocated
+     * every row, so the key is the same bits at any lane count.
      */
     static KeySwitchKey generateSeeded(const LweKey &from,
                                        const LweKey &to,
                                        const TfheParams &params,
                                        uint64_t mask_seed,
-                                       Rng &noise_rng);
+                                       Rng &noise_rng,
+                                       ThreadPool *pool = nullptr);
 
     /**
      * Rebuild a generateSeeded() key from its mask seed plus the
      * shipped bodies: @p bodies holds in_dim*levels scalars, entry
      * i*levels + level being b of row (i, level). Masks re-expand
-     * from per-row forks of @p mask_seed; needs no secret key. Panics
-     * on count mismatch -- callers feeding untrusted bytes validate
-     * shapes first (serialize.cpp does).
+     * from per-row forks of @p mask_seed, by row block on the lanes of
+     * @p pool if one is given (the same bits at any lane count); needs
+     * no secret key. Panics on count mismatch -- callers feeding
+     * untrusted bytes validate shapes first (serialize.cpp does).
      */
     static KeySwitchKey fromSeededBodies(uint32_t in_dim,
                                          uint32_t out_dim,
                                          const GadgetParams &g,
                                          uint64_t mask_seed,
-                                         const std::vector<Torus32> &bodies);
+                                         const std::vector<Torus32> &bodies,
+                                         ThreadPool *pool = nullptr);
 
   private:
     uint32_t in_dim_ = 0;

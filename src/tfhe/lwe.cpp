@@ -76,18 +76,17 @@ lweFillMask(LweCiphertext &ct, Rng &mask_rng)
         ct.a(i) = mask_rng.uniformTorus32();
 }
 
-LweCiphertext
-lweEncryptSeeded(const LweKey &key, Torus32 mu, double stddev,
-                 Rng &mask_rng, Rng &noise_rng)
+void
+lweEncryptSeeded(LweCiphertext &ct, const LweKey &key, Torus32 mu,
+                 Rng &mask_rng, Torus32 noise)
 {
-    LweCiphertext ct(key.dim());
+    panicIfNot(ct.dim() == key.dim(), "lweEncryptSeeded: dim mismatch");
     lweFillMask(ct, mask_rng);
     Torus32 dot = 0;
     for (uint32_t i = 0; i < key.dim(); ++i)
         if (key.bit(i))
             dot += ct.a(i);
-    ct.b() = dot + mu + noise_rng.gaussianTorus32(stddev);
-    return ct;
+    ct.b() = dot + mu + noise;
 }
 
 Torus32

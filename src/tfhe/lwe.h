@@ -82,16 +82,17 @@ LweCiphertext lweEncrypt(const LweKey &key, Torus32 mu, double stddev,
 void lweFillMask(LweCiphertext &ct, Rng &mask_rng);
 
 /**
- * Encrypt with the mask drawn from @p mask_rng and the noise from
- * @p noise_rng. With the mask stream forked from a shippable seed
- * (Rng::fork), the mask scalars are pure PRNG output any holder of the
- * seed regenerates via lweFillMask -- only the body must travel, which
- * is what the seeded KSK2 frame exploits. Bitwise identical to
- * lweEncrypt when both streams sit at the equivalent positions.
+ * Encrypt into @p ct (of the key's dimension) with the mask drawn from
+ * @p mask_rng and the noise value @p noise given. With the mask stream
+ * forked from a shippable seed (Rng::fork), the mask scalars are pure
+ * PRNG output any holder of the seed regenerates via lweFillMask --
+ * only the body must travel, which is what the seeded KSK2 frame
+ * exploits. Bitwise identical to lweEncrypt when @p mask_rng sits at
+ * the same position and @p noise is its next noise draw. Allocates
+ * nothing.
  */
-LweCiphertext lweEncryptSeeded(const LweKey &key, Torus32 mu,
-                               double stddev, Rng &mask_rng,
-                               Rng &noise_rng);
+void lweEncryptSeeded(LweCiphertext &ct, const LweKey &key, Torus32 mu,
+                      Rng &mask_rng, Torus32 noise);
 
 /** Decrypt to the raw phase b - <a, s> (message + noise). */
 Torus32 lwePhase(const LweKey &key, const LweCiphertext &ct);

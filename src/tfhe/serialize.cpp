@@ -19,6 +19,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/parallel.h"
+
 namespace strix {
 
 namespace {
@@ -237,7 +239,10 @@ writeSeededBsk(std::ostream &os, const BootstrappingKey &bsk,
     fw.endSection();
 
     const size_t rows_per_bit = size_t(p.k + 1) * p.l_bsk;
-    fw.beginSection(kSectionBodies);
+    // 16 bytes per point of every body row: known up front, so the
+    // bodies stream straight out instead of through a staged copy.
+    fw.beginSection(kSectionBodies,
+                    uint64_t(bsk.n()) * rows_per_bit * (p.N / 2) * 16);
     std::vector<unsigned char> buf;
     for (uint32_t i = 0; i < bsk.n(); ++i) {
         for (size_t r = 0; r < rows_per_bit; ++r) {
@@ -248,7 +253,7 @@ writeSeededBsk(std::ostream &os, const BootstrappingKey &bsk,
     fw.endSection();
 }
 
-BootstrappingKey
+std::vector<FreqPolynomial>
 readSeededBsk(std::istream &is, const TfheParams &expect,
               uint64_t &mask_seed_out)
 {
@@ -293,11 +298,7 @@ readSeededBsk(std::istream &is, const TfheParams &expect,
         bodies.push_back(std::move(body));
     }
     fr.leaveSection();
-    // Shapes fully validated above: the panics inside the rebuild (and
-    // in the decomposer at evaluation time) are unreachable from wire
-    // input.
-    return BootstrappingKey::fromSeededBodies(expect, mask_seed_out,
-                                              std::move(bodies));
+    return bodies;
 }
 
 /**
@@ -327,7 +328,7 @@ writeSeededKsk(std::ostream &os, const KeySwitchKey &ksk,
     fw.endSection();
 }
 
-KeySwitchKey
+std::vector<Torus32>
 readSeededKsk(std::istream &is, const TfheParams &expect,
               uint64_t &mask_seed_out)
 {
@@ -359,8 +360,7 @@ readSeededKsk(std::istream &is, const TfheParams &expect,
     for (uint64_t r = 0; r < rows; ++r)
         bodies.push_back(fr.u32());
     fr.leaveSection();
-    return KeySwitchKey::fromSeededBodies(in_dim, out_dim, g,
-                                          mask_seed_out, bodies);
+    return bodies;
 }
 
 } // namespace
@@ -383,8 +383,22 @@ deserializeEvalKeys(std::istream &is)
                    "eval keys");
     TfheParams p = deserializeParams(is);
     EvalKeySeeds seeds{0, 0};
-    BootstrappingKey bsk = readSeededBsk(is, p, seeds.bsk_mask);
-    KeySwitchKey ksk = readSeededKsk(is, p, seeds.ksk_mask);
+    std::vector<FreqPolynomial> bsk_bodies =
+        readSeededBsk(is, p, seeds.bsk_mask);
+    const std::vector<Torus32> ksk_bodies =
+        readSeededKsk(is, p, seeds.ksk_mask);
+    // Every shape is validated by now (the KSK's equals the params'),
+    // so the panics inside the rebuild -- and in the decomposer at
+    // evaluation time -- are unreachable from wire input. The masks
+    // re-expand on a pool of STRIX_THREADS lanes that lives only for
+    // this call; each row's mask depends only on its fork, so the keys
+    // are the same bits at any lane count.
+    ThreadPool pool;
+    BootstrappingKey bsk = BootstrappingKey::fromSeededBodies(
+        p, seeds.bsk_mask, std::move(bsk_bodies), &pool);
+    KeySwitchKey ksk = KeySwitchKey::fromSeededBodies(
+        p.extractedDim(), p.n, GadgetParams{p.ks_base_bits, p.l_ksk},
+        seeds.ksk_mask, ksk_bodies, &pool);
     // Keep the seeds: the rebuilt bundle re-serializes byte-identically
     // to the original's frame.
     return std::make_shared<const EvalKeys>(p, std::move(bsk),

@@ -86,8 +86,11 @@ TorusPolynomial deserializeTorusPolynomial(std::istream &is);
  * cross-validated against the embedded parameter frame and gadgets
  * against the decomposer's domain (mismatches throw rather than
  * yielding a bundle that silently evaluates garbage or aborts on
- * first use). Returned behind shared_ptr, ready to hand to any number
- * of ServerContexts.
+ * first use). The whole frame is read and checked first; the masks
+ * then re-expand by BSK bit and KSK row block on a ThreadPool of the
+ * default size (STRIX_THREADS) that lives for the call, the same bits
+ * at any lane count. Returned behind shared_ptr, ready to hand to any
+ * number of ServerContexts.
  */
 std::shared_ptr<const EvalKeys> deserializeEvalKeys(std::istream &is);
 

@@ -7,6 +7,8 @@
  * under both CI legs: with STRIX_SIMD=ON they compare the two
  * backends element by element; with STRIX_SIMD=OFF (or on a non-AVX2
  * host) the vector half skips and the scalar reference still runs.
+ * The integer binary-key product is pinned exactly (==) to Karatsuba
+ * on every table.
  */
 
 #include <gtest/gtest.h>
@@ -244,6 +246,7 @@ TEST(SimdDispatch, ScalarTableIsAlwaysAvailable)
     EXPECT_NE(s.mulAccumulate, nullptr);
     EXPECT_NE(s.mulAccumulateColumns, nullptr);
     EXPECT_NE(s.subScaledRow, nullptr);
+    EXPECT_NE(s.binaryKeyProduct, nullptr);
 }
 
 class KernelCrossCheck : public ::testing::TestWithParam<size_t>
@@ -898,6 +901,49 @@ TEST_P(NegacyclicFftInverseExactness, KernelEntryEqualsStagesThenUntwist)
 }
 
 INSTANTIATE_TEST_SUITE_P(RingDims, NegacyclicFftInverseExactness,
+                         ::testing::ValuesIn(kRingDims));
+
+// ---------------------------------------------------------------------------
+// The binary-key product is integer arithmetic mod 2^32, so every
+// table must equal the exact Karatsuba product, bit for bit, at every
+// ring dimension -- on the SIMD-off and forced-scalar legs too, where
+// only the scalar table runs.
+
+class BinaryKeyProductExactness : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(BinaryKeyProductExactness, EqualsKaratsubaOnEveryTable)
+{
+    const size_t n = GetParam();
+    std::vector<const PolyKernels *> tables = {&scalarKernels()};
+    if (avx2Kernels() != nullptr)
+        tables.push_back(avx2Kernels());
+    Rng rng(n + 41);
+    const TorusPolynomial mask = test::randomTorusPoly(n, rng);
+    IntPolynomial random_key(n), zeros(n), ones(n);
+    for (size_t j = 0; j < n; ++j) {
+        random_key[j] = rng.uniformBit();
+        ones[j] = 1;
+    }
+    for (const IntPolynomial *key : {&random_key, &zeros, &ones}) {
+        TorusPolynomial expected(n);
+        negacyclicMulKaratsuba(expected, *key, mask);
+        for (const PolyKernels *kernels : tables) {
+            // Stale words in out and work must not leak into the product.
+            TorusPolynomial got(n);
+            std::fill(got.data(), got.data() + n, 0xA5A5A5A5u);
+            std::vector<uint32_t> work(3 * n, 0xDEADBEEFu);
+            kernels->binaryKeyProduct(got.data(), key->data(), mask.data(),
+                                      work.data(), n);
+            EXPECT_TRUE(got == expected)
+                << kernels->name << " n=" << n << " key "
+                << (key == &zeros ? "zeros" : key == &ones ? "ones" : "random");
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RingDims, BinaryKeyProductExactness,
                          ::testing::ValuesIn(kRingDims));
 
 TEST(NegacyclicFft, MulAccumulatePanicsOnAccumulatorShapeMismatch)

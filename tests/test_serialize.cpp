@@ -12,12 +12,43 @@
 
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 
 #include "tfhe/serialize.h"
 #include "support/test_util.h"
 
 namespace strix {
 namespace {
+
+TEST(Frame, KnownLengthSectionWritesTheStagedBytes)
+{
+    const unsigned char body[5] = {1, 2, 3, 4, 5};
+    std::ostringstream staged, streamed;
+    {
+        FrameWriter fw(staged, 0x54534554u, 2);
+        fw.beginSection(7);
+        fw.bytes(body, sizeof body);
+        fw.u32(9);
+        fw.endSection();
+    }
+    {
+        FrameWriter fw(streamed, 0x54534554u, 2);
+        fw.beginSection(7, sizeof body + 4);
+        fw.bytes(body, sizeof body);
+        fw.u32(9);
+        fw.endSection();
+    }
+    EXPECT_EQ(streamed.str(), staged.str());
+
+    std::ostringstream os;
+    FrameWriter over(os, 0x54534554u, 2);
+    over.beginSection(7, 4);
+    EXPECT_THROW(over.bytes(body, sizeof body), std::logic_error);
+    FrameWriter shorter(os, 0x54534554u, 2);
+    shorter.beginSection(7, 8);
+    shorter.u32(1);
+    EXPECT_THROW(shorter.endSection(), std::logic_error);
+}
 
 TEST(Serialize, ParamsRoundTrip)
 {
