@@ -28,14 +28,10 @@ FrameWriter::FrameWriter(std::ostream &os, uint32_t tag,
 void
 FrameWriter::bytes(const void *data, size_t len)
 {
-    if (streaming_) {
+    if (in_section_) {
         if (len > unwritten_)
             throw std::logic_error("FrameWriter: section overrun");
         unwritten_ -= len;
-    } else if (in_section_) {
-        const auto *p = static_cast<const unsigned char *>(data);
-        buf_.insert(buf_.end(), p, p + len);
-        return;
     }
     os_.write(static_cast<const char *>(data),
               static_cast<std::streamsize>(len));
@@ -69,16 +65,6 @@ FrameWriter::f64(double v)
 }
 
 void
-FrameWriter::beginSection(uint32_t id)
-{
-    if (in_section_)
-        throw std::logic_error("FrameWriter: nested section");
-    in_section_ = true;
-    section_id_ = id;
-    buf_.clear();
-}
-
-void
 FrameWriter::beginSection(uint32_t id, uint64_t len)
 {
     if (in_section_)
@@ -86,7 +72,6 @@ FrameWriter::beginSection(uint32_t id, uint64_t len)
     u32(id);
     u64(len);
     in_section_ = true;
-    streaming_ = true;
     unwritten_ = len;
 }
 
@@ -96,15 +81,8 @@ FrameWriter::endSection()
     if (!in_section_)
         throw std::logic_error("FrameWriter: no open section");
     in_section_ = false;
-    if (streaming_) {
-        streaming_ = false;
-        if (unwritten_ != 0)
-            throw std::logic_error("FrameWriter: section short");
-        return;
-    }
-    u32(section_id_);
-    u64(buf_.size());
-    bytes(buf_.data(), buf_.size());
+    if (unwritten_ != 0)
+        throw std::logic_error("FrameWriter: section short");
 }
 
 // --- FrameReader -----------------------------------------------------

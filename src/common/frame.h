@@ -22,18 +22,16 @@
 #include <cstdint>
 #include <iosfwd>
 #include <type_traits>
-#include <vector>
 
 namespace strix {
 
 /**
  * Incremental frame writer: header (tag + version) up front, then
  * little-endian primitives. Version-2 frames group their payload into
- * length-prefixed sections ([id u32][length u64][payload]): the
- * section payload is staged in memory by beginSection()/endSection()
- * so the length prefix is exact, giving readers a checkable frame
- * skeleton; a section whose length the caller knows streams through
- * instead. Primitives outside a section write straight through --
+ * length-prefixed sections ([id u32][length u64][payload]): the writer
+ * declares each section's length up front and checks that exactly that
+ * many bytes follow, so the prefix is exact and readers get a
+ * checkable frame skeleton. Outside a section nothing is counted --
  * the v1 frames use only that raw mode, which keeps their byte layout
  * identical to the historical ad-hoc writers.
  */
@@ -57,25 +55,19 @@ class FrameWriter
     void f64(double v);
     void bytes(const void *data, size_t len);
 
-    /** Open section @p id; payload is staged until endSection(). */
-    void beginSection(uint32_t id);
     /**
-     * Open section @p id of a length the caller knows: the id and
-     * @p len go out now and the payload writes straight through, with
-     * no staging copy. Writing past @p len, or closing the section
-     * short of it, throws std::logic_error.
+     * Open section @p id of @p len bytes: the id and length go out
+     * now and the payload writes straight through. Writing past
+     * @p len throws std::logic_error.
      */
     void beginSection(uint32_t id, uint64_t len);
-    /** Close the section: flush a staged one (id, byte length, payload). */
+    /** Close the section; throws std::logic_error if it is short. */
     void endSection();
 
   private:
     std::ostream &os_;
     bool in_section_ = false;
-    bool streaming_ = false; //!< a known-length section is open
-    uint64_t unwritten_ = 0; //!< bytes it still expects
-    uint32_t section_id_ = 0;
-    std::vector<unsigned char> buf_;
+    uint64_t unwritten_ = 0; //!< bytes the open section still expects
 };
 
 /**

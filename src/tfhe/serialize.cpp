@@ -29,6 +29,13 @@ namespace {
 constexpr uint32_t kSectionShape = 1;
 constexpr uint32_t kSectionBodies = 2;
 
+/**
+ * Shape section lengths: five (BSK2: n, k, N, Bg bits, l) or four
+ * (KSK2: in, out, base bits, levels) u32s, then the u64 mask seed.
+ */
+constexpr uint64_t kBskShapeBytes = 5 * 4 + 8;
+constexpr uint64_t kKskShapeBytes = 4 * 4 + 8;
+
 void
 writeU32Vector(FrameWriter &fw, const std::vector<uint32_t> &v)
 {
@@ -229,7 +236,7 @@ writeSeededBsk(std::ostream &os, const BootstrappingKey &bsk,
     FrameWriter fw(os, SerialTag::SeededBootstrapKey,
                    kSerializeVersionSeeded);
     const TfheParams &p = bsk.params();
-    fw.beginSection(kSectionShape);
+    fw.beginSection(kSectionShape, kBskShapeBytes);
     fw.u32(bsk.n());
     fw.u32(p.k);
     fw.u32(p.N);
@@ -239,8 +246,7 @@ writeSeededBsk(std::ostream &os, const BootstrappingKey &bsk,
     fw.endSection();
 
     const size_t rows_per_bit = size_t(p.k + 1) * p.l_bsk;
-    // 16 bytes per point of every body row: known up front, so the
-    // bodies stream straight out instead of through a staged copy.
+    // 16 bytes per point of every body row.
     fw.beginSection(kSectionBodies,
                     uint64_t(bsk.n()) * rows_per_bit * (p.N / 2) * 16);
     std::vector<unsigned char> buf;
@@ -259,7 +265,7 @@ readSeededBsk(std::istream &is, const TfheParams &expect,
 {
     FrameReader fr(is, SerialTag::SeededBootstrapKey,
                    kSerializeVersionSeeded, "seeded bootstrapping key");
-    fr.enterSection(kSectionShape, 28);
+    fr.enterSection(kSectionShape, kBskShapeBytes);
     uint32_t n = fr.u32();
     uint32_t k = fr.u32();
     uint32_t big_n = fr.u32();
@@ -313,7 +319,7 @@ writeSeededKsk(std::ostream &os, const KeySwitchKey &ksk,
 {
     FrameWriter fw(os, SerialTag::SeededKeySwitchKey,
                    kSerializeVersionSeeded);
-    fw.beginSection(kSectionShape);
+    fw.beginSection(kSectionShape, kKskShapeBytes);
     fw.u32(ksk.inDim());
     fw.u32(ksk.outDim());
     fw.u32(ksk.gadget().base_bits);
@@ -321,7 +327,8 @@ writeSeededKsk(std::ostream &os, const KeySwitchKey &ksk,
     fw.u64(mask_seed);
     fw.endSection();
 
-    fw.beginSection(kSectionBodies);
+    fw.beginSection(kSectionBodies,
+                    uint64_t(ksk.inDim()) * ksk.gadget().levels * 4);
     for (uint32_t i = 0; i < ksk.inDim(); ++i)
         for (uint32_t j = 0; j < ksk.gadget().levels; ++j)
             fw.u32(ksk.row(i, j).b());
@@ -334,7 +341,7 @@ readSeededKsk(std::istream &is, const TfheParams &expect,
 {
     FrameReader fr(is, SerialTag::SeededKeySwitchKey,
                    kSerializeVersionSeeded, "seeded keyswitch key");
-    fr.enterSection(kSectionShape, 24);
+    fr.enterSection(kSectionShape, kKskShapeBytes);
     uint32_t in_dim = fr.u32();
     uint32_t out_dim = fr.u32();
     GadgetParams g{fr.u32(), fr.u32()};
