@@ -5,11 +5,7 @@
 
 #include "common/random.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
-
-#include "common/parallel.h"
 
 namespace strix {
 
@@ -31,23 +27,6 @@ rotl(uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
 }
-
-/**
- * The Box-Muller transform of one pair of uniforms: two independent
- * standard normals. Kept out of line so gaussianDouble and
- * fillGaussianTorus32 run the one compiled copy and round alike.
- */
-[[gnu::noinline]] void
-boxMuller(double u1, double u2, double &first, double &second)
-{
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    first = r * std::cos(theta);
-    second = r * std::sin(theta);
-}
-
-/** Box-Muller pairs per index of fillGaussianTorus32's parallelFor. */
-constexpr size_t kPairsPerBlock = 4096;
 
 } // namespace
 
@@ -106,10 +85,11 @@ Rng::gaussianDouble()
     while (u1 <= 1e-300)
         u1 = uniformDouble();
     double u2 = uniformDouble();
-    double first;
-    boxMuller(u1, u2, first, cached_gauss_);
+    double r = std::sqrt(-2.0 * std::log(u1));
+    double theta = 2.0 * M_PI * u2;
+    cached_gauss_ = r * std::sin(theta);
     has_cached_gauss_ = true;
-    return first;
+    return r * std::cos(theta);
 }
 
 Torus32
@@ -118,48 +98,6 @@ Rng::gaussianTorus32(double stddev)
     if (stddev == 0.0)
         return 0;
     return doubleToTorus32(gaussianDouble() * stddev);
-}
-
-void
-Rng::fillGaussianTorus32(Torus32 *out, size_t count, double stddev,
-                         ThreadPool *pool)
-{
-    if (stddev == 0.0 || count == 0) {
-        std::fill(out, out + count, 0u);
-        return;
-    }
-    // A value cached by an earlier call comes first, as it would.
-    size_t first = 0;
-    if (has_cached_gauss_)
-        out[first++] = gaussianTorus32(stddev);
-    // Every pair's uniforms, in the order gaussianDouble draws them.
-    // An odd tail draws one more pair and caches its second value.
-    const size_t pairs = (count - first + 1) / 2;
-    std::vector<double> u(2 * pairs);
-    for (size_t p = 0; p < pairs; ++p) {
-        double u1 = uniformDouble();
-        while (u1 <= 1e-300)
-            u1 = uniformDouble();
-        u[2 * p] = u1;
-        u[2 * p + 1] = uniformDouble();
-    }
-    const size_t full = (count - first) / 2;
-    const size_t blocks = (full + kPairsPerBlock - 1) / kPairsPerBlock;
-    parallelFor(pool, blocks, [&](size_t b, unsigned) {
-        const size_t end = std::min(full, (b + 1) * kPairsPerBlock);
-        for (size_t p = b * kPairsPerBlock; p < end; ++p) {
-            double g0, g1;
-            boxMuller(u[2 * p], u[2 * p + 1], g0, g1);
-            out[first + 2 * p] = doubleToTorus32(g0 * stddev);
-            out[first + 2 * p + 1] = doubleToTorus32(g1 * stddev);
-        }
-    });
-    if (full < pairs) {
-        double g0;
-        boxMuller(u[2 * full], u[2 * full + 1], g0, cached_gauss_);
-        has_cached_gauss_ = true;
-        out[count - 1] = doubleToTorus32(g0 * stddev);
-    }
 }
 
 } // namespace strix

@@ -12,14 +12,11 @@
 #ifndef STRIX_COMMON_RANDOM_H
 #define STRIX_COMMON_RANDOM_H
 
-#include <cstddef>
 #include <cstdint>
 
 #include "common/types.h"
 
 namespace strix {
-
-class ThreadPool;
 
 /**
  * xoshiro256** 1.0 generator. Small, fast, and good enough statistical
@@ -76,18 +73,6 @@ class Rng
      * suite uses for exact-algebra properties.
      */
     Torus32 gaussianTorus32(double stddev);
-
-    /**
-     * The next @p count gaussianTorus32(@p stddev) values into @p out,
-     * leaving the generator where @p count calls would. The uniform
-     * draws are made here, in stream order; the Box-Muller transforms
-     * of the pairs are independent of each other, so they run on the
-     * lanes of @p pool if one is given. The values are the same bits
-     * either way: the transform is one function, shared with
-     * gaussianDouble.
-     */
-    void fillGaussianTorus32(Torus32 *out, size_t count, double stddev,
-                             ThreadPool *pool = nullptr);
 
   private:
     uint64_t seed_; //!< construction seed, kept for fork()

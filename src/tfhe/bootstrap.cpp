@@ -68,10 +68,11 @@ BootstrappingKey::generateSeeded(const LweKey &lwe_key,
     const Rng mask_root(mask_seed);
     for (uint32_t first = 0; first < params.n; first += kBitsPerBlock) {
         const uint32_t count = std::min(kBitsPerBlock, params.n - first);
-        // One noise stream in bit, row, coefficient order, whatever
-        // the lanes: the key is the same bits at any lane count.
-        noise_rng.fillGaussianTorus32(noise.data(), count * noise_per_bit,
-                                      params.glwe_noise, pool);
+        // One noise stream in bit, row, coefficient order, drawn here
+        // whatever the lanes: the key is the same bits at any lane
+        // count.
+        for (size_t j = 0; j < count * noise_per_bit; ++j)
+            noise[j] = noise_rng.gaussianTorus32(params.glwe_noise);
         parallelFor(pool, count, [&](size_t b, unsigned worker) {
             const uint32_t i = first + static_cast<uint32_t>(b);
             RowScratch &s = scratch[worker];

@@ -42,11 +42,10 @@ class BootstrappingKey
      * it bit-identically.
      *
      * With a @p pool, the bits of each block of 16 are encrypted and
-     * transformed on its lanes. The block's noise is drawn first
-     * (Rng::fillGaussianTorus32: the calling thread takes the uniforms
-     * in stream order, the lanes transform them), the values a serial
-     * run draws, and the calling thread allocates every key row, so
-     * the key is the same bits at any lane count.
+     * transformed on its lanes. The calling thread first draws the
+     * block's noise from @p noise_rng, in the order a serial run draws
+     * it, and it allocates every key row, so the key is the same bits
+     * at any lane count.
      */
     static BootstrappingKey generateSeeded(const LweKey &lwe_key,
                                            const GlweKey &glwe_key,

@@ -49,7 +49,8 @@ KeySwitchKey::generateSeeded(const LweKey &from, const LweKey &to,
     // is the same bits at any lane count.
     ksk.rows_.assign(rows, LweCiphertext(to.dim()));
     std::vector<Torus32> noise(rows);
-    noise_rng.fillGaussianTorus32(noise.data(), rows, params.lwe_noise, pool);
+    for (Torus32 &e : noise)
+        e = noise_rng.gaussianTorus32(params.lwe_noise);
     const Rng mask_root(mask_seed);
     forEachRowBlock(pool, rows, [&](size_t first, size_t last) {
         for (size_t r = first; r < last; ++r) {

@@ -46,9 +46,9 @@ class KeySwitchKey
      * order. The key is fully determined by (mask_seed, bodies) -- the
      * KSK2 frame ships exactly that and fromSeededBodies()
      * reconstructs it bit-identically. With a @p pool, blocks of rows
-     * are encrypted on its lanes once the noise is drawn
-     * (Rng::fillGaussianTorus32) and the calling thread has allocated
-     * every row, so the key is the same bits at any lane count.
+     * are encrypted on its lanes once the calling thread has drawn the
+     * noise and allocated every row, so the key is the same bits at
+     * any lane count.
      */
     static KeySwitchKey generateSeeded(const LweKey &from,
                                        const LweKey &to,

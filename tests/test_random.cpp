@@ -5,10 +5,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
-#include <memory>
-#include <vector>
 
-#include "common/parallel.h"
 #include "common/random.h"
 
 namespace strix {
@@ -147,48 +144,6 @@ TEST(RngFork, StreamZeroDiffersFromParent)
     for (int i = 0; i < 64; ++i)
         same += parent.next64() == child.next64();
     EXPECT_LT(same, 2);
-}
-
-TEST(RngGaussianFill, EqualsSequentialDrawsAtAnyLaneCount)
-{
-    // Counts around the pair and block boundaries (4096 pairs per
-    // block), each starting with and without a cached second value.
-    const size_t counts[] = {0, 1, 2, 3, 8191, 8192, 8193, 20001};
-    for (unsigned lanes = 0; lanes <= 4; ++lanes) {
-        // lanes == 0: no pool, the serial loop.
-        std::unique_ptr<ThreadPool> pool;
-        if (lanes > 0)
-            pool = std::make_unique<ThreadPool>(lanes);
-        for (size_t count : counts) {
-            for (bool cached : {false, true}) {
-                Rng serial(count + 3), bulk(count + 3);
-                if (cached) {
-                    serial.gaussianDouble();
-                    bulk.gaussianDouble();
-                }
-                std::vector<Torus32> expect(count), got(count, 0xFFFFFFFFu);
-                for (Torus32 &e : expect)
-                    e = serial.gaussianTorus32(1e-3);
-                bulk.fillGaussianTorus32(got.data(), count, 1e-3,
-                                         pool.get());
-                EXPECT_EQ(got, expect) << lanes << " lanes, count "
-                                       << count << ", cached " << cached;
-                // Both generators stand at the same point afterwards,
-                // a cached second value included.
-                EXPECT_EQ(bulk.gaussianDouble(), serial.gaussianDouble());
-                EXPECT_EQ(bulk.next64(), serial.next64());
-            }
-        }
-    }
-}
-
-TEST(RngGaussianFill, ZeroStddevDrawsNothing)
-{
-    Rng a(5), b(5);
-    std::vector<Torus32> out(9, 7u);
-    a.fillGaussianTorus32(out.data(), out.size(), 0.0);
-    EXPECT_EQ(out, std::vector<Torus32>(9, 0u));
-    EXPECT_EQ(a.next64(), b.next64());
 }
 
 } // namespace
