@@ -87,11 +87,26 @@ ThreadPool::ThreadPool(unsigned lanes)
     if (lanes == 0)
         lanes = defaultThreadCount();
     lanes_.reserve(lanes);
-    for (unsigned lane = 0; lane < lanes; ++lane)
-        lanes_.emplace_back([this, lane] { laneLoop(lane); });
+    try {
+        for (unsigned lane = 0; lane < lanes; ++lane)
+            lanes_.emplace_back([this, lane] { laneLoop(lane); });
+    } catch (...) {
+        // A lane that cannot start (std::system_error, e.g. EAGAIN
+        // under a thread limit): join the lanes already running before
+        // the throw leaves, or their std::threads would terminate the
+        // process as they are destroyed.
+        stopLanes();
+        throw;
+    }
 }
 
 ThreadPool::~ThreadPool()
+{
+    stopLanes();
+}
+
+void
+ThreadPool::stopLanes()
 {
     {
         MutexLock lock(m_);

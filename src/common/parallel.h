@@ -71,7 +71,9 @@ class ThreadPool
   public:
     /**
      * Start @p lanes lane threads; 0 means defaultThreadCount(). A
-     * 1-lane pool runs every parallelFor inline on its caller.
+     * 1-lane pool runs every parallelFor inline on its caller. If a
+     * lane cannot start, the lanes already started are joined and the
+     * std::system_error propagates.
      */
     explicit ThreadPool(unsigned lanes = 0);
 
@@ -133,6 +135,8 @@ class ThreadPool
 
   private:
     void laneLoop(unsigned lane) STRIX_EXCLUDES(m_);
+    /** Stop and join every started lane. */
+    void stopLanes() STRIX_EXCLUDES(m_);
 
     Mutex m_;
     CondVar cv_; //!< wakes lanes: job or offer queued, or stopping
